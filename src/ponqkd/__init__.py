@@ -69,7 +69,6 @@ from .topology import (
     OdnTopology,
     Splitter,
     default_odn,
-    effective_length_km,
     path_loss_db,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "default_odn",
     "default_raman_profile",
     "dps_shrink_factor",
-    "effective_length_km",
     "effective_visibility",
     "emit_report",
     "equivalent_dwdm_power_dbm",

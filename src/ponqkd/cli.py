@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import CalibrationError, ConfigError, DataError
 from .runner import (
@@ -101,15 +102,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     result, fitted = calibrate(raw, args.param, args.observable, args.target)
-    summary = {
-        "parameter": result.parameter,
-        "value": result.value,
-        "residual": result.residual,
-        "observable": result.observable,
-        "target": result.target,
-        "iterations": result.iterations,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(fitted, handle, indent=2, sort_keys=True)

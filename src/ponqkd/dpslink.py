@@ -15,6 +15,8 @@ click can trap carriers and release an afterpulse at dead-time end plus an
 exponential delay; the afterpulse probability grows quadratically with the
 registered click rate (trap pile-up), which is what bends the QBER curve
 back up at small loss budgets.  Afterpulses do not spawn afterpulses.
+The balance is closed-form up to one bracketed root, the afterpulse
+probability on [0, 1], found by :func:`ponqkd.roots.brentq`.
 
 Bit convention: differential phase 0 encodes bit 0 and exits the
 interferometer's constructive port; phase pi encodes bit 1 on the other
@@ -26,10 +28,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
+
+from .roots import brentq
 
 # default truth-pattern period used when extending a pattern cyclically
 PATTERN_PERIOD = 1 << 20
@@ -138,26 +141,21 @@ def effective_visibility(tx: TransmitterConfig, di: DelayInterferometer | None) 
 
 def generate_phase_train(
     config: TransmitterConfig, n_symbols: int, seed: int | np.random.SeedSequence | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Differential bits and absolute phases for ``n_symbols`` pulses.
+) -> np.ndarray:
+    """Differential bits for ``n_symbols`` pulses.
 
-    Returns ``(bits, phases)`` with ``len(bits) = n_symbols - 1``; bit k is
-    0 when pulses k and k+1 share a phase and 1 when they differ by pi.
-    Explicit ``pattern_bits`` on the config win over the seeded draw.
+    Returns ``n_symbols - 1`` bits; bit k is 0 when pulses k and k+1 share
+    a phase and 1 when they differ by pi.  Explicit ``pattern_bits`` on the
+    config win over the seeded draw.
     """
     if n_symbols < 2:
         raise ValueError("need at least 2 pulses for one differential bit")
     if config.pattern_bits is not None:
         base = np.asarray(config.pattern_bits, dtype=np.uint8)
         reps = -(-(n_symbols - 1) // len(base))
-        bits = np.tile(base, reps)[: n_symbols - 1]
-    else:
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=n_symbols - 1, dtype=np.uint8)
-    phases = np.zeros(n_symbols)
-    np.cumsum(bits * math.pi, out=phases[1:])
-    phases %= 2.0 * math.pi
-    return bits, phases
+        return np.tile(base, reps)[: n_symbols - 1]
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=n_symbols - 1, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -194,46 +192,36 @@ def _saturation_fixed_point(
     after its parent's dead time and is lost if any other arrival beats
     it).  Returns (U, R, A, S, p_eff).
     """
-    tau = det.dead_time_s
-    theta = det.afterpulse_decay_s
-    kappa = det.afterpulse_probability * det.afterpulse_memory_s**2
     p = primary_rate
     if p <= 0.0:
         return 1.0, 0.0, 0.0, 1.0, 0.0
-    # For fixed p_eff = q the balance closes:  A = q*p*U,
-    # S = 1/(1 + p*theta*(1 + q*U)),  U = 1/(1 + p*tau*(1 + q*S)); both
-    # maps keep U, S in (0, 1] so saturation never collapses to zero.
-    q = 0.0
-    live = 1.0 / (1.0 + p * tau)
-    surv = 1.0 / (1.0 + p * theta)
-    reg = p * live
-    for _ in range(200):
-        for _ in range(60):
-            surv = 1.0 / (1.0 + p * theta * (1.0 + q * live))
-            live_next = 1.0 / (1.0 + p * tau * (1.0 + q * surv))
-            if abs(live_next - live) <= 1e-15:
-                live = live_next
-                break
-            live = live_next
-        reg = p * live * (1.0 + q * surv)
-        q_next = min(1.0, kappa * reg * reg)
-        if abs(q_next - q) <= 1e-14:
-            q = q_next
-            break
-        q = 0.5 * (q + q_next)
-    surv = 1.0 / (1.0 + p * theta * (1.0 + q * live))
-    live = 1.0 / (1.0 + p * tau * (1.0 + q * surv))
+    a, b = p * det.afterpulse_decay_s, p * det.dead_time_s
+    kappa = det.afterpulse_probability * det.afterpulse_memory_s**2
+
+    def balance(q: float) -> tuple[float, float, float]:
+        # For fixed p_eff = q, U = 1/(1 + b(1 + qS)) and S = 1/(1 + a(1 + qU))
+        # give (1+b)aq U^2 + quad_b U - (1+a) = 0 with quad_b > 0 (q <= 1);
+        # its one positive root, in cancellation-free form:
+        quad_b = (1.0 + b) * (1.0 + a) + (b - a) * q
+        root = math.sqrt(quad_b * quad_b + 4.0 * (1.0 + b) * a * q * (1.0 + a))
+        live = 2.0 * (1.0 + a) / (quad_b + root)
+        surv = 1.0 / (1.0 + a * (1.0 + q * live))
+        return live, surv, p * live * (1.0 + q * surv)
+
+    def excess(q: float) -> float:
+        reg = balance(q)[2]
+        return min(1.0, kappa * reg * reg) - q
+
+    # excess(0) >= 0 >= excess(1) always brackets p_eff; a purely relative
+    # tolerance keeps a tiny p_eff accurate
+    q, _ = brentq(excess, 0.0, 1.0, xtol=0.0)
+    live, surv, _ = balance(q)
     ap_in = q * p * live
-    reg = p * live + ap_in * surv
-    return live, reg, ap_in, surv, q
+    return live, p * live + ap_in * surv, ap_in, surv, q
 
 
 def _arrival_rates(
-    tx: TransmitterConfig,
-    loss_budget_db: float,
-    det: DetectorModel,
-    noise_rate: float,
-    di: DelayInterferometer | None,
+    tx: TransmitterConfig, loss_budget_db: float, det: DetectorModel, noise_rate: float
 ) -> tuple[float, float]:
     """(signal, background) arrival rates per monitored SPAD, counts/s.
 
@@ -271,7 +259,7 @@ def click_rate_oracle(
         raise ValueError("noise_rate must be >= 0")
     if not (0.0 < gate_fraction <= 1.0):
         raise ValueError("gate_fraction must be in (0, 1]")
-    signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate, di)
+    signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
     live, reg, ap_in, surv, p_eff = _saturation_fixed_point(signal_in + background_in, det)
     retention = min(1.0, gate_fraction / tx.carve_duty)
     n_det = 2 if det.monitored_ports == "both" else 1
@@ -353,7 +341,7 @@ def simulate_timetags(
     n_symbols = max(2, int(round(duration_s * tx.symbol_rate_hz)))
     duration_s = n_symbols * period_s
     pattern_period = min(PATTERN_PERIOD, n_symbols - 1)
-    truth_bits, _ = generate_phase_train(tx, pattern_period + 1, ss_pattern)
+    truth_bits = generate_phase_train(tx, pattern_period + 1, ss_pattern)
 
     visibility = effective_visibility(tx, di)
     one_port = det.monitored_ports == "one"
@@ -396,7 +384,7 @@ def simulate_timetags(
     order = np.argsort(times, kind="stable")
     times, ports, origins = times[order], ports[order], origins[order]
 
-    signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate, di)
+    signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
     _, _, _, _, p_eff = _saturation_fixed_point(signal_in + background_in, det)
 
     rng_ap = np.random.default_rng(ss_afterpulse)

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from .roots import brentq
 from .sifting import QberReport
 
 DEFAULT_F_EC = 1.45
@@ -96,4 +95,4 @@ def positivity_threshold(f_ec: float = DEFAULT_F_EC) -> float:
     """
     e_tau_min = 6.0 / 38.0
     f = lambda e: dps_shrink_factor(e) - f_ec * binary_entropy(e)
-    return float(brentq(f, 1e-9, e_tau_min, maxiter=200))
+    return brentq(f, 1e-9, e_tau_min)[0]

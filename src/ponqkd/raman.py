@@ -31,13 +31,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C_M_PER_S
-from scipy.constants import h as _H_J_S
-from scipy.constants import k as _K_J_PER_K
 
 from .errors import DataError, ShiftRangeError
 from .topology import (
@@ -49,6 +45,10 @@ from .topology import (
     equivalent_noise_bandwidth_nm,
     span_loss_db,
 )
+
+_C_M_PER_S = 299792458.0  # exact SI values of c, h and k
+_H_J_S = 6.62607015e-34
+_K_J_PER_K = 1.380649e-23
 
 C_NM_THZ = _C_M_PER_S * 1e-3  # so that frequency_thz = C_NM_THZ / wavelength_nm
 
@@ -142,12 +142,9 @@ class ChannelPlan:
 
     channels: tuple[WavelengthChannel, ...] = ()
     quantum_center_nm: float = 1310.0
-    quantum_direction: str = "upstream"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
-        if self.quantum_direction != "upstream":
-            raise ValueError("only an upstream quantum channel is modelled")
 
 
 @dataclass(frozen=True)
@@ -178,9 +175,6 @@ class RamanProfile:
             raise DataError("profile scale must be >= 0")
         object.__setattr__(self, "shifts_thz", shifts)
         object.__setattr__(self, "coefficients", coeffs)
-
-    def with_scale(self, scale: float) -> "RamanProfile":
-        return replace(self, scale=scale)
 
     @classmethod
     def from_csv(cls, source: str | io.TextIOBase, scale: float = 1.0) -> "RamanProfile":

@@ -1,4 +1,5 @@
-"""Experiment orchestration: single runs, sweeps, calibration, reports."""
+"""Experiment orchestration: single runs, sweeps, reports, and calibration,
+which fits one parameter per anchor with :func:`ponqkd.roots.brentq`."""
 
 from __future__ import annotations
 
@@ -9,12 +10,12 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dpslink import click_rate_oracle, effective_visibility, simulate_timetags, LinkRates
 from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
+from .roots import RootError, brentq
 from .scenario import Scenario, apply_axis, config_hash, parse_scenario
 from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
 
@@ -269,9 +270,9 @@ def calibrate(
 ) -> tuple[CalibrationResult, dict]:
     """Fit one scalar parameter so the oracle observable meets its anchor.
 
-    Root-find with an expanding bracket and bisection-capable solver; no
-    sign change or failure to converge within 100 iterations raises
-    :class:`CalibrationError` carrying the bracket diagnostics.  Returns
+    Brent's method (:func:`ponqkd.roots.brentq`) on an expanding bracket;
+    no sign change, or no convergence within ``roots.MAX_ITER`` iterations,
+    raises :class:`CalibrationError` carrying the bracket diagnostics.  Returns
     the result plus the calibrated config dict for persistence.
     """
     if parameter not in CALIBRATION_PARAMETERS:
@@ -290,18 +291,10 @@ def calibrate(
     while limit is not None and f_lo * f_hi > 0.0 and hi < limit:
         hi = min(limit, hi * 10.0)
         f_hi = objective(hi)
-    if f_lo * f_hi > 0.0:
-        raise CalibrationError(
-            f"no sign change for {parameter} on [{lo}, {hi}]: "
-            f"f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g} against {observable} target {target}"
-        )
     try:
-        root, info = brentq(objective, lo, hi, maxiter=100, full_output=True)
-    except RuntimeError as exc:
-        raise CalibrationError(
-            f"{parameter} did not converge in 100 iterations on [{lo}, {hi}]: {exc}"
-        ) from exc
-    root = float(root)
+        root, iterations = brentq(objective, lo, hi)
+    except RootError as exc:
+        raise CalibrationError(f"{parameter} against {observable} target {target}: {exc}") from exc
     residual = objective(root)
     result = CalibrationResult(
         parameter=parameter,
@@ -309,6 +302,6 @@ def calibrate(
         residual=residual,
         observable=observable,
         target=target,
-        iterations=int(info.iterations),
+        iterations=iterations,
     )
     return result, _set_parameter(raw, parameter, root)

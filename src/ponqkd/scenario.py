@@ -12,17 +12,16 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from .dpslink import DelayInterferometer, DetectorModel, TransmitterConfig
-from .errors import ConfigError
+from .errors import ConfigError, WavelengthRangeError
 from .keyrate import DEFAULT_F_EC
 from .raman import ChannelPlan, RamanProfile, WavelengthChannel, default_raman_profile
 from .sifting import GateConfig
 from .topology import (
     FilterProfile,
     OdnTopology,
-    Splitter,
+    attenuation_at,
     default_odn,
     gaussian_transmission_table,
     path_loss_db,
@@ -118,7 +117,6 @@ class _Collector:
 def _parse_filter(spec: dict, col: _Collector, where: str) -> FilterProfile:
     center = col.number(spec, "center_nm", 1310.0, where, minimum=1.0)
     insertion = col.number(spec, "insertion_loss_db", 0.0, where, minimum=0.0)
-    rejection = col.number(spec, "out_of_band_rejection_db", 40.0, where, minimum=0.0)
     table = spec.get("transmission_db")
     shape = col.choice(spec, "shape", "gaussian", where, ("gaussian", "flat"))
     fwhm = col.number(spec, "fwhm_nm", 1.22, where, minimum=0.0)
@@ -133,11 +131,7 @@ def _parse_filter(spec: dict, col: _Collector, where: str) -> FilterProfile:
         else:
             points = None
         return FilterProfile(
-            center_nm=center,
-            fwhm_nm=fwhm,
-            insertion_loss_db=insertion,
-            out_of_band_rejection_db=rejection,
-            transmission_db=points,
+            center_nm=center, fwhm_nm=fwhm, insertion_loss_db=insertion, transmission_db=points
         )
     except (ValueError, TypeError) as exc:
         col.fail(f"{where}: {exc}")
@@ -259,6 +253,13 @@ def parse_scenario(raw: dict) -> Scenario:
     topology, budget = _parse_topology(raw, col)
     plan, rx_filter = _parse_channels(raw, col)
     profile = _parse_raman(raw, col)
+    if topology is not None:
+        # a run looks every wavelength up in the plant's one fibre table
+        try:
+            for nm in (plan.quantum_center_nm, *(ch.center_nm for ch in plan.channels)):
+                attenuation_at(topology.drop, nm)
+        except WavelengthRangeError as exc:
+            col.fail(f"channels: {exc}")
 
     tx_raw = raw.get("transmitter", {}) or {}
     det_raw = raw.get("detector", {}) or {}
@@ -323,6 +324,8 @@ def parse_scenario(raw: dict) -> Scenario:
         duration_s=col.number(run_raw, "duration_s", 30.0, "run", minimum=0.0),
         seed=col.integer(run_raw, "seed", 1, "run"),
     )
+    if run.duration_s <= 0.0:
+        col.fail("run.duration_s: must be > 0")
 
     sweep = raw.get("sweep")
     if sweep is not None:

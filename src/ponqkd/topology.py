@@ -3,7 +3,7 @@
 Represents the passive plant between the transmitter at the subscriber side
 and the receiver at the central office: two feeder fibres (one per
 direction), a symmetric 2:N power splitter and a short drop fibre, plus the
-add/drop filters at either end.  All losses are expressed in dB and compose
+receiver's bandpass filter.  All losses are expressed in dB and compose
 additively along a path.
 
 Wavelength-dependent fibre attenuation is carried as a small sorted table of
@@ -15,8 +15,8 @@ extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,15 +75,7 @@ def attenuation_at(span: FiberSpan, wavelength_nm: float) -> float:
     Linear interpolation between table anchors; a query outside the table
     hull raises :class:`WavelengthRangeError`.
     """
-    table = span.attenuation_db_per_km
-    wavelengths = [w for w, _ in table]
-    values = [a for _, a in table]
-    if len(table) == 1:
-        if wavelength_nm != wavelengths[0]:
-            raise WavelengthRangeError(
-                f"{wavelength_nm} nm outside single-point table at {wavelengths[0]} nm"
-            )
-        return values[0]
+    wavelengths, values = zip(*span.attenuation_db_per_km)
     if not (wavelengths[0] <= wavelength_nm <= wavelengths[-1]):
         raise WavelengthRangeError(
             f"{wavelength_nm} nm outside attenuation hull [{wavelengths[0]}, {wavelengths[-1]}] nm"
@@ -94,20 +86,6 @@ def attenuation_at(span: FiberSpan, wavelength_nm: float) -> float:
 def span_loss_db(span: FiberSpan, wavelength_nm: float) -> float:
     """Total loss of the span at a wavelength: length x attenuation."""
     return span.length_km * attenuation_at(span, wavelength_nm)
-
-
-def effective_length_km(length_km: float, attenuation_db_per_km: float) -> float:
-    """Nonlinear effective length (1 - e^(-alpha L)) / alpha in km.
-
-    ``alpha`` is the attenuation converted to nepers/km.  For alpha -> 0 the
-    limit is the physical length.
-    """
-    if length_km < 0.0:
-        raise ValueError("length must be >= 0")
-    alpha = attenuation_db_per_km * NEPER_PER_DB
-    if alpha == 0.0:
-        return length_km
-    return (1.0 - math.exp(-alpha * length_km)) / alpha
 
 
 @dataclass(frozen=True)
@@ -152,7 +130,6 @@ class FilterProfile:
     center_nm: float
     fwhm_nm: float
     insertion_loss_db: float = 0.0
-    out_of_band_rejection_db: float = 40.0
     transmission_db: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -206,26 +183,18 @@ def gaussian_transmission_table(
 
 @dataclass(frozen=True)
 class OdnTopology:
-    """Dual-feeder splitter ODN with optional add/drop filters and taps."""
+    """Dual-feeder splitter ODN: two feeders, one 2:N splitter, one drop."""
 
     feeder_down: FiberSpan
     feeder_up: FiberSpan
     splitter: Splitter
     drop: FiberSpan
-    onu_filter: FilterProfile | None = None
-    co_filter: FilterProfile | None = None
-    taps: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def element_loss_db(self, name: str, wavelength_nm: float) -> float:
         if name in ("feeder_down", "feeder_up", "drop"):
             return span_loss_db(getattr(self, name), wavelength_nm)
         if name == "splitter":
             return self.splitter.loss_db
-        if name in ("onu_filter", "co_filter"):
-            filt = getattr(self, name)
-            if filt is None:
-                raise PathElementError(f"topology has no {name}")
-            return filt.insertion_loss_db
         raise PathElementError(f"unknown path element {name!r}")
 
 

@@ -229,7 +229,6 @@ def test_criterion_9_equivalent_dwdm_power_consistency():
         center_nm=narrow.center_nm,
         fwhm_nm=equivalent_noise_bandwidth_nm(narrow) * 10.0 ** 1.19,
         insertion_loss_db=narrow.insertion_loss_db,
-        out_of_band_rejection_db=narrow.out_of_band_rejection_db,
     )
     rejection = filter_noise_rejection_db(wide, narrow)
     assert rejection == pytest.approx(11.9, abs=1e-9)

@@ -85,6 +85,22 @@ def test_validate_reports_every_config_error(tmp_path, capsys):
     assert "schema" in err and "efficiency" in err
 
 
+def test_run_zero_duration_exits_config(capsys):
+    rc = main(["run", "--config", "pon-baseline", "--mode", "monte_carlo", "--duration", "0"])
+    assert rc == EXIT_CONFIG
+    assert "run.duration_s" in capsys.readouterr().err
+
+
+def test_quantum_wavelength_outside_fibre_table_exits_config(tmp_path, capsys):
+    raw = bundled_scenario("pon-baseline")
+    raw["channels"]["quantum_center_nm"] = 1700.0
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", "run"):
+        assert main([verb, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1700" in err
+
+
 def test_missing_config_path_exits_config(capsys):
     assert main(["run", "--config", "/no/such/file.json"]) == EXIT_CONFIG
     assert "neither a bundled scenario nor a readable file" in capsys.readouterr().err

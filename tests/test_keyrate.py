@@ -133,7 +133,7 @@ def test_secure_rate_validation():
 
 
 def test_positivity_threshold_frozen():
-    assert positivity_threshold(1.45) == pytest.approx(0.0496413144288647, rel=1e-9)
+    assert positivity_threshold(1.45) == pytest.approx(0.0496413144288647, rel=1e-12)
     assert positivity_threshold() == positivity_threshold(DEFAULT_F_EC)
 
 

@@ -77,7 +77,7 @@ def test_coefficient_outside_hull_raises():
 
 def test_profile_scaling():
     profile = default_raman_profile()
-    doubled = profile.with_scale(2.0 * profile.scale)
+    doubled = dataclasses.replace(profile, scale=2.0 * profile.scale)
     assert raman_coefficient(doubled, ANCHOR_NM, 1310.0) == pytest.approx(
         2.0 * raman_coefficient(profile, ANCHOR_NM, 1310.0), rel=1e-12
     )

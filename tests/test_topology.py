@@ -12,7 +12,6 @@ from ponqkd.topology import (
     Splitter,
     attenuation_at,
     default_odn,
-    effective_length_km,
     equivalent_noise_bandwidth_nm,
     gaussian_transmission_table,
     path_loss_db,
@@ -40,6 +39,11 @@ def test_attenuation_outside_hull_raises():
         attenuation_at(span, 1259.9)
     with pytest.raises(WavelengthRangeError):
         attenuation_at(span, 1625.1)
+    # a one-point table is a hull of one wavelength
+    single = FiberSpan(length_km=1.0, attenuation_db_per_km=((1310.0, 0.37),))
+    assert attenuation_at(single, 1310.0) == 0.37
+    with pytest.raises(WavelengthRangeError):
+        attenuation_at(single, 1310.1)
 
 
 def test_span_loss_is_length_times_attenuation():
@@ -54,18 +58,6 @@ def test_span_validation():
         FiberSpan(length_km=1.0, attenuation_db_per_km=((1550.0, 0.21), (1310.0, 0.37)))
     with pytest.raises(ValueError):
         FiberSpan(length_km=1.0, attenuation_db_per_km=((1310.0, 0.0),))
-
-
-def test_effective_length_frozen_value():
-    # (1 - exp(-a L)) / a with a = 0.37 ln(10)/10
-    assert effective_length_km(16.0, 0.37) == pytest.approx(8.734500234794213, rel=1e-12)
-
-
-def test_effective_length_limits():
-    # short spans are almost unshortened, long spans cap at 1/a
-    assert effective_length_km(1e-6, 0.37) == pytest.approx(1e-6, rel=1e-6)
-    cap = 10.0 / (0.37 * math.log(10.0))
-    assert effective_length_km(1e6, 0.37) == pytest.approx(cap, rel=1e-12)
 
 
 def test_splitter_loss():
@@ -137,8 +129,8 @@ def test_unknown_path_element_raises():
 
 
 def test_missing_filter_element_raises():
+    # filter insertion losses live in the receiver excess loss, not the path
     topo = default_odn()
-    assert topo.onu_filter is None
     with pytest.raises(PathElementError):
         topo.element_loss_db("onu_filter", 1310.0)
 
