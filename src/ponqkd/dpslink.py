@@ -26,7 +26,6 @@ signal photons are lost and every surviving click decodes as bit 0.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -220,6 +219,12 @@ def _saturation_fixed_point(
     return live, p * live + ap_in * surv, ap_in, surv, q
 
 
+def _click_probability(tx: TransmitterConfig, loss_budget_db: float, det: DetectorModel) -> float:
+    """Probability that one pulse gives a detection, summed over both ports."""
+    transmittance = 10.0 ** (-(loss_budget_db + det.excess_loss_db) / 10.0)
+    return 1.0 - math.exp(-tx.mean_photon_number * transmittance * det.efficiency)
+
+
 def _arrival_rates(
     tx: TransmitterConfig, loss_budget_db: float, det: DetectorModel, noise_rate: float
 ) -> tuple[float, float]:
@@ -230,9 +235,7 @@ def _arrival_rates(
     and noise rate are per-detector quantities (the noise calibration
     anchor is a count rate measured on the monitored SPAD).
     """
-    transmittance = 10.0 ** (-(loss_budget_db + det.excess_loss_db) / 10.0)
-    p_click = 1.0 - math.exp(-tx.mean_photon_number * transmittance * det.efficiency)
-    signal_in = tx.symbol_rate_hz * p_click * 0.5
+    signal_in = tx.symbol_rate_hz * _click_probability(tx, loss_budget_db, det) * 0.5
     background_in = det.dark_rate_hz + noise_rate
     return signal_in, background_in
 
@@ -243,7 +246,6 @@ def click_rate_oracle(
     det: DetectorModel,
     noise_rate: float = 0.0,
     gate_fraction: float = 1.0,
-    di: DelayInterferometer | None = None,
 ) -> LinkRates:
     """Closed-form counted rates for one parameter point.
 
@@ -309,6 +311,139 @@ def write_tag_csv(stream: TimeTagStream, path: str) -> None:
             handle.write(f"{t:.3f},{int(p)}\n")
 
 
+def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``times`` and its label arrays in the order of a stable sort by time.
+
+    A plain sort is several times faster than a stable one; the two agree
+    unless some times repeat, and then the stable sort decides.
+    """
+    order = np.argsort(times)
+    ordered = times[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+    return (ordered, *(a[order] for a in labels))
+
+
+def _merge_mask(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Where ``second``'s items fall when two sorted arrays merge, ``first`` ahead at ties."""
+    at = np.searchsorted(first, second, side="right") + np.arange(len(second))
+    mask = np.zeros(len(first) + len(second), dtype=bool)
+    mask[at] = True
+    return mask
+
+
+def _merge(first: np.ndarray, second: np.ndarray, second_mask: np.ndarray) -> np.ndarray:
+    """The merged array that :func:`_merge_mask` describes."""
+    out = np.empty(len(second_mask), dtype=first.dtype)
+    out[~second_mask] = first
+    out[second_mask] = second
+    return out
+
+
+def _resolve_port(
+    times: np.ndarray, ap_times: np.ndarray, ap_parent: np.ndarray, dead_time_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Registered flags of one detector's primaries and afterpulse candidates.
+
+    ``times`` are the port's primaries in time order, ``ap_times`` its
+    afterpulse candidates in time order and ``ap_parent`` the index of each
+    candidate's parent in ``times``.  The two merge into one timeline with
+    primaries first at equal times.  An event with no other event within the
+    dead time on either side is lone: a lone primary registers, a lone
+    candidate registers exactly when its parent did.  Only the clusters,
+    runs of events closer together than the dead time, go through the
+    sequential rule, one event at a time.
+    """
+    is_ap = _merge_mask(times, ap_times)
+    merged = _merge(times, ap_times, is_ap)
+    ap_pos = np.flatnonzero(is_ap)
+    before = ap_pos - np.arange(len(ap_pos))  # primaries ahead of each candidate
+    # event k + 1 arrives inside the dead time event k would start (the
+    # comparison the sequential rule makes, so rounding agrees)
+    close = merged[1:] < merged[:-1] + dead_time_s
+    clustered = np.zeros(len(merged), dtype=bool)
+    clustered[1:] = close
+    clustered[:-1] |= close
+    del close
+
+    pos = np.flatnonzero(clustered)
+    pos_ap = is_ap[pos]
+    n_ap_ahead = np.searchsorted(ap_pos, pos)
+    local = np.where(pos_ap, n_ap_ahead, pos - n_ap_ahead)  # index among primaries or candidates
+    # a clustered candidate whose parent is clustered too waits for the
+    # parent's outcome, found at the parent's place in ``pos``; a lone
+    # parent has registered (slot -1, as for primaries)
+    parents = ap_parent[local[pos_ap]]
+    parent_pos = parents + np.searchsorted(before, parents, side="right")
+    parent_slot = np.searchsorted(pos, parent_pos)
+    slot = np.full(len(pos), -1, dtype=np.int64)
+    slot[pos_ap] = np.where(clustered[parent_pos], parent_slot, -1)
+
+    hit: list[bool] = []
+    free_at = -math.inf
+    for t, s in zip(merged[pos].tolist(), slot.tolist()):
+        ok = t >= free_at and (s < 0 or hit[s])
+        if ok:
+            free_at = t + dead_time_s
+        hit.append(ok)
+    hits = np.array(hit, dtype=bool)
+
+    registered = ~clustered[~is_ap]
+    registered[local[~pos_ap]] = hits[~pos_ap]
+    ap_registered = registered[ap_parent]
+    ap_registered[local[pos_ap]] = hits[pos_ap]
+    return registered, ap_registered
+
+
+def _dead_time_pass(
+    times: np.ndarray,
+    ports: np.ndarray,
+    origins: np.ndarray,
+    fires: np.ndarray,
+    delays: np.ndarray,
+    dead_time_s: float,
+    duration_s: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Register clicks on each port's non-paralyzable detector.
+
+    ``times``/``ports``/``origins`` are the primaries (signal, dark, Raman)
+    in time order, all before ``duration_s``.  Primary i with ``fires[i]``
+    sends an afterpulse candidate to its own port at ``times[i] +
+    dead_time_s + delay``, the delays taken in order from ``delays`` (one
+    per firing primary); the candidate is a click only if its parent
+    registers.  A click at or after a detector's ``free_at`` (its last
+    registered click plus the dead time) registers; a candidate at or after
+    ``duration_s`` is dropped before it can block anything.  Returns the
+    registered (times, ports, origins) in time order; at equal times the
+    primaries come first in input order, then afterpulses by port.
+    """
+    parent = np.flatnonzero(fires)
+    ap_times = times[parent] + dead_time_s + delays
+    inside = ap_times < duration_s
+    parent, ap_times = parent[inside], ap_times[inside]
+    ap_ports = ports[parent]
+    order = np.lexsort((ap_ports, ap_times))
+    parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
+
+    kept = np.zeros(len(times), dtype=bool)
+    ap_kept = np.zeros(len(parent), dtype=bool)
+    for port in (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE):
+        prim = np.flatnonzero(ports == port)
+        aps = np.flatnonzero(ap_ports == port)
+        kept[prim], ap_kept[aps] = _resolve_port(
+            times[prim], ap_times[aps], np.searchsorted(prim, parent[aps]), dead_time_s
+        )
+
+    is_ap = _merge_mask(times[kept], ap_times[ap_kept])
+    ap_origins = np.full(np.count_nonzero(ap_kept), ORIGIN_AFTERPULSE, dtype=np.uint8)
+    return (
+        _merge(times[kept], ap_times[ap_kept], is_ap),
+        _merge(ports[kept], ap_ports[ap_kept], is_ap),
+        _merge(origins[kept], ap_origins, is_ap),
+    )
+
+
 def simulate_timetags(
     tx: TransmitterConfig,
     di: DelayInterferometer | None,
@@ -325,10 +460,14 @@ def simulate_timetags(
     signal photons, background events, afterpulsing.  Signal detections
     are binomial over symbols; their symbol indices, interferometer port
     draws and carve-window jitter come from the signal stream.  Dark and
-    Raman events are Poisson-uniform.  The chronological dead-time pass
-    then registers clicks per detector and spawns afterpulses (dead time
-    plus an exponential delay, probability from the stationary fixed
-    point, parents limited to registered primaries).
+    Raman events are Poisson-uniform.  The primaries (signal, dark, Raman)
+    are then put in time order, and the afterpulse stream draws one uniform
+    per primary in that order (the primary fires an afterpulse when it falls
+    below the probability from the stationary fixed point), then one
+    exponential delay per firing primary, again in time order.  The
+    dead-time pass registers clicks per detector; a firing primary's
+    afterpulse (dead time plus its delay after the parent) exists only if
+    the parent registered, so afterpulses never spawn afterpulses.
     """
     if duration_s <= 0.0:
         raise ValueError("duration_s must be > 0")
@@ -347,20 +486,20 @@ def simulate_timetags(
     one_port = det.monitored_ports == "one"
 
     rng_sig = np.random.default_rng(ss_signal)
-    transmittance = 10.0 ** (-(loss_budget_db + det.excess_loss_db) / 10.0)
-    p_click = 1.0 - math.exp(-tx.mean_photon_number * transmittance * det.efficiency)
-    n_detected = rng_sig.binomial(n_symbols, p_click)
+    n_detected = rng_sig.binomial(n_symbols, _click_probability(tx, loss_budget_db, det))
     slots = rng_sig.integers(0, n_symbols, size=n_detected, dtype=np.int64)
-    slot_bits = truth_bits[slots % pattern_period]
     # constructive port for bit 0, destructive for bit 1; wrong port with
     # probability (1 - V)/2
     wrong = rng_sig.random(n_detected) < (1.0 - visibility) / 2.0
-    sig_ports = (slot_bits ^ wrong).astype(np.uint8)
+    sig_ports = (truth_bits[slots % pattern_period] ^ wrong).astype(np.uint8)
+    del wrong
     jitter = (rng_sig.random(n_detected) - 0.5) * tx.carve_duty * period_s
     sig_times = (slots.astype(np.float64) + 0.5) * period_s + jitter
+    del slots, jitter
     if one_port:
         keep = sig_ports == PORT_CONSTRUCTIVE
         sig_times, sig_ports = sig_times[keep], sig_ports[keep]
+        del keep
 
     rng_bg = np.random.default_rng(ss_background)
     n_det_ports = 1 if one_port else 2  # dark/noise rates are per detector
@@ -381,45 +520,23 @@ def simulate_timetags(
             np.full(n_raman, ORIGIN_RAMAN, dtype=np.uint8),
         ]
     )
-    order = np.argsort(times, kind="stable")
-    times, ports, origins = times[order], ports[order], origins[order]
+    del sig_times, sig_ports, bg_times, bg_ports
+    times, ports, origins = _time_order(times, ports, origins)
 
     signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
-    _, _, _, _, p_eff = _saturation_fixed_point(signal_in + background_in, det)
-
+    p_eff = _saturation_fixed_point(signal_in + background_in, det)[4]
     rng_ap = np.random.default_rng(ss_afterpulse)
-    tau, theta = det.dead_time_s, det.afterpulse_decay_s
-    free_at = [-math.inf, -math.inf]
-    pending: list[tuple[float, int]] = []
-    out_t: list[float] = []
-    out_port: list[int] = []
-    out_origin: list[int] = []
-    i, n = 0, len(times)
-    while i < n or pending:
-        if pending and (i >= n or pending[0][0] < times[i]):
-            t, port = heapq.heappop(pending)
-            origin = ORIGIN_AFTERPULSE
-            primary = False
-        else:
-            t, port, origin = float(times[i]), int(ports[i]), int(origins[i])
-            primary = True
-            i += 1
-        if t >= duration_s:
-            continue
-        if t < free_at[port]:
-            continue
-        free_at[port] = t + tau
-        out_t.append(t)
-        out_port.append(port)
-        out_origin.append(origin)
-        if primary and rng_ap.random() < p_eff:
-            heapq.heappush(pending, (t + tau + rng_ap.exponential(theta), port))
+    fires = rng_ap.random(len(times)) < p_eff
+    delays = rng_ap.exponential(det.afterpulse_decay_s, size=int(np.count_nonzero(fires)))
+    out_t, out_port, out_origin = _dead_time_pass(
+        times, ports, origins, fires, delays, det.dead_time_s, duration_s
+    )
 
     seed_int = None if isinstance(seed, np.random.SeedSequence) else int(seed)
     return TimeTagStream(
-        times_s=np.asarray(out_t, dtype=np.float64),
-        ports=np.asarray(out_port, dtype=np.uint8),
-        origins=np.asarray(out_origin, dtype=np.uint8),
+        times_s=out_t,
+        ports=out_port,
+        origins=out_origin,
         duration_s=duration_s,
         symbol_rate_hz=tx.symbol_rate_hz,
         truth_bits=truth_bits,

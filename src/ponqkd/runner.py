@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -82,7 +83,6 @@ def run_scenario(
         scn.detector,
         noise_rate=raman.total_at_receiver,
         gate_fraction=scn.gate.gate_fraction,
-        di=scn.interferometer,
     )
     run_seed: int | None
     if mode == "oracle":
@@ -121,6 +121,13 @@ def run_scenario(
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_sweep(
     scn: Scenario,
     axis: str | None = None,
@@ -130,7 +137,9 @@ def run_sweep(
     """One run per axis value, in axis order regardless of completion order.
 
     Every Monte Carlo point draws from its own child of the master seed, so
-    results do not depend on scheduling.
+    results do not depend on scheduling.  Points run on a thread pool of
+    ``workers`` threads, by default one per usable CPU (at most one per
+    point).
     """
     if axis is None or values is None:
         if scn.sweep is None:
@@ -146,7 +155,7 @@ def run_sweep(
         point = parse_scenario(apply_axis(scn.raw, axis, value))
         return run_scenario(point, seed=children[index])
 
-    max_workers = workers or min(8, len(values))
+    max_workers = workers or min(_usable_cpus(), len(values))
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(one, enumerate(values)))
 

@@ -14,9 +14,15 @@ import json
 from dataclasses import dataclass, field
 
 from .dpslink import DelayInterferometer, DetectorModel, TransmitterConfig
-from .errors import ConfigError, WavelengthRangeError
+from .errors import ConfigError, ShiftRangeError, WavelengthRangeError
 from .keyrate import DEFAULT_F_EC
-from .raman import ChannelPlan, RamanProfile, WavelengthChannel, default_raman_profile
+from .raman import (
+    ChannelPlan,
+    RamanProfile,
+    WavelengthChannel,
+    default_raman_profile,
+    raman_coefficient,
+)
 from .sifting import GateConfig
 from .topology import (
     FilterProfile,
@@ -254,12 +260,18 @@ def parse_scenario(raw: dict) -> Scenario:
     plan, rx_filter = _parse_channels(raw, col)
     profile = _parse_raman(raw, col)
     if topology is not None:
-        # a run looks every wavelength up in the plant's one fibre table
+        # a run looks every wavelength up in the plant's one fibre table and
+        # every pump/quantum shift up in the Raman profile
         try:
             for nm in (plan.quantum_center_nm, *(ch.center_nm for ch in plan.channels)):
                 attenuation_at(topology.drop, nm)
         except WavelengthRangeError as exc:
             col.fail(f"channels: {exc}")
+        try:
+            for ch in plan.channels:
+                raman_coefficient(profile, ch.center_nm, plan.quantum_center_nm)
+        except ShiftRangeError as exc:
+            col.fail(f"channels: {ch.center_nm} nm pumping {plan.quantum_center_nm} nm: {exc}")
 
     tx_raw = raw.get("transmitter", {}) or {}
     det_raw = raw.get("detector", {}) or {}

@@ -9,15 +9,13 @@ import numpy as np
 from .dpslink import PORT_CONSTRUCTIVE, TimeTagStream
 from .errors import DataError
 
-PHASE_SCAN_POINTS = 64
-
 
 @dataclass(frozen=True)
 class GateConfig:
     """Acceptance window around the expected pulse arrival.
 
     ``slot_phase_s`` is the offset of the gate center from the slot center;
-    None requests the automatic phase scan.
+    None puts it on the pulse center that :func:`estimate_slot_phase` finds.
     """
 
     gate_fraction: float = 0.30
@@ -40,35 +38,19 @@ def _gate_mask(times_s: np.ndarray, gate: GateConfig, phase_s: float) -> np.ndar
 
 
 def estimate_slot_phase(times_s: np.ndarray, gate: GateConfig) -> float:
-    """Gate-center offset maximizing kept tags over a fixed phase scan.
+    """Gate-center offset at the pulse center, by circular mean.
 
-    Scans PHASE_SCAN_POINTS equally spaced offsets.  When the pulse is
-    narrower than the gate a whole run of offsets retains everything, so
-    the center of the longest maximizer run is returned, not its edge.
+    Each tag's position inside its slot is an angle; the angle of the summed
+    unit vectors is the mean arrival position, and uniform background adds
+    no bias to it.  The result is wrapped into [-T/2, T/2) of the slot
+    period T; an empty stream gives 0.0.
     """
-    period = gate.symbol_period_s
-    candidates = np.arange(PHASE_SCAN_POINTS) * period / PHASE_SCAN_POINTS
-    counts = np.array(
-        [int(np.count_nonzero(_gate_mask(times_s, gate, p))) for p in candidates]
-    )
-    tied = counts == counts.max()
-    if tied.all():
+    if not len(times_s):
         return 0.0
-    # rotate a non-maximizer to the origin so no run wraps around
-    gap = int(np.argmin(tied))
-    rolled = np.roll(tied, -gap)
-    run_start, run_len, best_start, best_len = 0, 0, 0, 0
-    for idx, hit in enumerate(rolled):
-        if hit:
-            if run_len == 0:
-                run_start = idx
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-        else:
-            run_len = 0
-    mid = (gap + best_start + (best_len - 1) // 2) % PHASE_SCAN_POINTS
-    return float(candidates[mid])
+    period = gate.symbol_period_s
+    angle = np.mod(times_s, period) * (2.0 * np.pi / period)
+    mean = np.arctan2(np.sin(angle).sum(), np.cos(angle).sum())
+    return float(np.mod(mean * period / (2.0 * np.pi), period) - period / 2.0)
 
 
 def apply_gate(stream: TimeTagStream, gate: GateConfig) -> TimeTagStream:

@@ -159,7 +159,7 @@ def test_criterion_7_oracle_equivalence_property_suite():
     worst = 0.0
     for child, (budget, noise, vis) in zip(children, cells):
         tx = TransmitterConfig(visibility=vis)
-        rates = click_rate_oracle(tx, budget, det, noise_rate=noise, gate_fraction=0.3, di=di)
+        rates = click_rate_oracle(tx, budget, det, noise_rate=noise, gate_fraction=0.3)
         e_int = (1.0 - effective_visibility(tx, di)) / 2.0
         oracle = oracle_qber_report(
             rates.signal_rate, e_int, rates.background_rate + rates.afterpulse_rate

@@ -101,6 +101,18 @@ def test_quantum_wavelength_outside_fibre_table_exits_config(tmp_path, capsys):
         assert err.startswith("config error:") and "1700" in err
 
 
+def test_raman_shift_outside_profile_exits_config(tmp_path, capsys):
+    # 1625 nm pumping 1260 nm is a shift of about 53 THz; the profile ends at 45
+    raw = bundled_scenario("pon-us-1")
+    raw["channels"]["quantum_center_nm"] = 1260.0
+    raw["channels"]["classical"][0]["center_nm"] = 1625.0
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", "run"):
+        assert main([verb, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1625" in err and "profile hull" in err
+
+
 def test_missing_config_path_exits_config(capsys):
     assert main(["run", "--config", "/no/such/file.json"]) == EXIT_CONFIG
     assert "neither a bundled scenario nor a readable file" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Link statistics: oracle decomposition, saturation, Monte Carlo stream."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from ponqkd import dpslink
 from ponqkd.dpslink import (
     ORIGIN_AFTERPULSE,
     ORIGIN_DARK,
@@ -13,6 +15,8 @@ from ponqkd.dpslink import (
     DelayInterferometer,
     DetectorModel,
     TransmitterConfig,
+    _dead_time_pass,
+    _time_order,
     click_rate_oracle,
     effective_visibility,
     generate_phase_train,
@@ -60,7 +64,7 @@ def test_oracle_decomposition_without_saturation():
     tx = TransmitterConfig()
     det = DetectorModel(dead_time_s=0.0, afterpulse_probability=0.0)
     budget, noise, gate = 18.0, 100.0, 0.30
-    rates = click_rate_oracle(tx, budget, det, noise_rate=noise, gate_fraction=gate, di=DI)
+    rates = click_rate_oracle(tx, budget, det, noise_rate=noise, gate_fraction=gate)
     p_click = 1.0 - math.exp(-0.1 * 10.0 ** (-(budget + det.excess_loss_db) / 10.0) * 0.1)
     assert rates.live_fraction == 1.0
     assert rates.afterpulse_rate == 0.0
@@ -71,7 +75,7 @@ def test_oracle_decomposition_without_saturation():
 def test_oracle_live_fraction_closed_form():
     tx = TransmitterConfig()
     det = DetectorModel(afterpulse_probability=0.0)
-    rates = click_rate_oracle(tx, 18.0, det, gate_fraction=0.30, di=DI)
+    rates = click_rate_oracle(tx, 18.0, det, gate_fraction=0.30)
     p_click = 1.0 - math.exp(-0.1 * 10.0 ** (-(18.0 + det.excess_loss_db) / 10.0) * 0.1)
     arrivals = 1e9 * p_click * 0.5 + 520.0
     assert rates.live_fraction == pytest.approx(1.0 / (1.0 + arrivals * 1e-5), rel=1e-12)
@@ -79,7 +83,7 @@ def test_oracle_live_fraction_closed_form():
 
 
 def test_oracle_afterpulse_balance_identities():
-    rates = click_rate_oracle(TransmitterConfig(), 18.0, DetectorModel(), gate_fraction=0.30, di=DI)
+    rates = click_rate_oracle(TransmitterConfig(), 18.0, DetectorModel(), gate_fraction=0.30)
     det = DetectorModel()
     # trap pile-up: p_eff = p_ap (R * memory)^2 at the solved R
     expected_p = det.afterpulse_probability * (
@@ -92,8 +96,8 @@ def test_oracle_afterpulse_balance_identities():
 def test_oracle_gate_trims_background_not_signal():
     tx = TransmitterConfig(carve_duty=0.2)
     det = DetectorModel(afterpulse_probability=0.0, dead_time_s=0.0)
-    wide = click_rate_oracle(tx, 18.0, det, gate_fraction=1.0, di=DI)
-    gated = click_rate_oracle(tx, 18.0, det, gate_fraction=0.30, di=DI)
+    wide = click_rate_oracle(tx, 18.0, det, gate_fraction=1.0)
+    gated = click_rate_oracle(tx, 18.0, det, gate_fraction=0.30)
     assert gated.signal_rate == pytest.approx(wide.signal_rate, rel=1e-12)
     assert gated.background_rate == pytest.approx(0.30 * wide.background_rate, rel=1e-12)
 
@@ -101,14 +105,14 @@ def test_oracle_gate_trims_background_not_signal():
 def test_oracle_gate_narrower_than_carve_cuts_signal():
     tx = TransmitterConfig(carve_duty=0.2)
     det = DetectorModel(afterpulse_probability=0.0, dead_time_s=0.0)
-    rates = click_rate_oracle(tx, 18.0, det, gate_fraction=0.10, di=DI)
+    rates = click_rate_oracle(tx, 18.0, det, gate_fraction=0.10)
     assert rates.signal_retention == pytest.approx(0.5)
 
 
 def test_oracle_both_ports_doubles_counts():
-    one = click_rate_oracle(TransmitterConfig(), 18.0, DetectorModel(), gate_fraction=0.3, di=DI)
+    one = click_rate_oracle(TransmitterConfig(), 18.0, DetectorModel(), gate_fraction=0.3)
     both = click_rate_oracle(
-        TransmitterConfig(), 18.0, DetectorModel(monitored_ports="both"), gate_fraction=0.3, di=DI
+        TransmitterConfig(), 18.0, DetectorModel(monitored_ports="both"), gate_fraction=0.3
     )
     assert both.signal_rate == pytest.approx(2.0 * one.signal_rate, rel=1e-12)
     assert both.background_rate == pytest.approx(2.0 * one.background_rate, rel=1e-12)
@@ -116,7 +120,7 @@ def test_oracle_both_ports_doubles_counts():
 
 def test_oracle_saturation_bounds():
     det = DetectorModel()
-    rates = click_rate_oracle(TransmitterConfig(), 0.0, det, noise_rate=1e12, di=DI)
+    rates = click_rate_oracle(TransmitterConfig(), 0.0, det, noise_rate=1e12)
     assert 0.0 < rates.live_fraction < 1e-4
     assert rates.registered_rate <= 1.0 / det.dead_time_s
 
@@ -185,7 +189,7 @@ def test_simulation_counts_match_oracle_three_sigma():
     tx, det = TransmitterConfig(), DetectorModel()
     duration = 4.0
     stream = simulate_timetags(tx, DI, 18.0, det, 360.0, duration, seed=21)
-    rates = click_rate_oracle(tx, 18.0, det, noise_rate=360.0, gate_fraction=1.0, di=DI)
+    rates = click_rate_oracle(tx, 18.0, det, noise_rate=360.0, gate_fraction=1.0)
     expected = rates.total_rate * duration
     assert abs(len(stream) - expected) <= 3.0 * math.sqrt(expected)
 
@@ -214,3 +218,134 @@ def test_config_validation():
         DetectorModel(monitored_ports="three")
     with pytest.raises(ValueError):
         DelayInterferometer(delay_s=0.0)
+
+
+def test_time_order_is_stable_sort_with_and_without_ties():
+    rng = np.random.default_rng(2)
+    for times in (rng.random(5000), rng.integers(0, 500, size=5000) * 0.25):
+        labels = np.arange(len(times))
+        ordered, got = _time_order(times, labels)
+        want = np.argsort(times, kind="stable")
+        assert np.array_equal(got, want)
+        assert np.array_equal(ordered, times[want])
+
+
+def reference_dead_time_loop(times, ports, origins, fires, delays, dead_time_s, duration_s):
+    """Event-by-event dead-time pass: the merged timeline walked in order.
+
+    Pending afterpulses sit on a heap keyed by (time, port); a primary goes
+    first at equal times.  A registered primary with ``fires`` set queues
+    its afterpulse with the next of the pre-drawn delays of firing primaries.
+    """
+    rank = np.cumsum(fires) - 1
+    free_at = [-math.inf, -math.inf]
+    pending: list[tuple[float, int]] = []
+    out_t, out_port, out_origin = [], [], []
+    i, n = 0, len(times)
+    while i < n or pending:
+        if pending and (i >= n or pending[0][0] < times[i]):
+            t, port = heapq.heappop(pending)
+            origin, parent = ORIGIN_AFTERPULSE, None
+        else:
+            t, port, origin, parent = float(times[i]), int(ports[i]), int(origins[i]), i
+            i += 1
+        if t >= duration_s or t < free_at[port]:
+            continue
+        free_at[port] = t + dead_time_s
+        out_t.append(t)
+        out_port.append(port)
+        out_origin.append(origin)
+        if parent is not None and fires[parent]:
+            delay = float(delays[rank[parent]])
+            heapq.heappush(pending, (t + dead_time_s + delay, port))
+    return (
+        np.asarray(out_t, dtype=np.float64),
+        np.asarray(out_port, dtype=np.uint8),
+        np.asarray(out_origin, dtype=np.uint8),
+    )
+
+
+def assert_pass_matches_reference(*args):
+    fast = _dead_time_pass(*args)
+    slow = reference_dead_time_loop(*args)
+    for got, want in zip(fast, slow):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ports", ["one", "both"])
+@pytest.mark.parametrize("budget", [8.0, 14.0, 18.0])
+@pytest.mark.parametrize("p_ap", [0.0, 1.0])
+def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap):
+    captured = []
+
+    def spy(*args):
+        captured.append(args)
+        return _dead_time_pass(*args)
+
+    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    det = DetectorModel(monitored_ports=ports, afterpulse_probability=p_ap)
+    stream = simulate_timetags(TransmitterConfig(), DI, budget, det, 2500.0, 0.3, seed=17)
+    (args,) = captured
+    fires = args[3]
+    assert fires.any() == (p_ap > 0.0)
+    assert len(stream) > 1000
+    assert_pass_matches_reference(*args)
+
+
+def test_dead_time_pass_without_primaries():
+    empty, none = np.empty(0), np.empty(0, dtype=np.uint8)
+    assert_pass_matches_reference(empty, none, none, np.empty(0, dtype=bool), empty, 1e-5, 1.0)
+
+
+def test_dead_time_pass_drops_afterpulses_past_duration():
+    # every primary fires; half the delays push the afterpulse past the end,
+    # where it must not block the primaries still arriving
+    rng = np.random.default_rng(3)
+    n = 4000
+    times = np.sort(rng.random(n)) * 0.1
+    ports = rng.integers(0, 2, size=n, dtype=np.uint8)
+    origins = rng.integers(0, 3, size=n, dtype=np.uint8)
+    delays = np.where(rng.random(n) < 0.5, rng.exponential(5e-6, size=n), 0.2)
+    args = (times, ports, origins, np.ones(n, dtype=bool), delays, 1e-5, 0.1)
+    out_t, _, out_origin = _dead_time_pass(*args)
+    assert out_t[-1] < 0.1
+    assert np.count_nonzero(out_origin == ORIGIN_AFTERPULSE) > 0
+    assert_pass_matches_reference(*args)
+
+
+def tie_case(seed, n, span, max_delay, paired):
+    """Primaries and delays on a binary grid, so every sum is exact.
+
+    ``paired`` repeats each primary time once, on a random port each.
+    """
+    rng = np.random.default_rng(seed)
+    tick = 2.0**-20
+    base = np.sort(rng.integers(0, span, size=n))
+    times = (np.repeat(base, 2) if paired else base) * tick
+    m = len(times)
+    ports = rng.integers(0, 2, size=m, dtype=np.uint8)
+    origins = rng.integers(0, 3, size=m, dtype=np.uint8)
+    fires = rng.random(m) < 0.5
+    delays = rng.integers(0, max_delay, size=int(fires.sum())) * tick
+    return times, ports, origins, fires, delays, 8 * tick, span * tick
+
+
+@pytest.mark.parametrize(
+    "case",
+    [tie_case(5, 3000, 12000, 12, paired=False), tie_case(6, 1500, 24000, 4, paired=True)],
+    ids=["dense", "paired"],
+)
+def test_dead_time_pass_exact_time_ties(case):
+    # primaries repeat within and across ports; afterpulses land exactly on
+    # primaries, on each other and on their detector's free_at
+    times, ports, origins, fires, delays, tau, duration = case
+    out_t, out_port, out_origin = reference_dead_time_loop(*case)
+    ap = out_origin == ORIGIN_AFTERPULSE
+    assert np.count_nonzero(times[1:] == times[:-1]) > 50
+    assert len(np.intersect1d(out_t[ap], out_t[~ap])) > 5
+    ap_t, ap_port = out_t[ap], out_port[ap]
+    assert np.any((ap_t[1:] == ap_t[:-1]) & (ap_port[1:] != ap_port[:-1]))
+    assert_pass_matches_reference(*case)
+    one_port = np.zeros(len(times), dtype=np.uint8)
+    assert_pass_matches_reference(times, one_port, origins, fires, delays, tau, duration)

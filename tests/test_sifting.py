@@ -5,6 +5,9 @@ import pytest
 
 from ponqkd.dpslink import DelayInterferometer, DetectorModel, TimeTagStream, TransmitterConfig, simulate_timetags
 from ponqkd.errors import DataError
+from ponqkd.runner import run_scenario
+from ponqkd.scenario import parse_scenario
+from ponqkd.scenarios import bundled_scenario
 from ponqkd.sifting import (
     GateConfig,
     apply_gate,
@@ -78,6 +81,27 @@ def test_auto_phase_gate_keeps_clustered_tags():
         stream, GateConfig(gate_fraction=0.3, symbol_period_s=period, slot_phase_s=None)
     )
     assert len(gated.times_s) == len(times)
+
+
+def test_slot_phase_lands_on_pulse_center_under_background():
+    # pon-us-20: about three background tags per signal tag, spread
+    # uniformly over the slot; the carve-window pulse sits at the slot center
+    scn = parse_scenario(bundled_scenario("pon-us-20"))
+    noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
+    stream = simulate_timetags(
+        scn.transmitter,
+        scn.interferometer,
+        scn.quantum_path_loss_db,
+        scn.detector,
+        noise,
+        30.0,
+        scn.run.seed,
+    )
+    assert abs(estimate_slot_phase(stream.times_s, scn.gate)) <= 2e-12
+
+
+def test_slot_phase_of_empty_stream_is_zero():
+    assert estimate_slot_phase(np.empty(0), GateConfig(slot_phase_s=None)) == 0.0
 
 
 def test_sift_counts_single_port():
