@@ -27,6 +27,7 @@ signal photons are lost and every surviving click decodes as bit 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,75 +326,9 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
     return (ordered, *(a[order] for a in labels))
 
 
-def _merge_mask(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Where ``second``'s items fall when two sorted arrays merge, ``first`` ahead at ties."""
-    at = np.searchsorted(first, second, side="right") + np.arange(len(second))
-    mask = np.zeros(len(first) + len(second), dtype=bool)
-    mask[at] = True
-    return mask
-
-
-def _merge(first: np.ndarray, second: np.ndarray, second_mask: np.ndarray) -> np.ndarray:
-    """The merged array that :func:`_merge_mask` describes."""
-    out = np.empty(len(second_mask), dtype=first.dtype)
-    out[~second_mask] = first
-    out[second_mask] = second
-    return out
-
-
-def _resolve_port(
-    times: np.ndarray, ap_times: np.ndarray, ap_parent: np.ndarray, dead_time_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Registered flags of one detector's primaries and afterpulse candidates.
-
-    ``times`` are the port's primaries in time order, ``ap_times`` its
-    afterpulse candidates in time order and ``ap_parent`` the index of each
-    candidate's parent in ``times``.  The two merge into one timeline with
-    primaries first at equal times.  An event with no other event within the
-    dead time on either side is lone: a lone primary registers, a lone
-    candidate registers exactly when its parent did.  Only the clusters,
-    runs of events closer together than the dead time, go through the
-    sequential rule, one event at a time.
-    """
-    is_ap = _merge_mask(times, ap_times)
-    merged = _merge(times, ap_times, is_ap)
-    ap_pos = np.flatnonzero(is_ap)
-    before = ap_pos - np.arange(len(ap_pos))  # primaries ahead of each candidate
-    # event k + 1 arrives inside the dead time event k would start (the
-    # comparison the sequential rule makes, so rounding agrees)
-    close = merged[1:] < merged[:-1] + dead_time_s
-    clustered = np.zeros(len(merged), dtype=bool)
-    clustered[1:] = close
-    clustered[:-1] |= close
-    del close
-
-    pos = np.flatnonzero(clustered)
-    pos_ap = is_ap[pos]
-    n_ap_ahead = np.searchsorted(ap_pos, pos)
-    local = np.where(pos_ap, n_ap_ahead, pos - n_ap_ahead)  # index among primaries or candidates
-    # a clustered candidate whose parent is clustered too waits for the
-    # parent's outcome, found at the parent's place in ``pos``; a lone
-    # parent has registered (slot -1, as for primaries)
-    parents = ap_parent[local[pos_ap]]
-    parent_pos = parents + np.searchsorted(before, parents, side="right")
-    parent_slot = np.searchsorted(pos, parent_pos)
-    slot = np.full(len(pos), -1, dtype=np.int64)
-    slot[pos_ap] = np.where(clustered[parent_pos], parent_slot, -1)
-
-    hit: list[bool] = []
-    free_at = -math.inf
-    for t, s in zip(merged[pos].tolist(), slot.tolist()):
-        ok = t >= free_at and (s < 0 or hit[s])
-        if ok:
-            free_at = t + dead_time_s
-        hit.append(ok)
-    hits = np.array(hit, dtype=bool)
-
-    registered = ~clustered[~is_ap]
-    registered[local[~pos_ap]] = hits[~pos_ap]
-    ap_registered = registered[ap_parent]
-    ap_registered[local[pos_ap]] = hits[pos_ap]
-    return registered, ap_registered
+# below this many open clusters a lockstep round costs more per decided
+# event than the sequential rule, so the rest finish one cluster at a time
+_SERIAL_CLUSTERS = 64
 
 
 def _dead_time_pass(
@@ -417,31 +352,112 @@ def _dead_time_pass(
     ``duration_s`` is dropped before it can block anything.  Returns the
     registered (times, ports, origins) in time order; at equal times the
     primaries come first in input order, then afterpulses by port.
+
+    One stable sort of primaries followed by candidates lays out one
+    timeline per port with primaries first at equal times.  An event with
+    no other event within the dead time on either side is lone: a lone
+    primary registers, a lone candidate exactly when its parent does.  The
+    rest form clusters, runs of events closer together than the dead time.
+    Each lockstep round decides the next event of every open cluster at
+    once; a candidate whose parent (always earlier) is still undecided
+    waits a round.  Once fewer than ``_SERIAL_CLUSTERS`` clusters are open,
+    they finish one at a time in timeline order, jumping from each
+    registered click straight past the events its dead time blocks.
     """
+    n = len(times)
     parent = np.flatnonzero(fires)
     ap_times = times[parent] + dead_time_s + delays
     inside = ap_times < duration_s
     parent, ap_times = parent[inside], ap_times[inside]
+    del inside
     ap_ports = ports[parent]
-    order = np.lexsort((ap_ports, ap_times))
-    parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
+    two_ports = n > 0 and ports.min() != ports.max()
+    if two_ports:
+        # the output order at equal times; on one port such candidates are
+        # interchangeable, so they need no order there
+        order = np.lexsort((ap_ports, ap_times))
+        parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
 
-    kept = np.zeros(len(times), dtype=bool)
-    ap_kept = np.zeros(len(parent), dtype=bool)
-    for port in (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE):
-        prim = np.flatnonzero(ports == port)
-        aps = np.flatnonzero(ap_ports == port)
-        kept[prim], ap_kept[aps] = _resolve_port(
-            times[prim], ap_times[aps], np.searchsorted(prim, parent[aps]), dead_time_s
-        )
+    t = np.concatenate([times, ap_times])
+    port = np.concatenate([ports, ap_ports])
+    size = len(t)
+    index = np.int32 if size < 2**31 else np.int64
+    if two_ports:
+        order = np.lexsort((t, port)).astype(index)
+    else:
+        order = np.argsort(t, kind="stable").astype(index)
+    inv = np.empty(size, dtype=index)
+    inv[order] = np.arange(size, dtype=index)
+    ap_at = inv[n:]  # timeline place of each candidate, and of its parent
+    parent_at = inv[parent]
+    del parent
 
-    is_ap = _merge_mask(times[kept], ap_times[ap_kept])
-    ap_origins = np.full(np.count_nonzero(ap_kept), ORIGIN_AFTERPULSE, dtype=np.uint8)
-    return (
-        _merge(times[kept], ap_times[ap_kept], is_ap),
-        _merge(ports[kept], ap_ports[ap_kept], is_ap),
-        _merge(origins[kept], ap_origins, is_ap),
-    )
+    ts = t[order]
+    # event k + 1 arrives inside the dead time event k would start (the
+    # comparison the sequential rule makes, so rounding agrees)
+    close = ts[1:] < ts[:-1] + dead_time_s
+    if two_ports:
+        close[np.count_nonzero(port == PORT_CONSTRUCTIVE) - 1] = False
+    clustered = np.zeros(size, dtype=bool)
+    clustered[1:] = close
+    clustered[:-1] |= close
+    pos = np.flatnonzero(clustered)
+    n_clustered = len(pos)
+    tc = ts[pos]
+    del ts
+    head = np.ones(n_clustered, dtype=bool)
+    head[1:] = ~close[pos[1:] - 1]
+    del close, pos
+    cur = np.flatnonzero(head).astype(index)  # next undecided slot per open cluster
+    del head
+    end = np.append(cur[1:], index(n_clustered))
+
+    # slot of each event among the clustered ones; lone events share the
+    # extra slot ``n_clustered``, which stands for "registered"
+    slot = np.cumsum(clustered, dtype=index) - 1
+    slot[~clustered] = n_clustered
+    del clustered
+    hit = np.full(n_clustered + 1, -1, dtype=np.int8)  # -1 while undecided
+    hit[n_clustered] = 1
+    par = np.full(n_clustered + 1, n_clustered, dtype=index)  # parent's slot
+    par[slot[ap_at]] = slot[parent_at]
+
+    free_at = np.full(len(cur), -math.inf)
+    while len(cur) >= _SERIAL_CLUSTERS:
+        parent_hit = hit[par[cur]]
+        t_cur = tc[cur]
+        ok = (parent_hit == 1) & (t_cur >= free_at)
+        hit[cur] = np.minimum(parent_hit, ok)  # a waiting event stays -1
+        free_at = np.where(ok, t_cur + dead_time_s, free_at)
+        cur += parent_hit >= 0
+        open_ = cur < end
+        cur, end, free_at = cur[open_], end[open_], free_at[open_]
+    for a, b, f in zip(cur.tolist(), end.tolist(), free_at.tolist()):
+        # every event before free_at is blocked, whatever its parent did
+        hit[a:b] = 0
+        k = bisect_left(tc, f, a, b)
+        while k < b:
+            if hit[par[k]] == 1:
+                hit[k] = 1
+                f = tc[k] + dead_time_s
+                k = bisect_left(tc, f, k + 1, b)
+            else:
+                k += 1
+    del par, tc, cur, end, free_at
+
+    registered = hit[slot] == 1
+    del hit, slot
+    # a lone candidate registers exactly when its parent does
+    registered[ap_at] &= registered[parent_at]
+    del inv, ap_at, parent_at
+
+    sel = order[registered]
+    del order, registered
+    if two_ports:
+        sel.sort()
+        sel = sel[np.argsort(t[sel], kind="stable")]
+    ap_origins = np.full(len(ap_times), ORIGIN_AFTERPULSE, dtype=np.uint8)
+    return t[sel], port[sel], np.concatenate([origins, ap_origins])[sel]
 
 
 def simulate_timetags(

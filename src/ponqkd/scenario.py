@@ -148,7 +148,7 @@ def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, flo
     section = raw.get("topology", {})
     if not isinstance(section, dict):
         col.fail("topology: expected an object")
-        return None, 18.0
+        return None, None
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
         return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
@@ -173,7 +173,7 @@ def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, flo
         )
     except ValueError as exc:
         col.fail(f"topology: {exc}")
-        return None, 18.0
+        return None, None
     return topo, None
 
 
@@ -259,6 +259,8 @@ def parse_scenario(raw: dict) -> Scenario:
     topology, budget = _parse_topology(raw, col)
     plan, rx_filter = _parse_channels(raw, col)
     profile = _parse_raman(raw, col)
+    if budget is not None and plan.channels:  # only an attenuator link has a budget
+        col.fail("channels.classical: an attenuator link has no fibre plant to carry them")
     if topology is not None:
         # a run looks every wavelength up in the plant's one fibre table and
         # every pump/quantum shift up in the Raman profile

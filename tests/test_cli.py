@@ -113,6 +113,18 @@ def test_raman_shift_outside_profile_exits_config(tmp_path, capsys):
         assert err.startswith("config error:") and "1625" in err and "profile hull" in err
 
 
+def test_attenuator_with_classical_channels_exits_config(tmp_path, capsys):
+    # an attenuator link has no plant for Raman to act in; the channels
+    # would otherwise be dropped without a word
+    raw = bundled_scenario("b2b-budget-sweep")
+    raw["channels"]["classical"] = bundled_scenario("pon-us-1")["channels"]["classical"]
+    path = write_config(tmp_path, raw)
+    for verb in ("validate", "run"):
+        assert main([verb, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "attenuator" in err
+
+
 def test_missing_config_path_exits_config(capsys):
     assert main(["run", "--config", "/no/such/file.json"]) == EXIT_CONFIG
     assert "neither a bundled scenario nor a readable file" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Link statistics: oracle decomposition, saturation, Monte Carlo stream."""
 
+import hashlib
 import heapq
 import math
 
@@ -23,6 +24,9 @@ from ponqkd.dpslink import (
     simulate_timetags,
     write_tag_csv,
 )
+from ponqkd.raman import odn_noise_at_bob
+from ponqkd.scenario import parse_scenario
+from ponqkd.scenarios import bundled_scenario
 
 DI = DelayInterferometer()
 
@@ -349,3 +353,97 @@ def test_dead_time_pass_exact_time_ties(case):
     assert_pass_matches_reference(*case)
     one_port = np.zeros(len(times), dtype=np.uint8)
     assert_pass_matches_reference(times, one_port, origins, fires, delays, tau, duration)
+
+
+def count_clusters(times, ports, fires, delays, dead_time_s, duration_s):
+    """Runs of events closer together than the dead time, over both ports."""
+    ap_times = times[fires] + dead_time_s + delays
+    inside = ap_times < duration_s
+    ap_ports = ports[fires][inside]
+    count = 0
+    for port in (0, 1):
+        t = np.sort(np.concatenate([times[ports == port], ap_times[inside][ap_ports == port]]))
+        close = t[1:] < t[:-1] + dead_time_s
+        count += int(np.count_nonzero(close[:1])) + int(np.count_nonzero(close[1:] & ~close[:-1]))
+    return count
+
+
+def burst_case(seed, lengths, two_ports):
+    """One cluster per entry of ``lengths``: a run of primaries one tick apart.
+
+    Runs start ``max(lengths) + 128`` ticks apart, each on one port.  Only
+    primaries at least 12 ticks before the end of their run fire with short
+    delays, so their afterpulses land inside the run; the last primary of
+    each run also fires, 64 ticks late, so a lone afterpulse follows every
+    cluster.
+    """
+    rng = np.random.default_rng(seed)
+    tick = 2.0**-20
+    lengths = np.asarray(lengths)
+    period = int(lengths.max()) + 128
+    offsets = np.concatenate([np.arange(n) for n in lengths])
+    times = (np.repeat(np.arange(len(lengths)) * period, lengths) + offsets) * tick
+    m = len(times)
+    to_end = np.repeat(lengths, lengths) - 1 - offsets
+    fires = ((to_end >= 12) & (rng.random(m) < 0.5)) | (to_end == 0)
+    delays = np.where(to_end[fires] == 0, 64, rng.integers(0, 4, size=int(fires.sum()))) * tick
+    run_ports = rng.integers(0, 2, size=len(lengths)) if two_ports else np.zeros(len(lengths))
+    ports = np.repeat(run_ports, lengths).astype(np.uint8)
+    origins = rng.integers(0, 3, size=m, dtype=np.uint8)
+    return times, ports, origins, fires, delays, 8 * tick, len(lengths) * period * tick
+
+
+@pytest.mark.parametrize(
+    "n_clusters, two_ports",
+    [(1, False), (dpslink._SERIAL_CLUSTERS - 1, True), (dpslink._SERIAL_CLUSTERS + 1, True)],
+    ids=["one-cluster", "below-serial-threshold", "above-serial-threshold"],
+)
+def test_dead_time_pass_around_the_serial_threshold(n_clusters, two_ports):
+    # the lockstep rounds run only while at least _SERIAL_CLUSTERS clusters
+    # are open: a single cluster spanning the run and one cluster fewer than
+    # that go straight to the one-event-at-a-time finish, one more starts in
+    # rounds
+    rng = np.random.default_rng(n_clusters)
+    lengths = [6000] if n_clusters == 1 else rng.integers(2, 40, size=n_clusters)
+    case = burst_case(n_clusters, lengths, two_ports)
+    assert count_clusters(*case[:2], *case[3:]) == n_clusters
+    assert len(np.unique(case[1])) == (2 if two_ports else 1)
+    assert_pass_matches_reference(*case)
+
+
+# sha256 over the bytes of times_s, ports and origins; a change to the draw
+# order, the afterpulse law or the dead-time rules moves these
+STREAM_PINS = {
+    "pon-us-20": "bcdaead098a0bef7e39f10a3c12eaa47fce51e485b0154008914f3ab2926e520",
+    "both-ports-10dB-ap1": "9f9091f4c13ade521bf98bd0820b6ed678a607a64074b8c4cc05d7f74872b87d",
+    "one-port-10dB": "908010b6638225a5d733e9e2a34e7c1b831a3705ebb45c601de3b40a673be69f",
+}
+
+
+def pinned_stream(name):
+    if name == "pon-us-20":
+        scn = parse_scenario(bundled_scenario("pon-us-20"))
+        noise = odn_noise_at_bob(scn.plan, scn.topology, scn.rx_filter, scn.profile)
+        return simulate_timetags(
+            scn.transmitter,
+            scn.interferometer,
+            scn.quantum_path_loss_db,
+            scn.detector,
+            noise.total_at_receiver,
+            0.5,
+            seed=7,
+        )
+    if name == "both-ports-10dB-ap1":
+        det = DetectorModel(monitored_ports="both", afterpulse_probability=1.0)
+        return simulate_timetags(TransmitterConfig(), DI, 10.0, det, 2500.0, 0.2, seed=11)
+    return simulate_timetags(TransmitterConfig(), DI, 10.0, DetectorModel(), 2500.0, 0.2, seed=13)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_stream_is_pinned(name):
+    stream = pinned_stream(name)
+    digest = hashlib.sha256()
+    for array in (stream.times_s, stream.ports, stream.origins):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert np.count_nonzero(stream.origins == ORIGIN_AFTERPULSE) > 0
+    assert digest.hexdigest() == STREAM_PINS[name]

@@ -1,16 +1,22 @@
-"""Property tests: what ``validate`` accepts, ``run`` completes."""
+"""Property tests: what ``validate`` accepts, ``run`` completes; the
+dead-time pass agrees with the plain event-by-event loop."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from ponqkd import runner  # noqa: E402
+from ponqkd.dpslink import simulate_timetags  # noqa: E402
 from ponqkd.errors import ConfigError  # noqa: E402
 from ponqkd.runner import run_scenario  # noqa: E402
 from ponqkd.scenario import parse_scenario  # noqa: E402
 from ponqkd.scenarios import bundled_scenario  # noqa: E402
+from test_dpslink import assert_pass_matches_reference  # noqa: E402
 
 # a little beyond the 1260-1625 nm plant window, so rejections get exercised
 wavelengths = st.floats(min_value=1200.0, max_value=1700.0, allow_nan=False)
@@ -35,3 +41,91 @@ def test_validated_odn_config_completes_oracle_run(quantum_nm, classical):
     res = run_scenario(scn, mode="oracle")
     assert math.isfinite(res.raman.total_at_receiver)
     assert math.isfinite(res.qber_report.qber)
+
+
+@st.composite
+def pass_inputs(draw):
+    """Dead-time pass inputs on the binary time grid of ``tie_case``.
+
+    From sparse runs with no cluster at all to one cluster over the whole
+    run; one port, either port alone, or both; no afterpulses up to every
+    primary firing; a dead time of zero up to 64 ticks.
+    """
+    tick = 2.0**-20
+    n = draw(st.integers(0, 600))
+    span = draw(st.integers(1, 40000))
+    dead_ticks = draw(st.integers(0, 64))
+    port_one_share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    fire_share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    max_delay = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.sort(rng.integers(0, span, size=n)) * tick
+    ports = (rng.random(n) < port_one_share).astype(np.uint8)
+    origins = rng.integers(0, 3, size=n, dtype=np.uint8)
+    fires = rng.random(n) < fire_share
+    delays = rng.integers(0, max_delay, size=int(fires.sum())) * tick
+    return times, ports, origins, fires, delays, dead_ticks * tick, span * tick
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(args=pass_inputs())
+def test_dead_time_pass_matches_reference_on_random_inputs(args):
+    assert_pass_matches_reference(*args)
+
+
+@st.composite
+def mc_configs(draw):
+    """A bundled link with detector, source and gate fields redrawn.
+
+    Some draws leave the accepted range (efficiency above 1, zero decay or
+    photon number, a negative budget), so rejections get exercised too.
+    """
+    name = draw(st.sampled_from(["pon-baseline", "pon-us-20", "b2b-budget-sweep"]))
+    raw = bundled_scenario(name)
+    raw.pop("sweep", None)
+    if raw["topology"].get("kind") == "attenuator":
+        raw["topology"]["budget_db"] = draw(st.floats(-1.0, 40.0))
+    raw["detector"].update(
+        efficiency=draw(st.floats(0.0, 1.2)),
+        dark_rate_hz=draw(st.floats(0.0, 1e5)),
+        dead_time_s=draw(st.floats(0.0, 1e-4)),
+        afterpulse_probability=draw(st.floats(0.0, 1.0)),
+        afterpulse_decay_s=draw(st.floats(0.0, 2e-5)),
+        afterpulse_memory_s=draw(st.floats(0.0, 1e-3)),
+        monitored_ports=draw(st.sampled_from(["one", "both"])),
+    )
+    raw["transmitter"].update(
+        mean_photon_number=draw(st.floats(0.0, 0.5)),
+        visibility=draw(st.floats(0.5, 1.0)),
+    )
+    raw["gate"].update(
+        gate_fraction=draw(st.floats(0.05, 1.0)),
+        slot_phase_s=draw(st.sampled_from([0.0, "auto"])),
+    )
+    return raw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw=mc_configs())
+def test_validated_config_completes_monte_carlo_run(raw):
+    try:
+        scn = parse_scenario(raw)
+    except ConfigError:
+        return
+    streams = []
+
+    def keep(*args):
+        streams.append(simulate_timetags(*args))
+        return streams[-1]
+
+    with mock.patch.object(runner, "simulate_timetags", keep):
+        res = run_scenario(scn, mode="monte_carlo", duration_s=0.02)
+    assert math.isfinite(res.qber_report.qber)
+    (stream,) = streams
+    times = stream.times_s
+    assert np.all((times >= 0.0) & (times <= stream.duration_s))
+    dead_time_s = scn.detector.dead_time_s
+    for port in (0, 1):
+        on_port = times[stream.ports == port]
+        # the simulator's own rule: a click at or after the last one plus tau
+        assert np.all(on_port[1:] >= on_port[:-1] + dead_time_s)
