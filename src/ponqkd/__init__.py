@@ -64,7 +64,6 @@ from .sifting import (
     sift_and_score,
 )
 from .topology import (
-    FiberSpan,
     FilterProfile,
     OdnTopology,
     Splitter,
@@ -81,7 +80,6 @@ __all__ = [
     "DataError",
     "DelayInterferometer",
     "DetectorModel",
-    "FiberSpan",
     "FilterProfile",
     "GateConfig",
     "KeyRateReport",

@@ -46,7 +46,9 @@ def _load_config(ref: str) -> dict:
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    run = raw.setdefault("run", {})
+    run = raw.setdefault("run", {}) if isinstance(raw, dict) else None
+    if not isinstance(run, dict):
+        return raw  # parse_scenario reports the malformed config
     if getattr(args, "mode", None):
         run["mode"] = args.mode
     if getattr(args, "seed", None) is not None:

@@ -38,12 +38,10 @@ import numpy as np
 from .errors import DataError, ShiftRangeError
 from .topology import (
     NEPER_PER_DB,
-    FiberSpan,
     FilterProfile,
     OdnTopology,
     attenuation_at,
     equivalent_noise_bandwidth_nm,
-    span_loss_db,
 )
 
 _C_M_PER_S = 299792458.0  # exact SI values of c, h and k
@@ -167,6 +165,8 @@ class RamanProfile:
         coeffs = tuple(float(v) for v in self.coefficients)
         if len(shifts) != len(coeffs) or len(shifts) < 2:
             raise DataError("profile needs matching shift/coefficient arrays of length >= 2")
+        if not all(math.isfinite(v) for v in shifts + coeffs):
+            raise DataError("profile shifts and coefficients must be finite")
         if list(shifts) != sorted(shifts):
             raise DataError("profile shifts must be sorted ascending")
         if any(v < 0.0 for v in coeffs):
@@ -238,74 +238,31 @@ def raman_coefficient(profile: RamanProfile, pump_nm: float, signal_nm: float) -
     return value * profile.scale
 
 
-def _alpha_np_per_km(span: FiberSpan, wavelength_nm: float) -> float:
-    return attenuation_at(span, wavelength_nm) * NEPER_PER_DB
-
-
-def forward_conversion_km(span: FiberSpan, pump_nm: float, quantum_nm: float) -> float:
+def forward_conversion_km(a: float, q: float, length: float) -> float:
     """Geometry factor (km) for scattering that co-propagates with the pump.
 
-    Exact integral of pump decay at the pump attenuation and scattered-light
-    decay at the quantum-band attenuation over the span:
+    Exact integral of pump decay at the pump attenuation ``a`` and
+    scattered-light decay at the quantum-band attenuation ``q`` (both in
+    Np/km) over a span of ``length`` km:
     ``(e^(-a L) - e^(-q L)) / (q - a)``, degenerating to ``L e^(-a L)`` when
     the two attenuations coincide.
     """
-    a = _alpha_np_per_km(span, pump_nm)
-    q = _alpha_np_per_km(span, quantum_nm)
-    length = span.length_km
     if math.isclose(a, q, rel_tol=1e-12, abs_tol=1e-15):
         return length * math.exp(-a * length)
     return (math.exp(-a * length) - math.exp(-q * length)) / (q - a)
 
 
-def backward_conversion_km(span: FiberSpan, pump_nm: float, quantum_nm: float) -> float:
+def backward_conversion_km(a: float, q: float, length: float) -> float:
     """Geometry factor (km) for scattering that counter-propagates.
 
     Both decays act over the same distance from the launch end, giving
     ``(1 - e^(-(a+q) L)) / (a + q)``; saturates at ``1/(a+q)`` for long
     spans.
     """
-    s = _alpha_np_per_km(span, pump_nm) + _alpha_np_per_km(span, quantum_nm)
-    length = span.length_km
+    s = a + q
     if s == 0.0:
         return length
     return (1.0 - math.exp(-s * length)) / s
-
-
-def _counts_per_mw(quantum_nm: float) -> float:
-    """Photon rate of 1 mW at the quantum wavelength (1/s)."""
-    photon_energy_j = _H_J_S * _C_M_PER_S / (quantum_nm * 1e-9)
-    return 1e-3 / photon_energy_j
-
-
-def forward_raman_rate(
-    pump_power_mw: float,
-    coefficient: float,
-    span: FiberSpan,
-    bandwidth_nm: float,
-    quantum_nm: float,
-    pump_nm: float,
-) -> float:
-    """Detected-equivalent counts/s exiting ``span`` alongside the pump."""
-    if pump_power_mw < 0.0 or bandwidth_nm < 0.0:
-        raise ValueError("pump power and bandwidth must be >= 0")
-    noise_mw = pump_power_mw * coefficient * bandwidth_nm * forward_conversion_km(span, pump_nm, quantum_nm)
-    return noise_mw * _counts_per_mw(quantum_nm)
-
-
-def backward_raman_rate(
-    pump_power_mw: float,
-    coefficient: float,
-    span: FiberSpan,
-    bandwidth_nm: float,
-    quantum_nm: float,
-    pump_nm: float,
-) -> float:
-    """Detected-equivalent counts/s leaving the pump launch end of ``span``."""
-    if pump_power_mw < 0.0 or bandwidth_nm < 0.0:
-        raise ValueError("pump power and bandwidth must be >= 0")
-    noise_mw = pump_power_mw * coefficient * bandwidth_nm * backward_conversion_km(span, pump_nm, quantum_nm)
-    return noise_mw * _counts_per_mw(quantum_nm)
 
 
 @dataclass(frozen=True)
@@ -325,61 +282,6 @@ def _transmission(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def _upstream_channel_counts(
-    channel: WavelengthChannel,
-    topology: OdnTopology,
-    bandwidth_nm: float,
-    quantum_nm: float,
-    profile: RamanProfile,
-) -> float:
-    """Forward scattering over drop + splitter + upstream feeder."""
-    coeff = raman_coefficient(profile, channel.center_nm, quantum_nm)
-    pump_nm = channel.center_nm
-    power = channel.launch_power_mw
-    split_t = _transmission(topology.splitter.loss_db)
-
-    # generated in the drop, then attenuated through splitter and feeder at
-    # the quantum wavelength
-    drop_part = forward_raman_rate(power, coeff, topology.drop, bandwidth_nm, quantum_nm, pump_nm)
-    drop_part *= split_t * _transmission(span_loss_db(topology.feeder_up, quantum_nm))
-
-    # pump reaches the feeder attenuated at its own wavelength, then
-    # generates co-propagating scattering that exits at the receiver
-    pump_at_feeder = power * _transmission(span_loss_db(topology.drop, pump_nm)) * split_t
-    feeder_part = forward_raman_rate(
-        pump_at_feeder, coeff, topology.feeder_up, bandwidth_nm, quantum_nm, pump_nm
-    )
-    return drop_part + feeder_part
-
-
-def _downstream_channel_counts(
-    channel: WavelengthChannel,
-    topology: OdnTopology,
-    bandwidth_nm: float,
-    quantum_nm: float,
-    profile: RamanProfile,
-) -> tuple[float, float]:
-    """(drop backscatter summed over N drops, directivity-leaked feeder part)."""
-    coeff = raman_coefficient(profile, channel.center_nm, quantum_nm)
-    pump_nm = channel.center_nm
-    power = channel.launch_power_mw
-    split_t = _transmission(topology.splitter.loss_db)
-    quantum_return_t = split_t * _transmission(span_loss_db(topology.feeder_up, quantum_nm))
-
-    # pump power at each drop input: one feeder pass plus one splitter pass
-    pump_at_drop = power * _transmission(span_loss_db(topology.feeder_down, pump_nm)) * split_t
-    per_drop = backward_raman_rate(pump_at_drop, coeff, topology.drop, bandwidth_nm, quantum_nm, pump_nm)
-    # N identical drops; the factor N cancels one ideal splitter pass
-    drops_total = topology.splitter.port_count * per_drop * quantum_return_t
-
-    # co-propagating scattering in the downstream feeder reaching the
-    # upstream feeder only via same-side leakage
-    leak = forward_raman_rate(power, coeff, topology.feeder_down, bandwidth_nm, quantum_nm, pump_nm)
-    leak *= _transmission(topology.splitter.directivity_db)
-    leak *= _transmission(span_loss_db(topology.feeder_up, quantum_nm))
-    return drops_total, leak
-
-
 def odn_noise_at_bob(
     plan: ChannelPlan,
     topology: OdnTopology,
@@ -395,22 +297,49 @@ def odn_noise_at_bob(
     bandwidth = equivalent_noise_bandwidth_nm(rx_filter)
     rx_t = _transmission(rx_filter.insertion_loss_db)
     quantum_nm = plan.quantum_center_nm
+    quantum_db = attenuation_at(topology, quantum_nm)
+    q = quantum_db * NEPER_PER_DB
+    down_km, up_km, drop_km = topology.feeder_down_km, topology.feeder_up_km, topology.drop_km
+    split_t = _transmission(topology.splitter.loss_db)
+    feeder_up_t = _transmission(up_km * quantum_db)
+    leak_t = _transmission(topology.splitter.directivity_db)
+    per_mw = 1e-3 / (_H_J_S * _C_M_PER_S / (quantum_nm * 1e-9))  # photon rate of 1 mW, 1/s
 
     upstream = 0.0
     drops = 0.0
     leakage = 0.0
     tdma_rates: list[float] = []
     for channel in plan.channels:
+        pump_nm = channel.center_nm
+        coeff = raman_coefficient(profile, pump_nm, quantum_nm)
+        power = channel.launch_power_mw
+        pump_db = attenuation_at(topology, pump_nm)
+        a = pump_db * NEPER_PER_DB
         if channel.direction == "upstream":
-            rate = _upstream_channel_counts(channel, topology, bandwidth, quantum_nm, profile)
+            # generated in the drop, then attenuated through splitter and
+            # feeder at the quantum wavelength
+            drop_part = power * coeff * bandwidth * forward_conversion_km(a, q, drop_km)
+            # the pump reaches the feeder attenuated at its own wavelength and
+            # scatters there alongside the quantum signal
+            pump_at_feeder = power * _transmission(drop_km * pump_db) * split_t
+            feeder_part = pump_at_feeder * coeff * bandwidth * forward_conversion_km(a, q, up_km)
+            rate = drop_part * per_mw * (split_t * feeder_up_t) + feeder_part * per_mw
             if channel.tdma_member:
                 tdma_rates.append(rate)
             else:
                 upstream += rate
         else:
-            d, f = _downstream_channel_counts(channel, topology, bandwidth, quantum_nm, profile)
-            drops += d
-            leakage += f
+            # backscatter of each drop, pumped through one feeder and one
+            # splitter pass; the N identical drops cancel one ideal pass
+            pump_at_drop = power * _transmission(down_km * pump_db) * split_t
+            per_drop = (
+                pump_at_drop * coeff * bandwidth * backward_conversion_km(a, q, drop_km) * per_mw
+            )
+            drops += topology.splitter.port_count * per_drop * (split_t * feeder_up_t)
+            # downstream-feeder scattering reaches the upstream feeder only
+            # through the splitter's same-side leakage
+            leak = power * coeff * bandwidth * forward_conversion_km(a, q, down_km)
+            leakage += leak * per_mw * leak_t * feeder_up_t
     if tdma_rates:
         upstream += sum(tdma_rates) / len(tdma_rates)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dpslink import DelayInterferometer, DetectorModel, TransmitterConfig
@@ -82,6 +83,14 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _finite(value) -> bool:
+    """A real number that is neither a bool, NaN nor infinite."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 class _Collector:
     def __init__(self) -> None:
         self.errors: list[str] = []
@@ -89,16 +98,20 @@ class _Collector:
     def fail(self, message: str) -> None:
         self.errors.append(message)
 
-    def number(self, section: dict, key: str, default, where: str, minimum=None, maximum=None):
+    def section(self, parent: dict, key: str, where: str | None = None) -> dict:
+        value = parent.get(key, {})
+        if not isinstance(value, dict):
+            self.fail(f"{where or key}: expected an object")
+            return {}
+        return value
+
+    def number(self, section: dict, key: str, default, where: str, minimum=None):
         value = section.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.fail(f"{where}.{key}: expected a number, got {value!r}")
+        if not _finite(value):
+            self.fail(f"{where}.{key}: expected a finite number, got {value!r}")
             return default
         if minimum is not None and value < minimum:
             self.fail(f"{where}.{key}: {value} below minimum {minimum}")
-            return default
-        if maximum is not None and value > maximum:
-            self.fail(f"{where}.{key}: {value} above maximum {maximum}")
             return default
         return float(value)
 
@@ -145,10 +158,7 @@ def _parse_filter(spec: dict, col: _Collector, where: str) -> FilterProfile:
 
 
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
-    section = raw.get("topology", {})
-    if not isinstance(section, dict):
-        col.fail("topology: expected an object")
-        return None, None
+    section = col.section(raw, "topology")
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
         return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
@@ -178,13 +188,14 @@ def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, flo
 
 
 def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProfile]:
-    section = raw.get("channels", {})
-    if not isinstance(section, dict):
-        col.fail("channels: expected an object")
-        section = {}
+    section = col.section(raw, "channels")
     quantum_nm = col.number(section, "quantum_center_nm", 1310.0, "channels", minimum=1.0)
+    classical = section.get("classical", [])
+    if not isinstance(classical, list):
+        col.fail("channels.classical: expected a list")
+        classical = []
     channels: list[WavelengthChannel] = []
-    for idx, spec in enumerate(section.get("classical", [])):
+    for idx, spec in enumerate(classical):
         where = f"channels.classical[{idx}]"
         if not isinstance(spec, dict):
             col.fail(f"{where}: expected an object")
@@ -203,7 +214,8 @@ def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProf
             )
         except ValueError as exc:
             col.fail(f"{where}: {exc}")
-    rx_filter = _parse_filter(section.get("rx_filter", {}), col, "channels.rx_filter")
+    rx_section = col.section(section, "rx_filter", "channels.rx_filter")
+    rx_filter = _parse_filter(rx_section, col, "channels.rx_filter")
     try:
         plan = ChannelPlan(channels=tuple(channels), quantum_center_nm=quantum_nm)
     except ValueError as exc:
@@ -213,10 +225,7 @@ def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProf
 
 
 def _parse_raman(raw: dict, col: _Collector) -> RamanProfile:
-    section = raw.get("raman", {})
-    if not isinstance(section, dict):
-        col.fail("raman: expected an object")
-        section = {}
+    section = col.section(raw, "raman")
     scale = col.number(section, "scale", 1.0, "raman", minimum=0.0)
     temperature = col.number(section, "temperature_k", 295.0, "raman", minimum=1.0)
     spec = section.get("profile", "default")
@@ -234,7 +243,7 @@ def _parse_raman(raw: dict, col: _Collector) -> RamanProfile:
     except (KeyError, TypeError) as exc:
         col.fail(f"raman.profile: missing or malformed field ({exc})")
         return default_raman_profile(scale=scale)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # overflow: default profile below ~3 K
         col.fail(f"raman.profile: {exc}")
         return default_raman_profile(scale=scale)
     col.fail(f"raman.profile: {spec!r} is not 'default', a table, or a csv reference")
@@ -266,7 +275,7 @@ def parse_scenario(raw: dict) -> Scenario:
         # every pump/quantum shift up in the Raman profile
         try:
             for nm in (plan.quantum_center_nm, *(ch.center_nm for ch in plan.channels)):
-                attenuation_at(topology.drop, nm)
+                attenuation_at(topology, nm)
         except WavelengthRangeError as exc:
             col.fail(f"channels: {exc}")
         try:
@@ -275,11 +284,13 @@ def parse_scenario(raw: dict) -> Scenario:
         except ShiftRangeError as exc:
             col.fail(f"channels: {ch.center_nm} nm pumping {plan.quantum_center_nm} nm: {exc}")
 
-    tx_raw = raw.get("transmitter", {}) or {}
-    det_raw = raw.get("detector", {}) or {}
-    gate_raw = raw.get("gate", {}) or {}
-    key_raw = raw.get("keyrate", {}) or {}
-    run_raw = raw.get("run", {}) or {}
+    tx_raw, det_raw, gate_raw, key_raw, run_raw = (
+        col.section(raw, name) for name in ("transmitter", "detector", "gate", "keyrate", "run")
+    )
+    bits = tx_raw.get("pattern_bits")  # None: a seeded pattern
+    if not (bits is None or (bits and isinstance(bits, list) and all(b in (0, 1) for b in bits))):
+        col.fail(f"transmitter.pattern_bits: expected a non-empty list of 0/1, got {bits!r}")
+        bits = None
 
     try:
         transmitter = TransmitterConfig(
@@ -287,7 +298,7 @@ def parse_scenario(raw: dict) -> Scenario:
             mean_photon_number=col.number(tx_raw, "mean_photon_number", 0.1, "transmitter"),
             carve_duty=col.number(tx_raw, "carve_duty", 0.2, "transmitter"),
             visibility=col.number(tx_raw, "visibility", 1.0, "transmitter"),
-            pattern_bits=tuple(tx_raw["pattern_bits"]) if "pattern_bits" in tx_raw else None,
+            pattern_bits=None if bits is None else tuple(bits),
         )
     except ValueError as exc:
         col.fail(f"transmitter: {exc}")
@@ -320,8 +331,8 @@ def parse_scenario(raw: dict) -> Scenario:
     slot_phase = gate_raw.get("slot_phase_s", 0.0)
     if slot_phase == "auto":
         slot_phase = None
-    elif slot_phase is not None and not isinstance(slot_phase, (int, float)):
-        col.fail(f"gate.slot_phase_s: expected number, 'auto', or null, got {slot_phase!r}")
+    elif slot_phase is not None and not _finite(slot_phase):
+        col.fail(f"gate.slot_phase_s: expected a finite number, 'auto' or null, got {slot_phase!r}")
         slot_phase = 0.0
     try:
         gate = GateConfig(
@@ -336,7 +347,7 @@ def parse_scenario(raw: dict) -> Scenario:
     run = RunSettings(
         mode=col.choice(run_raw, "mode", "oracle", "run", ("oracle", "monte_carlo")),
         duration_s=col.number(run_raw, "duration_s", 30.0, "run", minimum=0.0),
-        seed=col.integer(run_raw, "seed", 1, "run"),
+        seed=col.integer(run_raw, "seed", 1, "run", minimum=0),
     )
     if run.duration_s <= 0.0:
         col.fail("run.duration_s: must be > 0")
@@ -353,6 +364,8 @@ def parse_scenario(raw: dict) -> Scenario:
                 col.fail(f"sweep.axis: {axis!r} not one of {list(SWEEP_AXES)}")
             if not isinstance(values, list) or not values:
                 col.fail("sweep.values: expected a non-empty list")
+            elif not all(_finite(v) for v in values):
+                col.fail(f"sweep.values: expected finite numbers, got {values!r}")
 
     if col.errors:
         raise ConfigError(col.errors)
@@ -383,6 +396,8 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
     """
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep.axis: {axis!r} not one of {list(SWEEP_AXES)}"])
+    if not _finite(value):
+        raise ConfigError([f"sweep.values: {value!r} is not a finite number"])
     out = copy.deepcopy(raw)
     topo = out.setdefault("topology", {})
     if axis == "topology.budget_db":
@@ -397,9 +412,9 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
         topo["feeder_down_km"] = feeder
         topo["feeder_up_km"] = feeder
     elif axis == "topology.splitter.port_count":
-        topo["port_count"] = int(value)
+        topo["port_count"] = _whole(axis, value)
     elif axis == "channels.upstream_count":
-        want = int(value)
+        want = _whole(axis, value)
         channels = out.setdefault("channels", {}).get("classical", [])
         kept, seen = [], 0
         for spec in channels:
@@ -408,9 +423,15 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
                 if seen > want:
                     continue
             kept.append(spec)
-        if want > seen:
+        if not 0 <= want <= seen:
             raise ConfigError(
                 [f"sweep.values: requested {want} upstream channels, plan has {seen}"]
             )
         out["channels"]["classical"] = kept
     return out
+
+
+def _whole(axis: str, value) -> int:
+    if value != int(value):
+        raise ConfigError([f"sweep.values: {axis} takes whole numbers, got {value!r}"])
+    return int(value)

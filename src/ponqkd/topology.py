@@ -6,17 +6,16 @@ direction), a symmetric 2:N power splitter and a short drop fibre, plus the
 receiver's bandpass filter.  All losses are expressed in dB and compose
 additively along a path.
 
-Wavelength-dependent fibre attenuation is carried as a small sorted table of
-(nm, dB/km) anchor points and interpolated linearly in between; lookups
-outside the tabulated hull raise :class:`WavelengthRangeError` rather than
-extrapolating.
+The three fibres are one fibre type, whose wavelength-dependent attenuation
+is carried as one small sorted table of (nm, dB/km) anchor points and
+interpolated linearly in between; lookups outside the tabulated hull raise
+:class:`WavelengthRangeError` rather than extrapolating.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,52 +39,18 @@ DEFAULT_ATTENUATION_DB_PER_KM: tuple[tuple[float, float], ...] = (
 UPSTREAM_QUANTUM_PATH: tuple[str, ...] = ("drop", "splitter", "feeder_up")
 
 
-@dataclass(frozen=True)
-class FiberSpan:
-    """A fibre span with a wavelength-dependent attenuation table.
-
-    Parameters
-    ----------
-    length_km:
-        Physical span length, >= 0.
-    attenuation_db_per_km:
-        Sorted ``((nm, dB/km), ...)`` anchor points, all positive.
-    """
-
-    length_km: float
-    attenuation_db_per_km: tuple[tuple[float, float], ...] = DEFAULT_ATTENUATION_DB_PER_KM
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.length_km) or self.length_km < 0.0:
-            raise ValueError(f"span length must be finite and >= 0, got {self.length_km}")
-        table = tuple((float(w), float(a)) for w, a in self.attenuation_db_per_km)
-        if not table:
-            raise ValueError("attenuation table must not be empty")
-        wavelengths = [w for w, _ in table]
-        if sorted(wavelengths) != wavelengths or len(set(wavelengths)) != len(wavelengths):
-            raise ValueError("attenuation table must be sorted by wavelength without duplicates")
-        if any(a <= 0.0 for _, a in table):
-            raise ValueError("attenuation values must be positive")
-        object.__setattr__(self, "attenuation_db_per_km", table)
-
-
-def attenuation_at(span: FiberSpan, wavelength_nm: float) -> float:
-    """Interpolated attenuation of ``span`` at ``wavelength_nm`` in dB/km.
+def attenuation_at(topology: OdnTopology, wavelength_nm: float) -> float:
+    """Interpolated fibre attenuation of the plant at ``wavelength_nm`` in dB/km.
 
     Linear interpolation between table anchors; a query outside the table
     hull raises :class:`WavelengthRangeError`.
     """
-    wavelengths, values = zip(*span.attenuation_db_per_km)
+    wavelengths, values = zip(*topology.attenuation_db_per_km)
     if not (wavelengths[0] <= wavelength_nm <= wavelengths[-1]):
         raise WavelengthRangeError(
             f"{wavelength_nm} nm outside attenuation hull [{wavelengths[0]}, {wavelengths[-1]}] nm"
         )
     return float(np.interp(wavelength_nm, wavelengths, values))
-
-
-def span_loss_db(span: FiberSpan, wavelength_nm: float) -> float:
-    """Total loss of the span at a wavelength: length x attenuation."""
-    return span.length_km * attenuation_at(span, wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -141,11 +106,17 @@ class FilterProfile:
             table = tuple((float(w), float(t)) for w, t in self.transmission_db)
             if len(table) < 3:
                 raise ValueError("transmission table needs at least 3 points")
+            if not all(math.isfinite(w) and math.isfinite(t) for w, t in table):
+                raise ValueError("transmission table must hold finite numbers")
             wavelengths = [w for w, _ in table]
             if sorted(wavelengths) != wavelengths:
                 raise ValueError("transmission table must be sorted by wavelength")
             if not (wavelengths[0] <= self.center_nm <= wavelengths[-1]):
                 raise ValueError("transmission table must contain the center wavelength")
+            with np.errstate(over="ignore"):
+                peak = np.power(10.0, max(t for _, t in table) / 10.0)
+            if not 0.0 < peak < math.inf:  # the noise bandwidth divides by the peak
+                raise ValueError("transmission table has no passband")
             object.__setattr__(self, "transmission_db", table)
 
 
@@ -160,10 +131,7 @@ def equivalent_noise_bandwidth_nm(profile: FilterProfile) -> float:
         return profile.fwhm_nm
     wavelengths = np.array([w for w, _ in profile.transmission_db])
     linear = 10.0 ** (np.array([t for _, t in profile.transmission_db]) / 10.0)
-    peak = linear.max()
-    if peak <= 0.0:
-        raise ValueError("transmission table has no passband")
-    return float(np.trapezoid(linear / peak, wavelengths))
+    return float(np.trapezoid(linear / linear.max(), wavelengths))
 
 
 def gaussian_transmission_table(
@@ -183,30 +151,52 @@ def gaussian_transmission_table(
 
 @dataclass(frozen=True)
 class OdnTopology:
-    """Dual-feeder splitter ODN: two feeders, one 2:N splitter, one drop."""
+    """Dual-feeder splitter ODN: two feeders, one 2:N splitter, one drop.
 
-    feeder_down: FiberSpan
-    feeder_up: FiberSpan
+    All three fibres are one fibre type, so the plant carries one sorted
+    ``((nm, dB/km), ...)`` attenuation table of finite, positive values.
+    """
+
+    feeder_down_km: float
+    feeder_up_km: float
+    drop_km: float
     splitter: Splitter
-    drop: FiberSpan
+    attenuation_db_per_km: tuple[tuple[float, float], ...] = DEFAULT_ATTENUATION_DB_PER_KM
+
+    def __post_init__(self) -> None:
+        for name in ("feeder_down_km", "feeder_up_km", "drop_km"):
+            length = getattr(self, name)
+            if not math.isfinite(length) or length < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {length}")
+        table = tuple((float(w), float(a)) for w, a in self.attenuation_db_per_km)
+        if not table:
+            raise ValueError("attenuation table must not be empty")
+        if not all(math.isfinite(w) and math.isfinite(a) for w, a in table):
+            raise ValueError("attenuation table must hold finite numbers")
+        wavelengths = [w for w, _ in table]
+        if sorted(wavelengths) != wavelengths or len(set(wavelengths)) != len(wavelengths):
+            raise ValueError("attenuation table must be sorted by wavelength without duplicates")
+        if any(a <= 0.0 for _, a in table):
+            raise ValueError("attenuation values must be positive")
+        object.__setattr__(self, "attenuation_db_per_km", table)
 
     def element_loss_db(self, name: str, wavelength_nm: float) -> float:
         if name in ("feeder_down", "feeder_up", "drop"):
-            return span_loss_db(getattr(self, name), wavelength_nm)
+            return getattr(self, f"{name}_km") * attenuation_at(self, wavelength_nm)
         if name == "splitter":
             return self.splitter.loss_db
         raise PathElementError(f"unknown path element {name!r}")
 
 
-def path_loss_db(
-    topology: OdnTopology, wavelength_nm: float, path: Sequence[str] = UPSTREAM_QUANTUM_PATH
-) -> float:
-    """Total insertion loss along ``path`` at one wavelength, in dB.
+def path_loss_db(topology: OdnTopology, wavelength_nm: float) -> float:
+    """Insertion loss of the upstream quantum path at one wavelength, in dB.
 
-    The loss is the plain sum of element losses, so it is additive under
-    path concatenation by construction.
+    The loss is the plain sum of the element losses along
+    :data:`UPSTREAM_QUANTUM_PATH`.
     """
-    return float(sum(topology.element_loss_db(name, wavelength_nm) for name in path))
+    return float(
+        sum(topology.element_loss_db(name, wavelength_nm) for name in UPSTREAM_QUANTUM_PATH)
+    )
 
 
 def default_odn(
@@ -219,10 +209,7 @@ def default_odn(
     attenuation_db_per_km: tuple[tuple[float, float], ...] | None = None,
 ) -> OdnTopology:
     """The deployed-plant geometry used by the bundled scenarios."""
-    table = DEFAULT_ATTENUATION_DB_PER_KM if attenuation_db_per_km is None else attenuation_db_per_km
-    return OdnTopology(
-        feeder_down=FiberSpan(feeder_down_km, table),
-        feeder_up=FiberSpan(feeder_up_km, table),
-        splitter=Splitter(port_count, excess_loss_db, directivity_db),
-        drop=FiberSpan(drop_km, table),
-    )
+    if attenuation_db_per_km is None:
+        attenuation_db_per_km = DEFAULT_ATTENUATION_DB_PER_KM
+    splitter = Splitter(port_count, excess_loss_db, directivity_db)
+    return OdnTopology(feeder_down_km, feeder_up_km, drop_km, splitter, attenuation_db_per_km)

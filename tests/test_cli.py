@@ -1,6 +1,7 @@
 """Command line interface: verbs, overrides, output files, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -123,6 +124,70 @@ def test_attenuator_with_classical_channels_exits_config(tmp_path, capsys):
         assert main([verb, "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "attenuator" in err
+
+
+NAN_TABLE = [[1260.0, 0.42], [1310.0, math.nan], [1625.0, 0.24]]
+
+# (path into odn-split-sweep, value, text the error must name)
+MALFORMED = [
+    (("raman", "scale"), math.nan, "raman.scale"),
+    (("transmitter", "mean_photon_number"), math.nan, "transmitter.mean_photon_number"),
+    (("channels", "classical", 0, "launch_power_dbm"), math.nan, "classical[0].launch_power_dbm"),
+    (("run", "duration_s"), math.inf, "run.duration_s"),
+    (("gate", "slot_phase_s"), math.nan, "gate.slot_phase_s"),
+    (("topology", "attenuation_db_per_km"), NAN_TABLE, "attenuation table"),
+    (("channels", "rx_filter", "transmission_db"), NAN_TABLE, "transmission table"),
+    (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [math.inf, 0.1]}, "raman"),
+    (("transmitter",), [1], "transmitter: expected an object"),
+    (("channels", "rx_filter"), [1], "channels.rx_filter: expected an object"),
+    (("channels", "classical"), 5, "channels.classical: expected a list"),
+    (("transmitter", "pattern_bits"), 5, "transmitter.pattern_bits"),
+    (("transmitter", "pattern_bits"), [0, 2], "transmitter.pattern_bits"),
+    (("channels", "rx_filter", "transmission_db"), [[1309.0, -4e3], [1310.0, -4e3], [1311.0, -4e3]],
+     "no passband"),
+    (("sweep", "values"), ["x"], "sweep.values"),
+    (("sweep", "values"), [2, math.nan], "sweep.values"),
+    (("run", "seed"), -1, "run.seed"),
+    (("raman", "temperature_k"), 2.5, "raman.profile"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    MALFORMED,
+    ids=[f"{'.'.join(map(str, path))}={value!r}"[:48] for path, value, _ in MALFORMED],
+)
+@pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+def test_malformed_config_exits_config_from_every_verb(tmp_path, capsys, verb, path, value, field):
+    raw = bundled_scenario("odn-split-sweep")
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert main([verb, "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--config", "pon-baseline", "--mode", "monte_carlo", "--duration", "inf"],
+         "run.duration_s"),
+        (["run", "--config", "pon-baseline", "--mode", "monte_carlo", "--duration", "nan"],
+         "run.duration_s"),
+        (["sweep", "--config", "odn-split-sweep", "--duration", "inf"], "run.duration_s"),
+        (["sweep", "--config", "odn-split-sweep", "--values", "4,nan"], "sweep.values"),
+        (["sweep", "--config", "odn-split-sweep", "--values", "inf"], "sweep.values"),
+        (["sweep", "--config", "odn-split-sweep", "--values", "2.5"], "whole numbers"),
+        (["sweep", "--config", "odn-upstream-sweep", "--values", "1.5"], "whole numbers"),
+        (["sweep", "--config", "odn-upstream-sweep", "--values=-1,1"], "upstream channels"),
+    ],
+)
+def test_non_finite_or_fractional_flags_exit_config(capsys, argv, field):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
 
 
 def test_missing_config_path_exits_config(capsys):

@@ -43,6 +43,67 @@ def test_validated_odn_config_completes_oracle_run(quantum_nm, classical):
     assert math.isfinite(res.qber_report.qber)
 
 
+# not finite at all or out of range, so rejections get exercised
+bad_entries = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0])
+
+
+@st.composite
+def plant_configs(draw):
+    """``pon-us-1`` or ``pon-ds-lcw`` with the plant and filter redrawn.
+
+    Each number now and then leaves its accepted range or is not finite.
+    The fibre table has one to six points and usually spans the 1260-1625
+    nm window the bundled channels need; the filter is flat, gaussian or a
+    table of a few points around its centre, some with no passband.
+    """
+
+    def number(good):
+        return draw(bad_entries) if draw(st.integers(0, 9)) == 0 else draw(good)
+
+    raw = bundled_scenario(draw(st.sampled_from(["pon-us-1", "pon-ds-lcw"])))
+    topology = raw["topology"]
+    topology.update(
+        feeder_down_km=number(st.floats(0.0, 100.0)),
+        feeder_up_km=number(st.floats(0.0, 100.0)),
+        drop_km=number(st.floats(0.0, 20.0)),
+        port_count=draw(st.sampled_from([1, 2, 16, 64, 1024, 3])),
+        excess_loss_db=number(st.floats(0.0, 10.0)),
+        directivity_db=number(st.floats(0.0, 80.0)),
+    )
+    if draw(st.booleans()):
+        nms = draw(st.lists(st.floats(1200.0, 1700.0), min_size=1, max_size=4))
+        if draw(st.integers(0, 3)):
+            nms += [1260.0, 1625.0]
+        nms.sort(reverse=draw(st.integers(0, 15)) == 0)
+        topology["attenuation_db_per_km"] = [[nm, number(st.floats(0.01, 2.0))] for nm in nms]
+    center = draw(st.floats(1250.0, 1700.0))
+    rx_filter = {
+        "shape": draw(st.sampled_from(["gaussian", "flat"])),
+        "center_nm": center,
+        "fwhm_nm": number(st.floats(0.01, 20.0)),
+        "insertion_loss_db": number(st.floats(0.0, 30.0)),
+    }
+    if draw(st.booleans()):
+        offsets = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6)) + [0.0])
+        floor = draw(st.sampled_from([0.0, 0.0, 0.0, -4000.0]))  # -4000 dB: no passband
+        levels = [floor + number(st.floats(-60.0, 3.0)) for _ in offsets]
+        rx_filter["transmission_db"] = [[center + o, t] for o, t in zip(offsets, levels)]
+    raw["channels"]["rx_filter"] = rx_filter
+    return raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=plant_configs())
+def test_validated_plant_and_filter_complete_oracle_run(raw):
+    try:
+        scn = parse_scenario(raw)
+    except ConfigError:
+        return
+    res = run_scenario(scn, mode="oracle")
+    assert math.isfinite(res.raman.total_at_receiver)
+    assert math.isfinite(res.qber_report.qber)
+
+
 @st.composite
 def pass_inputs(draw):
     """Dead-time pass inputs on the binary time grid of ``tie_case``.

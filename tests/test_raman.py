@@ -26,9 +26,20 @@ from ponqkd.raman import (
     raman_coefficient,
     thermal_occupation,
 )
-from ponqkd.topology import FiberSpan, FilterProfile, default_odn, gaussian_transmission_table
+from ponqkd.topology import (
+    NEPER_PER_DB,
+    FilterProfile,
+    attenuation_at,
+    default_odn,
+    gaussian_transmission_table,
+)
 
 ANCHOR_NM = C_NM_THZ / 193.9  # 1546.12 nm upstream transmitter
+
+
+def np_per_km(wavelength_nm):
+    """Attenuation of the default fibre table in Np/km."""
+    return attenuation_at(default_odn(), wavelength_nm) * NEPER_PER_DB
 
 
 def test_channel_wavelength_range():
@@ -92,31 +103,29 @@ def test_profile_csv_round_trip(tmp_path):
 
 
 def test_forward_conversion_frozen():
-    span = FiberSpan(16.0)
-    assert forward_conversion_km(span, ANCHOR_NM, 1310.0) == pytest.approx(
+    a, q = np_per_km(ANCHOR_NM), np_per_km(1310.0)
+    assert forward_conversion_km(a, q, 16.0) == pytest.approx(
         5.547776883733019, rel=1e-12
     )
 
 
 def test_backward_conversion_frozen():
-    span = FiberSpan(16.0)
-    assert backward_conversion_km(span, ANCHOR_NM, 1310.0) == pytest.approx(
+    a, q = np_per_km(ANCHOR_NM), np_per_km(1310.0)
+    assert backward_conversion_km(a, q, 16.0) == pytest.approx(
         6.583048752336385, rel=1e-12
     )
 
 
 def test_forward_conversion_degenerate_limit():
     # equal attenuations collapse the integral to L e^(-a L)
-    flat = ((1300.0, 0.30), (1600.0, 0.30))
-    span = FiberSpan(12.0, flat)
     alpha = 0.30 * math.log(10.0) / 10.0
-    assert forward_conversion_km(span, 1550.0, 1310.0) == pytest.approx(
+    assert forward_conversion_km(alpha, alpha, 12.0) == pytest.approx(
         12.0 * math.exp(-alpha * 12.0), rel=1e-12
     )
 
 
 def test_backward_conversion_saturates():
-    long = backward_conversion_km(FiberSpan(400.0), ANCHOR_NM, 1310.0)
+    long = backward_conversion_km(np_per_km(ANCHOR_NM), np_per_km(1310.0), 400.0)
     s = (0.21258738868832733 + 0.37) * math.log(10.0) / 10.0
     assert long == pytest.approx(1.0 / s, rel=1e-9)
 

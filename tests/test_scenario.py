@@ -22,9 +22,9 @@ def test_parse_bundled_baseline_fields():
     assert scn.name == "pon-baseline"
     assert scn.budget_db is None
     assert scn.topology.splitter.port_count == 16
-    assert scn.topology.feeder_down.length_km == 13.2
-    assert scn.topology.feeder_up.length_km == 15.1
-    assert scn.topology.drop.length_km == 1.0
+    assert scn.topology.feeder_down_km == 13.2
+    assert scn.topology.feeder_up_km == 15.1
+    assert scn.topology.drop_km == 1.0
     assert scn.plan.quantum_center_nm == 1310.0
     assert scn.plan.channels == ()
     assert scn.transmitter.visibility == CAL_VISIBILITY

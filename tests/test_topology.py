@@ -7,7 +7,6 @@ import pytest
 from ponqkd.errors import PathElementError, WavelengthRangeError
 from ponqkd.topology import (
     UPSTREAM_QUANTUM_PATH,
-    FiberSpan,
     FilterProfile,
     Splitter,
     attenuation_at,
@@ -15,49 +14,48 @@ from ponqkd.topology import (
     equivalent_noise_bandwidth_nm,
     gaussian_transmission_table,
     path_loss_db,
-    span_loss_db,
 )
 
 
 def test_attenuation_at_anchor_points():
-    span = FiberSpan(length_km=1.0)
-    assert attenuation_at(span, 1260.0) == 0.42
-    assert attenuation_at(span, 1310.0) == 0.37
-    assert attenuation_at(span, 1550.0) == 0.21
-    assert attenuation_at(span, 1625.0) == 0.24
+    plant = default_odn()
+    assert attenuation_at(plant, 1260.0) == 0.42
+    assert attenuation_at(plant, 1310.0) == 0.37
+    assert attenuation_at(plant, 1550.0) == 0.21
+    assert attenuation_at(plant, 1625.0) == 0.24
 
 
 def test_attenuation_interpolates_linearly():
-    span = FiberSpan(length_km=1.0)
+    plant = default_odn()
     # midpoint of the 1310-1550 segment
-    assert attenuation_at(span, 1430.0) == pytest.approx(0.29, abs=1e-12)
+    assert attenuation_at(plant, 1430.0) == pytest.approx(0.29, abs=1e-12)
 
 
 def test_attenuation_outside_hull_raises():
-    span = FiberSpan(length_km=1.0)
+    plant = default_odn()
     with pytest.raises(WavelengthRangeError):
-        attenuation_at(span, 1259.9)
+        attenuation_at(plant, 1259.9)
     with pytest.raises(WavelengthRangeError):
-        attenuation_at(span, 1625.1)
+        attenuation_at(plant, 1625.1)
     # a one-point table is a hull of one wavelength
-    single = FiberSpan(length_km=1.0, attenuation_db_per_km=((1310.0, 0.37),))
+    single = default_odn(attenuation_db_per_km=((1310.0, 0.37),))
     assert attenuation_at(single, 1310.0) == 0.37
     with pytest.raises(WavelengthRangeError):
         attenuation_at(single, 1310.1)
 
 
 def test_span_loss_is_length_times_attenuation():
-    span = FiberSpan(length_km=16.0)
-    assert span_loss_db(span, 1310.0) == pytest.approx(5.92, abs=1e-12)
+    plant = default_odn(feeder_up_km=16.0)
+    assert plant.element_loss_db("feeder_up", 1310.0) == pytest.approx(5.92, abs=1e-12)
 
 
 def test_span_validation():
     with pytest.raises(ValueError):
-        FiberSpan(length_km=-1.0)
+        default_odn(drop_km=-1.0)
     with pytest.raises(ValueError):
-        FiberSpan(length_km=1.0, attenuation_db_per_km=((1550.0, 0.21), (1310.0, 0.37)))
+        default_odn(attenuation_db_per_km=((1550.0, 0.21), (1310.0, 0.37)))
     with pytest.raises(ValueError):
-        FiberSpan(length_km=1.0, attenuation_db_per_km=((1310.0, 0.0),))
+        default_odn(attenuation_db_per_km=((1310.0, 0.0),))
 
 
 def test_splitter_loss():
@@ -124,8 +122,6 @@ def test_unknown_path_element_raises():
     topo = default_odn()
     with pytest.raises(PathElementError):
         topo.element_loss_db("amplifier", 1310.0)
-    with pytest.raises(PathElementError):
-        path_loss_db(topo, 1310.0, path=("drop", "wdm_mux"))
 
 
 def test_missing_filter_element_raises():
@@ -137,8 +133,8 @@ def test_missing_filter_element_raises():
 
 def test_default_odn_geometry():
     topo = default_odn()
-    assert topo.feeder_down.length_km == 13.2
-    assert topo.feeder_up.length_km == 15.1
-    assert topo.drop.length_km == 1.0
+    assert topo.feeder_down_km == 13.2
+    assert topo.feeder_up_km == 15.1
+    assert topo.drop_km == 1.0
     assert topo.splitter.port_count == 16
     assert topo.splitter.directivity_db == 55.0
