@@ -7,13 +7,11 @@ rates and secure key throughput.
 """
 
 from .dpslink import (
-    DelayInterferometer,
     DetectorModel,
     LinkRates,
     TimeTagStream,
     TransmitterConfig,
     click_rate_oracle,
-    effective_visibility,
     simulate_timetags,
 )
 from .errors import (
@@ -78,7 +76,6 @@ __all__ = [
     "ChannelPlan",
     "ConfigError",
     "DataError",
-    "DelayInterferometer",
     "DetectorModel",
     "FilterProfile",
     "GateConfig",
@@ -109,7 +106,6 @@ __all__ = [
     "default_odn",
     "default_raman_profile",
     "dps_shrink_factor",
-    "effective_visibility",
     "emit_report",
     "equivalent_dwdm_power_dbm",
     "estimate_slot_phase",

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roots import brentq
+from .scenarios import CAL_EXCESS_LOSS_DB
 
 # default truth-pattern period used when extending a pattern cyclically
 PATTERN_PERIOD = 1 << 20
@@ -44,11 +45,6 @@ ORIGIN_AFTERPULSE = 3
 
 PORT_CONSTRUCTIVE = 0
 PORT_DESTRUCTIVE = 1
-
-# receiver lump (DI insertion, filter loss, connectors, carving overhead)
-# solving the closed-form rate anchor with the monitored-port fraction kept
-# explicit; the bundled scenarios carry the exactly calibrated value
-DEFAULT_EXCESS_LOSS_DB = 14.838063413592717
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,11 @@ class TransmitterConfig:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """SPAD plus the receiver's lumped excess loss."""
+    """SPAD plus the receiver's lumped excess loss.
+
+    The excess loss lumps interferometer insertion, filter loss, connectors
+    and carving overhead; it defaults to the calibrated reference value.
+    """
 
     efficiency: float = 0.10
     dark_rate_hz: float = 520.0
@@ -95,7 +95,7 @@ class DetectorModel:
     afterpulse_probability: float = 0.02
     afterpulse_decay_s: float = 5e-6
     afterpulse_memory_s: float = 4e-4
-    excess_loss_db: float = DEFAULT_EXCESS_LOSS_DB
+    excess_loss_db: float = CAL_EXCESS_LOSS_DB
     monitored_ports: str = "one"
 
     def __post_init__(self) -> None:
@@ -111,32 +111,6 @@ class DetectorModel:
             raise ValueError("excess_loss_db must be >= 0")
         if self.monitored_ports not in ("one", "both"):
             raise ValueError("monitored_ports must be 'one' or 'both'")
-
-
-@dataclass(frozen=True)
-class DelayInterferometer:
-    """One-symbol delay demodulator."""
-
-    delay_s: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.delay_s <= 0.0:
-            raise ValueError("delay_s must be > 0")
-
-
-def effective_visibility(tx: TransmitterConfig, di: DelayInterferometer | None) -> float:
-    """Visibility after delay mismatch.
-
-    A delay differing from the symbol period slides the interfering pulse
-    pair apart; interference survives only on the overlap of the two
-    carve windows, so visibility shrinks linearly and hits zero once the
-    mismatch exceeds the carve width.
-    """
-    if di is None:
-        return tx.visibility
-    mismatch = abs(di.delay_s * tx.symbol_rate_hz - 1.0)
-    overlap = max(0.0, 1.0 - mismatch / tx.carve_duty)
-    return tx.visibility * overlap
 
 
 def generate_phase_train(
@@ -281,9 +255,9 @@ def click_rate_oracle(
 class TimeTagStream:
     """Registered detector clicks plus the ground truth to score them.
 
-    Times are seconds from run start (export converts to ps); the truth
-    pattern repeats with period ``pattern_period`` symbols, so the truth
-    bit for any slot k is ``truth_bits[k % pattern_period]``.
+    Times are seconds from run start; the truth pattern repeats with period
+    ``pattern_period`` symbols, so the truth bit for any slot k is
+    ``truth_bits[k % pattern_period]``.
     """
 
     times_s: np.ndarray
@@ -299,17 +273,6 @@ class TimeTagStream:
 
     def __len__(self) -> int:
         return len(self.times_s)
-
-    def times_ps(self) -> np.ndarray:
-        return self.times_s * 1e12
-
-
-def write_tag_csv(stream: TimeTagStream, path: str) -> None:
-    """Export ``time_ps,port`` rows (origins are debug-only, not exported)."""
-    with open(path, "w") as handle:
-        handle.write("time_ps,port\n")
-        for t, p in zip(stream.times_ps(), stream.ports):
-            handle.write(f"{t:.3f},{int(p)}\n")
 
 
 def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -462,7 +425,6 @@ def _dead_time_pass(
 
 def simulate_timetags(
     tx: TransmitterConfig,
-    di: DelayInterferometer | None,
     loss_budget_db: float,
     det: DetectorModel,
     noise_rate: float,
@@ -498,7 +460,6 @@ def simulate_timetags(
     pattern_period = min(PATTERN_PERIOD, n_symbols - 1)
     truth_bits = generate_phase_train(tx, pattern_period + 1, ss_pattern)
 
-    visibility = effective_visibility(tx, di)
     one_port = det.monitored_ports == "one"
 
     rng_sig = np.random.default_rng(ss_signal)
@@ -506,7 +467,7 @@ def simulate_timetags(
     slots = rng_sig.integers(0, n_symbols, size=n_detected, dtype=np.int64)
     # constructive port for bit 0, destructive for bit 1; wrong port with
     # probability (1 - V)/2
-    wrong = rng_sig.random(n_detected) < (1.0 - visibility) / 2.0
+    wrong = rng_sig.random(n_detected) < tx.intrinsic_error
     sig_ports = (truth_bits[slots % pattern_period] ^ wrong).astype(np.uint8)
     del wrong
     jitter = (rng_sig.random(n_detected) - 0.5) * tx.carve_duty * period_s

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dpslink import click_rate_oracle, effective_visibility, simulate_timetags, LinkRates
+from .dpslink import click_rate_oracle, simulate_timetags, LinkRates
 from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
@@ -86,10 +86,9 @@ def run_scenario(
     )
     run_seed: int | None
     if mode == "oracle":
-        e_int = (1.0 - effective_visibility(scn.transmitter, scn.interferometer)) / 2.0
         qber_report = oracle_qber_report(
             rates.signal_rate,
-            e_int,
+            scn.transmitter.intrinsic_error,
             rates.background_rate + rates.afterpulse_rate,
         )
         run_seed = None
@@ -97,12 +96,11 @@ def run_scenario(
         use_seed = scn.run.seed if seed is None else seed
         stream = simulate_timetags(
             scn.transmitter,
-            scn.interferometer,
             budget,
-            scn.detector,
-            raman.total_at_receiver,
-            duration_s or scn.run.duration_s,
-            use_seed,
+            det=scn.detector,
+            noise_rate=raman.total_at_receiver,
+            duration_s=duration_s or scn.run.duration_s,
+            seed=use_seed,
         )
         qber_report = sift_and_score(apply_gate(stream, scn.gate))
         run_seed = stream.seed
@@ -132,14 +130,12 @@ def run_sweep(
     scn: Scenario,
     axis: str | None = None,
     values: Sequence | None = None,
-    workers: int | None = None,
 ) -> list[RunResult]:
     """One run per axis value, in axis order regardless of completion order.
 
     Every Monte Carlo point draws from its own child of the master seed, so
-    results do not depend on scheduling.  Points run on a thread pool of
-    ``workers`` threads, by default one per usable CPU (at most one per
-    point).
+    results do not depend on scheduling.  Points run on a thread pool of one
+    thread per usable CPU, at most one per point.
     """
     if axis is None or values is None:
         if scn.sweep is None:
@@ -155,8 +151,7 @@ def run_sweep(
         point = parse_scenario(apply_axis(scn.raw, axis, value))
         return run_scenario(point, seed=children[index])
 
-    max_workers = workers or min(_usable_cpus(), len(values))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(values))) as pool:
         return list(pool.map(one, enumerate(values)))
 
 
@@ -249,8 +244,13 @@ class CalibrationResult:
 
 def _set_parameter(raw: dict, parameter: str, value: float) -> dict:
     section, key = CALIBRATION_PARAMETERS[parameter]
+    if not isinstance(raw, dict):
+        raise ConfigError(["configuration must be a JSON object"])
     out = copy.deepcopy(raw)
-    out.setdefault(section, {})[key] = float(value)
+    target = out.setdefault(section, {})
+    if not isinstance(target, dict):
+        raise ConfigError([f"{section}: expected an object"])
+    target[key] = float(value)
     return out
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dpslink import DelayInterferometer, DetectorModel, TransmitterConfig
+from .dpslink import DetectorModel, TransmitterConfig
 from .errors import ConfigError, ShiftRangeError, WavelengthRangeError
 from .keyrate import DEFAULT_F_EC
 from .raman import (
@@ -63,7 +63,6 @@ class Scenario:
     profile: RamanProfile
     transmitter: TransmitterConfig
     detector: DetectorModel
-    interferometer: DelayInterferometer
     gate: GateConfig
     f_ec: float
     run: RunSettings
@@ -304,13 +303,6 @@ def parse_scenario(raw: dict) -> Scenario:
         col.fail(f"transmitter: {exc}")
         transmitter = TransmitterConfig()
     try:
-        interferometer = DelayInterferometer(
-            delay_s=col.number(tx_raw, "di_delay_s", 1.0 / transmitter.symbol_rate_hz, "transmitter")
-        )
-    except ValueError as exc:
-        col.fail(f"transmitter.di_delay_s: {exc}")
-        interferometer = DelayInterferometer()
-    try:
         detector = DetectorModel(
             efficiency=col.number(det_raw, "efficiency", 0.10, "detector"),
             dark_rate_hz=col.number(det_raw, "dark_rate_hz", 520.0, "detector"),
@@ -337,7 +329,6 @@ def parse_scenario(raw: dict) -> Scenario:
     try:
         gate = GateConfig(
             gate_fraction=col.number(gate_raw, "gate_fraction", 0.30, "gate"),
-            symbol_period_s=1.0 / transmitter.symbol_rate_hz,
             slot_phase_s=slot_phase,
         )
     except ValueError as exc:
@@ -378,7 +369,6 @@ def parse_scenario(raw: dict) -> Scenario:
         profile=profile,
         transmitter=transmitter,
         detector=detector,
-        interferometer=interferometer,
         gate=gate,
         f_ec=f_ec,
         run=run,

@@ -14,53 +14,45 @@ from .errors import DataError
 class GateConfig:
     """Acceptance window around the expected pulse arrival.
 
+    The slot is one symbol period of the gated stream's transmitter.
     ``slot_phase_s`` is the offset of the gate center from the slot center;
     None puts it on the pulse center that :func:`estimate_slot_phase` finds.
     """
 
     gate_fraction: float = 0.30
-    symbol_period_s: float = 1e-9
     slot_phase_s: float | None = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gate_fraction <= 1.0):
             raise ValueError("gate_fraction must be in (0, 1]")
-        if self.symbol_period_s <= 0.0:
-            raise ValueError("symbol_period_s must be > 0")
 
 
-def _gate_mask(times_s: np.ndarray, gate: GateConfig, phase_s: float) -> np.ndarray:
-    period = gate.symbol_period_s
-    half_window = gate.gate_fraction * period / 2.0
-    offset = np.mod(times_s - phase_s, period) - period / 2.0
-    # boundary ties kept (closed interval) so the cut is deterministic
-    return np.abs(offset) <= half_window
-
-
-def estimate_slot_phase(times_s: np.ndarray, gate: GateConfig) -> float:
+def estimate_slot_phase(times_s: np.ndarray, period_s: float) -> float:
     """Gate-center offset at the pulse center, by circular mean.
 
     Each tag's position inside its slot is an angle; the angle of the summed
     unit vectors is the mean arrival position, and uniform background adds
     no bias to it.  The result is wrapped into [-T/2, T/2) of the slot
-    period T; an empty stream gives 0.0.
+    period T = ``period_s``; an empty stream gives 0.0.
     """
     if not len(times_s):
         return 0.0
-    period = gate.symbol_period_s
-    angle = np.mod(times_s, period) * (2.0 * np.pi / period)
+    angle = np.mod(times_s, period_s) * (2.0 * np.pi / period_s)
     mean = np.arctan2(np.sin(angle).sum(), np.cos(angle).sum())
-    return float(np.mod(mean * period / (2.0 * np.pi), period) - period / 2.0)
+    return float(np.mod(mean * period_s / (2.0 * np.pi), period_s) - period_s / 2.0)
 
 
 def apply_gate(stream: TimeTagStream, gate: GateConfig) -> TimeTagStream:
     """Keep tags inside the gate window; rejected count rides on the stream."""
     if gate.gate_fraction == 1.0:
         return dc_replace(stream)
+    period = 1.0 / stream.symbol_rate_hz
     phase = gate.slot_phase_s
     if phase is None:
-        phase = estimate_slot_phase(stream.times_s, gate)
-    mask = _gate_mask(stream.times_s, gate, phase)
+        phase = estimate_slot_phase(stream.times_s, period)
+    offset = np.mod(stream.times_s - phase, period) - period / 2.0
+    # boundary ties kept (closed interval) so the cut is deterministic
+    mask = np.abs(offset) <= gate.gate_fraction * period / 2.0
     return dc_replace(
         stream,
         times_s=stream.times_s[mask],
@@ -86,7 +78,7 @@ class QberReport:
     duration_s: float
 
 
-def sift_and_score(stream: TimeTagStream, truth_bits: np.ndarray | None = None) -> QberReport:
+def sift_and_score(stream: TimeTagStream) -> QberReport:
     """Score a (gated) stream against the truth pattern.
 
     Each tag maps to its symbol slot.  Under single-port monitoring every
@@ -95,13 +87,11 @@ def sift_and_score(stream: TimeTagStream, truth_bits: np.ndarray | None = None) 
     decoded bit.  The truth pattern extends cyclically, so any tag inside
     the run duration is covered.
     """
-    truth = stream.truth_bits if truth_bits is None else np.asarray(truth_bits, dtype=np.uint8)
-    period = len(truth) if truth_bits is not None else stream.pattern_period
     times = stream.times_s
     if len(times) and (times[0] < 0.0 or times[-1] > stream.duration_s):
         raise DataError("tag outside the simulated time span")
     slots = np.floor(times * stream.symbol_rate_hz).astype(np.int64)
-    truth_at_tag = truth[slots % period]
+    truth_at_tag = stream.truth_bits[slots % stream.pattern_period]
     if stream.monitored_ports == "one":
         decoded = np.zeros(len(times), dtype=np.uint8)
     else:

@@ -15,12 +15,10 @@ import numpy as np
 import pytest
 
 from ponqkd.dpslink import (
-    DelayInterferometer,
     DetectorModel,
     TimeTagStream,
     TransmitterConfig,
     click_rate_oracle,
-    effective_visibility,
     simulate_timetags,
 )
 from ponqkd.keyrate import binary_entropy, dps_shrink_factor, positivity_threshold, secure_rate
@@ -152,19 +150,17 @@ def test_criterion_7_oracle_equivalence_property_suite():
     visibilities = (0.90, 0.95, 1.00)
     duration = 8.0
     det = DetectorModel()
-    di = DelayInterferometer()
-    gate = GateConfig(gate_fraction=0.3, symbol_period_s=1e-9, slot_phase_s=0.0)
+    gate = GateConfig(gate_fraction=0.3, slot_phase_s=0.0)
     cells = list(product(budgets, noises, visibilities))
     children = np.random.SeedSequence(11).spawn(len(cells))
     worst = 0.0
     for child, (budget, noise, vis) in zip(children, cells):
         tx = TransmitterConfig(visibility=vis)
         rates = click_rate_oracle(tx, budget, det, noise_rate=noise, gate_fraction=0.3)
-        e_int = (1.0 - effective_visibility(tx, di)) / 2.0
         oracle = oracle_qber_report(
-            rates.signal_rate, e_int, rates.background_rate + rates.afterpulse_rate
+            rates.signal_rate, tx.intrinsic_error, rates.background_rate + rates.afterpulse_rate
         )
-        stream = simulate_timetags(tx, di, budget, det, noise, duration, child)
+        stream = simulate_timetags(tx, budget, det, noise, duration, child)
         scored = sift_and_score(apply_gate(stream, gate))
         z_bits, z_err = z_scores(oracle, scored)
         worst = max(worst, abs(z_bits), abs(z_err))
@@ -185,7 +181,7 @@ def test_criterion_7_oracle_equivalence_property_suite():
         pattern_period=2,
         monitored_ports="one",
     )
-    gated = apply_gate(stream, GateConfig(gate_fraction=0.3, symbol_period_s=1e-9, slot_phase_s=0.0))
+    gated = apply_gate(stream, GateConfig(gate_fraction=0.3, slot_phase_s=0.0))
     retained = len(gated.times_s) / n_tags
     assert abs(retained - 0.30) <= 0.005
 
@@ -194,8 +190,8 @@ def test_criterion_8_determinism_and_invariants():
     # fixed seed, bit-identical tag streams
     tx = TransmitterConfig()
     det = DetectorModel()
-    first = simulate_timetags(tx, None, 18.0, det, 360.0, 1.0, 97)
-    second = simulate_timetags(tx, None, 18.0, det, 360.0, 1.0, 97)
+    first = simulate_timetags(tx, 18.0, det, 360.0, 1.0, 97)
+    second = simulate_timetags(tx, 18.0, det, 360.0, 1.0, 97)
     assert np.array_equal(first.times_s, second.times_s)
     assert np.array_equal(first.ports, second.ports)
     assert np.array_equal(first.origins, second.origins)
@@ -210,7 +206,7 @@ def test_criterion_8_determinism_and_invariants():
     # every simulated stream honours the dead time, per detector
     for monitored in ("one", "both"):
         det_m = dataclasses.replace(det, monitored_ports=monitored)
-        stream = simulate_timetags(tx, None, 14.0, det_m, 2000.0, 1.0, 5)
+        stream = simulate_timetags(tx, 14.0, det_m, 2000.0, 1.0, 5)
         assert len(stream) > 0
         for port in np.unique(stream.ports):
             gaps = np.diff(stream.times_s[stream.ports == port])

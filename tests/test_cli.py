@@ -279,3 +279,18 @@ def test_calibrate_unreachable_target_exits_calibration(capsys):
     )
     assert rc == EXIT_CALIBRATION
     assert capsys.readouterr().err.startswith("calibration error:")
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({**bundled_scenario("pon-us-1"), "raman": [1]}, "raman: expected an object"),
+        ([1], "configuration must be a JSON object"),
+    ],
+    ids=["section-not-object", "config-not-object"],
+)
+def test_calibrate_malformed_config_exits_config(tmp_path, capsys, raw, field):
+    argv = ["--param", "raman.scale", "--observable", "raman_total", "--target", "360"]
+    assert main(["calibrate", "--config", write_config(tmp_path, raw), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err

@@ -13,40 +13,22 @@ from ponqkd.dpslink import (
     ORIGIN_DARK,
     ORIGIN_RAMAN,
     ORIGIN_SIGNAL,
-    DelayInterferometer,
     DetectorModel,
     TransmitterConfig,
     _dead_time_pass,
     _time_order,
     click_rate_oracle,
-    effective_visibility,
     generate_phase_train,
     simulate_timetags,
-    write_tag_csv,
 )
 from ponqkd.raman import odn_noise_at_bob
 from ponqkd.scenario import parse_scenario
 from ponqkd.scenarios import bundled_scenario
 
-DI = DelayInterferometer()
-
 
 def test_intrinsic_error_from_visibility():
     assert TransmitterConfig(visibility=0.99).intrinsic_error == pytest.approx(0.005)
     assert TransmitterConfig(visibility=1.0).intrinsic_error == 0.0
-
-
-def test_effective_visibility_matched_delay():
-    tx = TransmitterConfig(visibility=0.97)
-    assert effective_visibility(tx, DelayInterferometer(1e-9)) == 0.97
-
-
-def test_effective_visibility_mismatch_penalty():
-    tx = TransmitterConfig(visibility=1.0, carve_duty=0.2)
-    # 2% period mismatch eats 10% of a 20% carve overlap
-    assert effective_visibility(tx, DelayInterferometer(1.02e-9)) == pytest.approx(0.9)
-    # mismatch beyond the carve kills interference entirely
-    assert effective_visibility(tx, DelayInterferometer(1.3e-9)) == 0.0
 
 
 def test_phase_train_explicit_pattern():
@@ -139,7 +121,7 @@ def test_oracle_input_validation():
 
 
 def test_simulation_deterministic_per_seed():
-    args = (TransmitterConfig(), DI, 18.0, DetectorModel(), 300.0, 0.5)
+    args = (TransmitterConfig(), 18.0, DetectorModel(), 300.0, 0.5)
     a = simulate_timetags(*args, seed=42)
     b = simulate_timetags(*args, seed=42)
     c = simulate_timetags(*args, seed=43)
@@ -150,7 +132,7 @@ def test_simulation_deterministic_per_seed():
 
 
 def test_simulation_tags_sorted_and_in_range():
-    stream = simulate_timetags(TransmitterConfig(), DI, 18.0, DetectorModel(), 500.0, 1.0, seed=5)
+    stream = simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), 500.0, 1.0, seed=5)
     assert np.all(np.diff(stream.times_s) >= 0.0)
     assert stream.times_s[0] >= 0.0
     assert stream.times_s[-1] < stream.duration_s
@@ -158,19 +140,19 @@ def test_simulation_tags_sorted_and_in_range():
 
 def test_simulation_dead_time_gap_per_port():
     det = DetectorModel(monitored_ports="both")
-    stream = simulate_timetags(TransmitterConfig(), DI, 16.0, det, 2000.0, 1.0, seed=9)
+    stream = simulate_timetags(TransmitterConfig(), 16.0, det, 2000.0, 1.0, seed=9)
     for port in (0, 1):
         times = stream.times_s[stream.ports == port]
         assert np.min(np.diff(times)) >= det.dead_time_s - 1e-12
 
 
 def test_simulation_single_port_keeps_port_zero_only():
-    stream = simulate_timetags(TransmitterConfig(), DI, 18.0, DetectorModel(), 100.0, 0.5, seed=2)
+    stream = simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), 100.0, 0.5, seed=2)
     assert set(np.unique(stream.ports)) == {0}
 
 
 def test_simulation_origins_labelled():
-    stream = simulate_timetags(TransmitterConfig(), DI, 18.0, DetectorModel(), 400.0, 2.0, seed=3)
+    stream = simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), 400.0, 2.0, seed=3)
     kinds = set(np.unique(stream.origins))
     assert kinds <= {ORIGIN_SIGNAL, ORIGIN_DARK, ORIGIN_RAMAN, ORIGIN_AFTERPULSE}
     assert ORIGIN_SIGNAL in kinds
@@ -180,33 +162,22 @@ def test_simulation_origins_labelled():
 
 def test_simulation_no_afterpulses_when_disabled():
     det = DetectorModel(afterpulse_probability=0.0)
-    stream = simulate_timetags(TransmitterConfig(), DI, 14.0, det, 0.0, 1.0, seed=8)
+    stream = simulate_timetags(TransmitterConfig(), 14.0, det, 0.0, 1.0, seed=8)
     assert ORIGIN_AFTERPULSE not in set(np.unique(stream.origins))
 
 
 def test_simulation_afterpulses_present_at_defaults():
-    stream = simulate_timetags(TransmitterConfig(), DI, 14.0, DetectorModel(), 0.0, 2.0, seed=8)
+    stream = simulate_timetags(TransmitterConfig(), 14.0, DetectorModel(), 0.0, 2.0, seed=8)
     assert int(np.count_nonzero(stream.origins == ORIGIN_AFTERPULSE)) > 0
 
 
 def test_simulation_counts_match_oracle_three_sigma():
     tx, det = TransmitterConfig(), DetectorModel()
     duration = 4.0
-    stream = simulate_timetags(tx, DI, 18.0, det, 360.0, duration, seed=21)
+    stream = simulate_timetags(tx, 18.0, det, 360.0, duration, seed=21)
     rates = click_rate_oracle(tx, 18.0, det, noise_rate=360.0, gate_fraction=1.0)
     expected = rates.total_rate * duration
     assert abs(len(stream) - expected) <= 3.0 * math.sqrt(expected)
-
-
-def test_tag_csv_export(tmp_path):
-    stream = simulate_timetags(TransmitterConfig(), DI, 18.0, DetectorModel(), 0.0, 0.2, seed=1)
-    path = tmp_path / "tags.csv"
-    write_tag_csv(stream, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "time_ps,port"
-    assert len(lines) == len(stream) + 1
-    first_ps = float(lines[1].split(",")[0])
-    assert first_ps == pytest.approx(stream.times_s[0] * 1e12, abs=0.01)
 
 
 def test_config_validation():
@@ -220,8 +191,6 @@ def test_config_validation():
         DetectorModel(efficiency=1.5)
     with pytest.raises(ValueError):
         DetectorModel(monitored_ports="three")
-    with pytest.raises(ValueError):
-        DelayInterferometer(delay_s=0.0)
 
 
 def test_time_order_is_stable_sort_with_and_without_ties():
@@ -289,7 +258,7 @@ def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap)
 
     monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
     det = DetectorModel(monitored_ports=ports, afterpulse_probability=p_ap)
-    stream = simulate_timetags(TransmitterConfig(), DI, budget, det, 2500.0, 0.3, seed=17)
+    stream = simulate_timetags(TransmitterConfig(), budget, det, 2500.0, 0.3, seed=17)
     (args,) = captured
     fires = args[3]
     assert fires.any() == (p_ap > 0.0)
@@ -426,7 +395,6 @@ def pinned_stream(name):
         noise = odn_noise_at_bob(scn.plan, scn.topology, scn.rx_filter, scn.profile)
         return simulate_timetags(
             scn.transmitter,
-            scn.interferometer,
             scn.quantum_path_loss_db,
             scn.detector,
             noise.total_at_receiver,
@@ -435,8 +403,8 @@ def pinned_stream(name):
         )
     if name == "both-ports-10dB-ap1":
         det = DetectorModel(monitored_ports="both", afterpulse_probability=1.0)
-        return simulate_timetags(TransmitterConfig(), DI, 10.0, det, 2500.0, 0.2, seed=11)
-    return simulate_timetags(TransmitterConfig(), DI, 10.0, DetectorModel(), 2500.0, 0.2, seed=13)
+        return simulate_timetags(TransmitterConfig(), 10.0, det, 2500.0, 0.2, seed=11)
+    return simulate_timetags(TransmitterConfig(), 10.0, DetectorModel(), 2500.0, 0.2, seed=13)
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))

@@ -175,8 +175,8 @@ def test_validated_config_completes_monte_carlo_run(raw):
         return
     streams = []
 
-    def keep(*args):
-        streams.append(simulate_timetags(*args))
+    def keep(*args, **kwargs):
+        streams.append(simulate_timetags(*args, **kwargs))
         return streams[-1]
 
     with mock.patch.object(runner, "simulate_timetags", keep):

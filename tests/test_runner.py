@@ -1,7 +1,9 @@
 """Orchestration: single runs, sweeps, report emission, calibration."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ponqkd.errors import CalibrationError, ConfigError
@@ -15,8 +17,8 @@ from ponqkd.runner import (
     sweep_csv,
     sweep_rows,
 )
-from ponqkd.scenario import parse_scenario
-from ponqkd.scenarios import CAL_RAMAN_SCALE, CAL_VISIBILITY, bundled_scenario
+from ponqkd.scenario import apply_axis, parse_scenario
+from ponqkd.scenarios import CAL_RAMAN_SCALE, CAL_VISIBILITY, bundled_names, bundled_scenario
 
 
 def scenario(name):
@@ -82,12 +84,17 @@ def test_run_sweep_explicit_axis_overrides():
 
 
 def test_run_sweep_scheduling_independent():
+    # the pooled sweep equals one run per point, in order, each point seeded
+    # with its own child of the master seed
     raw = monte_carlo_raw(duration_s=0.2, seed=11)
-    scn = parse_scenario(raw)
-    values = [14.0, 16.0, 18.0]
-    serial = run_sweep(scn, axis="topology.reach_km", values=values, workers=1)
-    threaded = run_sweep(scn, axis="topology.reach_km", values=values, workers=3)
-    assert [r.qber_report for r in serial] == [r.qber_report for r in threaded]
+    axis, values = "topology.reach_km", [14.0, 16.0, 18.0]
+    pooled = run_sweep(parse_scenario(raw), axis=axis, values=values)
+    children = np.random.SeedSequence(11).spawn(len(values))
+    serial = [
+        run_scenario(parse_scenario(apply_axis(raw, axis, v)), seed=children[i])
+        for i, v in enumerate(values)
+    ]
+    assert pooled == serial
 
 
 def test_run_sweep_without_sweep_section():
@@ -173,3 +180,38 @@ def test_calibrate_rejects_unknown_names():
         calibrate(raw, "detector.efficiency", "qber", 0.03)
     with pytest.raises(ConfigError):
         calibrate(raw, "raman.scale", "secure_rate", 400.0)
+
+
+# sha256 over every bundled oracle report, each bundled sweep table right
+# after its scenario's report, then 2 s Monte Carlo reports of pon-baseline
+# and pon-us-20 (seed 5); any change to a user-visible number moves it
+BUNDLED_OUTPUT_PIN = "d53fb39b12061c901a64fc003bf2debb5032b9855325d9678e6f2797a7d629e7"
+
+
+def test_bundled_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for name in bundled_names():
+        scn = scenario(name)
+        digest.update(emit_report(run_scenario(scn, mode="oracle")).encode())
+        if scn.sweep:
+            digest.update(sweep_csv(scn.sweep["values"], run_sweep(scn)).encode())
+    for name in ("pon-baseline", "pon-us-20"):
+        res = run_scenario(scenario(name), mode="monte_carlo", duration_s=2.0, seed=5)
+        digest.update(emit_report(res).encode())
+    assert digest.hexdigest() == BUNDLED_OUTPUT_PIN
+
+
+def test_abstract_figures_are_pinned():
+    # the model's values for the three figures the paper's abstract gives
+    # (5e-7 secure bits/pulse, +0.93 pp and +1.1 pp QBER); see the README
+    def oracle(name):
+        return run_scenario(scenario(name))
+
+    baseline = oracle("pon-baseline")
+    assert baseline.keyrate_report.secure_bits_per_pulse == pytest.approx(
+        4.869347622586347e-07, rel=1e-9
+    )
+    downstream = oracle("pon-ds-lc").qber_report.qber - oracle("pon-ds-l").qber_report.qber
+    assert downstream == pytest.approx(0.01271793867366066, rel=1e-9)
+    upstream = oracle("pon-us-1").qber_report.qber - baseline.qber_report.qber
+    assert upstream == pytest.approx(0.018979205957071234, rel=1e-9)

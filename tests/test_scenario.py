@@ -31,7 +31,7 @@ def test_parse_bundled_baseline_fields():
     assert scn.detector.excess_loss_db == CAL_EXCESS_LOSS_DB
     assert scn.detector.monitored_ports == "one"
     assert scn.gate.gate_fraction == 0.30
-    assert scn.gate.symbol_period_s == 1e-9
+    assert scn.transmitter.symbol_period_s == 1e-9
     assert scn.f_ec == 1.45
     assert (scn.run.mode, scn.run.duration_s, scn.run.seed) == ("oracle", 30.0, 7)
 

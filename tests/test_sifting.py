@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ponqkd.dpslink import DelayInterferometer, DetectorModel, TimeTagStream, TransmitterConfig, simulate_timetags
+from ponqkd.dpslink import DetectorModel, TimeTagStream, TransmitterConfig, simulate_timetags
 from ponqkd.errors import DataError
 from ponqkd.runner import run_scenario
 from ponqkd.scenario import parse_scenario
@@ -36,7 +36,7 @@ def make_stream(times, ports=None, truth=(0, 1), duration=10.0, monitored="one",
 
 def test_gate_window_is_closed_interval():
     # period 1 s, 50% gate centred mid-slot: window [0.25, 0.75]
-    gate = GateConfig(gate_fraction=0.5, symbol_period_s=1.0, slot_phase_s=0.0)
+    gate = GateConfig(gate_fraction=0.5, slot_phase_s=0.0)
     stream = make_stream([0.25, 0.75, 0.2499, 0.7501, 1.5])
     kept = apply_gate(stream, gate)
     assert kept.times_s.tolist() == [0.25, 0.75, 1.5]
@@ -45,13 +45,13 @@ def test_gate_window_is_closed_interval():
 
 def test_gate_full_width_is_identity():
     stream = make_stream([0.1, 0.9, 3.7])
-    kept = apply_gate(stream, GateConfig(gate_fraction=1.0, symbol_period_s=1.0))
+    kept = apply_gate(stream, GateConfig(gate_fraction=1.0))
     assert kept.times_s.tolist() == stream.times_s.tolist()
     assert kept.gated_rejected == 0
 
 
 def test_gate_is_idempotent():
-    gate = GateConfig(gate_fraction=0.3, symbol_period_s=1.0, slot_phase_s=0.0)
+    gate = GateConfig(gate_fraction=0.3, slot_phase_s=0.0)
     stream = make_stream(np.linspace(0.0, 9.99, 500))
     once = apply_gate(stream, gate)
     twice = apply_gate(once, gate)
@@ -65,8 +65,7 @@ def test_slot_phase_estimate_recovers_offset():
     offset = 0.25 * period
     slots = rng.integers(0, 1000, size=4000)
     times = (slots + 0.5) * period + offset + (rng.random(4000) - 0.5) * 0.1 * period
-    gate = GateConfig(gate_fraction=0.3, symbol_period_s=period, slot_phase_s=None)
-    estimate = estimate_slot_phase(times, gate)
+    estimate = estimate_slot_phase(times, period)
     distance = abs((estimate - offset + period / 2.0) % period - period / 2.0)
     assert distance <= period / 64.0 + 1e-15
 
@@ -76,10 +75,8 @@ def test_auto_phase_gate_keeps_clustered_tags():
     period = 1e-9
     slots = rng.integers(0, 10000, size=2000)
     times = np.sort((slots + 0.5) * period + 0.31 * period)
-    stream = make_stream(times, truth=(0,) * 64, duration=1e-5)
-    gated = apply_gate(
-        stream, GateConfig(gate_fraction=0.3, symbol_period_s=period, slot_phase_s=None)
-    )
+    stream = make_stream(times, truth=(0,) * 64, duration=1e-5, rate=1.0 / period)
+    gated = apply_gate(stream, GateConfig(gate_fraction=0.3, slot_phase_s=None))
     assert len(gated.times_s) == len(times)
 
 
@@ -90,18 +87,17 @@ def test_slot_phase_lands_on_pulse_center_under_background():
     noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
     stream = simulate_timetags(
         scn.transmitter,
-        scn.interferometer,
         scn.quantum_path_loss_db,
         scn.detector,
         noise,
         30.0,
         scn.run.seed,
     )
-    assert abs(estimate_slot_phase(stream.times_s, scn.gate)) <= 2e-12
+    assert abs(estimate_slot_phase(stream.times_s, scn.transmitter.symbol_period_s)) <= 2e-12
 
 
 def test_slot_phase_of_empty_stream_is_zero():
-    assert estimate_slot_phase(np.empty(0), GateConfig(slot_phase_s=None)) == 0.0
+    assert estimate_slot_phase(np.empty(0), 1e-9) == 0.0
 
 
 def test_sift_counts_single_port():
@@ -132,7 +128,7 @@ def test_sift_counts_both_ports():
 def test_sift_noiseless_perfect_visibility_is_error_free():
     tx = TransmitterConfig(visibility=1.0)
     stream = simulate_timetags(
-        tx, DelayInterferometer(), 14.0,
+        tx, 14.0,
         DetectorModel(dark_rate_hz=0.0, afterpulse_probability=0.0),
         0.0, 0.5, seed=31,
     )
@@ -161,7 +157,7 @@ def test_sift_rejects_out_of_span_tags():
 
 def test_report_ratio_invariants_on_simulated_stream():
     stream = simulate_timetags(
-        TransmitterConfig(), DelayInterferometer(), 18.0, DetectorModel(), 500.0, 1.0, seed=13
+        TransmitterConfig(), 18.0, DetectorModel(), 500.0, 1.0, seed=13
     )
     gated = apply_gate(stream, GateConfig(gate_fraction=0.3, slot_phase_s=0.0))
     report = sift_and_score(gated)
