@@ -65,7 +65,6 @@ from .topology import (
     FilterProfile,
     OdnTopology,
     Splitter,
-    default_odn,
     path_loss_db,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "click_rate_oracle",
     "collision_probability",
     "config_hash",
-    "default_odn",
     "default_raman_profile",
     "dps_shrink_factor",
     "emit_report",

@@ -58,18 +58,18 @@ class TransmitterConfig:
     pattern_bits: tuple[int, ...] | None = None  # explicit differential bits, else seeded
 
     def __post_init__(self) -> None:
-        if self.symbol_rate_hz <= 0.0:
-            raise ValueError("symbol_rate_hz must be > 0")
+        if self.symbol_rate_hz < 1.0:
+            raise ValueError("symbol_rate_hz: must be >= 1")
         if self.mean_photon_number <= 0.0:
-            raise ValueError("mean_photon_number must be > 0")
+            raise ValueError("mean_photon_number: must be > 0")
         if not (0.0 < self.carve_duty <= 1.0):
-            raise ValueError("carve_duty must be in (0, 1]")
+            raise ValueError("carve_duty: must be in (0, 1]")
         if not (0.0 < self.visibility <= 1.0):
-            raise ValueError("visibility must be in (0, 1]")
+            raise ValueError("visibility: must be in (0, 1]")
         if self.pattern_bits is not None:
             bits = tuple(int(b) for b in self.pattern_bits)
             if any(b not in (0, 1) for b in bits):
-                raise ValueError("pattern_bits must be 0/1")
+                raise ValueError("pattern_bits: must be 0/1")
             object.__setattr__(self, "pattern_bits", bits)
 
     @property
@@ -100,17 +100,16 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError("efficiency must be in [0, 1]")
-        if self.dark_rate_hz < 0.0 or self.dead_time_s < 0.0:
-            raise ValueError("dark rate and dead time must be >= 0")
+            raise ValueError("efficiency: must be in [0, 1]")
+        for name in ("dark_rate_hz", "dead_time_s", "afterpulse_memory_s", "excess_loss_db"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name}: must be >= 0")
         if not (0.0 <= self.afterpulse_probability <= 1.0):
-            raise ValueError("afterpulse_probability must be in [0, 1]")
-        if self.afterpulse_decay_s <= 0.0 or self.afterpulse_memory_s < 0.0:
-            raise ValueError("afterpulse time constants must be positive")
-        if self.excess_loss_db < 0.0:
-            raise ValueError("excess_loss_db must be >= 0")
+            raise ValueError("afterpulse_probability: must be in [0, 1]")
+        if self.afterpulse_decay_s <= 0.0:
+            raise ValueError("afterpulse_decay_s: must be > 0")
         if self.monitored_ports not in ("one", "both"):
-            raise ValueError("monitored_ports must be 'one' or 'both'")
+            raise ValueError("monitored_ports: must be 'one' or 'both'")
 
 
 def generate_phase_train(

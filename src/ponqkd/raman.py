@@ -119,7 +119,7 @@ class WavelengthChannel:
 
     center_nm: float
     launch_power_dbm: float
-    direction: str  # "downstream" (CO -> subscribers) or "upstream"
+    direction: str = "downstream"  # CO -> subscribers, or "upstream"
     band_tag: str = ""
     tdma_member: bool = False
 

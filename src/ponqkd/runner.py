@@ -33,13 +33,18 @@ SWEEP_COLUMNS = (
     "secure_bits_per_pulse",
 )
 
+# "section.key" -> (bracket low, bracket high, limit the high end may grow to)
 CALIBRATION_PARAMETERS = {
-    "raman.scale": ("raman", "scale"),
-    "detector.excess_loss_db": ("detector", "excess_loss_db"),
-    "transmitter.visibility": ("transmitter", "visibility"),
+    "raman.scale": (0.0, 1.0, 1e12),
+    "detector.excess_loss_db": (0.0, 60.0, None),
+    "transmitter.visibility": (1e-6, 1.0, None),
 }
 
-OBSERVABLES = ("raman_total", "raw_rate", "qber")
+OBSERVABLES = {
+    "raman_total": lambda res: res.raman.total_at_receiver,
+    "raw_rate": lambda res: res.qber_report.raw_rate,
+    "qber": lambda res: res.qber_report.qber,
+}
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,7 @@ class CalibrationResult:
 
 
 def _set_parameter(raw: dict, parameter: str, value: float) -> dict:
-    section, key = CALIBRATION_PARAMETERS[parameter]
+    section, key = parameter.split(".")
     if not isinstance(raw, dict):
         raise ConfigError(["configuration must be a JSON object"])
     out = copy.deepcopy(raw)
@@ -255,23 +260,7 @@ def _set_parameter(raw: dict, parameter: str, value: float) -> dict:
 
 
 def _observe(raw: dict, observable: str) -> float:
-    res = run_scenario(parse_scenario(raw), mode="oracle")
-    if observable == "raman_total":
-        return res.raman.total_at_receiver
-    if observable == "raw_rate":
-        return res.qber_report.raw_rate
-    if observable == "qber":
-        return res.qber_report.qber
-    raise ConfigError([f"observable: {observable!r} not one of {list(OBSERVABLES)}"])
-
-
-_BRACKETS = {
-    "raman.scale": (0.0, 1.0),
-    "detector.excess_loss_db": (0.0, 60.0),
-    "transmitter.visibility": (1e-6, 1.0),
-}
-
-_EXPANDABLE = {"raman.scale": 1e12}  # upper bound may grow to this
+    return OBSERVABLES[observable](run_scenario(parse_scenario(raw), mode="oracle"))
 
 
 def calibrate(
@@ -294,9 +283,8 @@ def calibrate(
     def objective(p: float) -> float:
         return _observe(_set_parameter(raw, parameter, p), observable) - target
 
-    lo, hi = _BRACKETS[parameter]
+    lo, hi, limit = CALIBRATION_PARAMETERS[parameter]
     f_lo, f_hi = objective(lo), objective(hi)
-    limit = _EXPANDABLE.get(parameter)
     while limit is not None and f_lo * f_hi > 0.0 and hi < limit:
         hi = min(limit, hi * 10.0)
         f_hi = objective(hi)

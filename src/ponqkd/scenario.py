@@ -2,8 +2,12 @@
 
 Schema version 1.  Sections: ``topology``, ``channels``, ``transmitter``,
 ``detector``, ``raman``, ``gate``, ``keyrate``, ``run``; optional ``name``
-and ``sweep``.  Validation collects every failing field before raising so
-one round trip reports the whole damage.
+and ``sweep``.  Validation collects the failures of every section before
+raising, so one round trip reports the whole damage.  The plant, source,
+detector, gate and run sections are read straight into their dataclasses,
+which hold each field's default and range rule; every wrongly typed field
+is reported, but a section whose fields all type-check reports only the
+first range rule it breaks.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dpslink import DetectorModel, TransmitterConfig
 from .errors import ConfigError, ShiftRangeError, WavelengthRangeError
 from .keyrate import DEFAULT_F_EC
 from .raman import (
+    ROOM_TEMPERATURE_K,
     ChannelPlan,
     RamanProfile,
     WavelengthChannel,
@@ -28,8 +33,8 @@ from .sifting import GateConfig
 from .topology import (
     FilterProfile,
     OdnTopology,
+    Splitter,
     attenuation_at,
-    default_odn,
     gaussian_transmission_table,
     path_loss_db,
 )
@@ -50,6 +55,14 @@ class RunSettings:
     duration_s: float = 30.0
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("oracle", "monte_carlo"):
+            raise ValueError(f"mode: must be 'oracle' or 'monte_carlo', got {self.mode!r}")
+        if self.duration_s <= 0.0:
+            raise ValueError("duration_s: must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -66,8 +79,11 @@ class Scenario:
     gate: GateConfig
     f_ec: float
     run: RunSettings
-    sweep: dict | None
     raw: dict = field(repr=False)
+
+    @property
+    def sweep(self) -> dict | None:
+        return self.raw.get("sweep")
 
     @property
     def quantum_path_loss_db(self) -> float:
@@ -88,6 +104,14 @@ def _finite(value) -> bool:
         return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         return False
+
+
+# JSON type a dataclass field takes, by the type of its default
+_JSON_KINDS = {
+    str: ("a string", lambda value: isinstance(value, str)),
+    int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    float: ("a finite number", _finite),
+}
 
 
 class _Collector:
@@ -114,16 +138,6 @@ class _Collector:
             return default
         return float(value)
 
-    def integer(self, section: dict, key: str, default, where: str, minimum=None):
-        value = section.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.fail(f"{where}.{key}: expected an integer, got {value!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(f"{where}.{key}: {value} below minimum {minimum}")
-            return default
-        return int(value)
-
     def choice(self, section: dict, key: str, default, where: str, allowed):
         value = section.get(key, default)
         if value not in allowed:
@@ -131,9 +145,38 @@ class _Collector:
             return default
         return value
 
+    def build(self, cls, section: dict, where: str, **given):
+        """``cls`` read from one config section, or None if it fails.
+
+        Every string, integer or float field not in ``given`` takes the
+        section key of the same name, or its own default when the key is
+        missing; other fields come from ``given`` or their default.  Only the
+        JSON type is checked here: the range rules are the dataclass's own,
+        and each of its messages starts with the field name.
+        """
+        values, typed = dict(given), True
+        for spec in fields(cls):
+            kind = type(spec.default)
+            if spec.name in given or kind not in _JSON_KINDS or spec.name not in section:
+                continue
+            expected, fits = _JSON_KINDS[kind]
+            value = section[spec.name]
+            if fits(value):
+                values[spec.name] = kind(value)
+            else:
+                self.fail(f"{where}.{spec.name}: expected {expected}, got {value!r}")
+                typed = False
+        if not typed:
+            return None
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            self.fail(f"{where}.{exc}")
+            return None
+
 
 def _parse_filter(spec: dict, col: _Collector, where: str) -> FilterProfile:
-    center = col.number(spec, "center_nm", 1310.0, where, minimum=1.0)
+    center = col.number(spec, "center_nm", ChannelPlan.quantum_center_nm, where, minimum=1.0)
     insertion = col.number(spec, "insertion_loss_db", 0.0, where, minimum=0.0)
     table = spec.get("transmission_db")
     shape = col.choice(spec, "shape", "gaussian", where, ("gaussian", "flat"))
@@ -153,7 +196,7 @@ def _parse_filter(spec: dict, col: _Collector, where: str) -> FilterProfile:
         )
     except (ValueError, TypeError) as exc:
         col.fail(f"{where}: {exc}")
-        return FilterProfile(center_nm=1310.0, fwhm_nm=1.22)
+        return FilterProfile(center_nm=ChannelPlan.quantum_center_nm, fwhm_nm=1.22)
 
 
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
@@ -161,34 +204,24 @@ def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, flo
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
         return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
-    attenuation = None
+    table = OdnTopology.attenuation_db_per_km
     if "attenuation_db_per_km" in section:
         try:
-            attenuation = tuple(
-                (float(wl), float(a)) for wl, a in section["attenuation_db_per_km"]
-            )
+            table = tuple((float(wl), float(a)) for wl, a in section["attenuation_db_per_km"])
         except (TypeError, ValueError):
             col.fail("topology.attenuation_db_per_km: expected [[nm, dB/km], ...]")
-    port_count = col.integer(section, "port_count", 16, "topology", minimum=1)
-    try:
-        topo = default_odn(
-            port_count=port_count,
-            feeder_down_km=col.number(section, "feeder_down_km", 13.2, "topology", minimum=0.0),
-            feeder_up_km=col.number(section, "feeder_up_km", 15.1, "topology", minimum=0.0),
-            drop_km=col.number(section, "drop_km", 1.0, "topology", minimum=0.0),
-            excess_loss_db=col.number(section, "excess_loss_db", 0.0, "topology", minimum=0.0),
-            directivity_db=col.number(section, "directivity_db", 55.0, "topology", minimum=0.0),
-            attenuation_db_per_km=attenuation,
-        )
-    except ValueError as exc:
-        col.fail(f"topology: {exc}")
-        return None, None
-    return topo, None
+    splitter = col.build(Splitter, section, "topology")
+    topology = col.build(
+        OdnTopology, section, "topology", splitter=splitter, attenuation_db_per_km=table
+    )
+    return (None if splitter is None else topology), None
 
 
 def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProfile]:
     section = col.section(raw, "channels")
-    quantum_nm = col.number(section, "quantum_center_nm", 1310.0, "channels", minimum=1.0)
+    quantum_nm = col.number(
+        section, "quantum_center_nm", ChannelPlan.quantum_center_nm, "channels", minimum=1.0
+    )
     classical = section.get("classical", [])
     if not isinstance(classical, list):
         col.fail("channels.classical: expected a list")
@@ -204,9 +237,7 @@ def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProf
                 WavelengthChannel(
                     center_nm=col.number(spec, "center_nm", 1550.0, where),
                     launch_power_dbm=col.number(spec, "launch_power_dbm", 0.0, where),
-                    direction=col.choice(
-                        spec, "direction", "downstream", where, ("downstream", "upstream")
-                    ),
+                    direction=spec.get("direction", WavelengthChannel.direction),
                     band_tag=str(spec.get("band_tag", "")),
                     tdma_member=bool(spec.get("tdma_member", False)),
                 )
@@ -225,8 +256,8 @@ def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProf
 
 def _parse_raman(raw: dict, col: _Collector) -> RamanProfile:
     section = col.section(raw, "raman")
-    scale = col.number(section, "scale", 1.0, "raman", minimum=0.0)
-    temperature = col.number(section, "temperature_k", 295.0, "raman", minimum=1.0)
+    scale = col.number(section, "scale", RamanProfile.scale, "raman", minimum=0.0)
+    temperature = col.number(section, "temperature_k", ROOM_TEMPERATURE_K, "raman", minimum=1.0)
     spec = section.get("profile", "default")
     try:
         if spec == "default":
@@ -286,68 +317,27 @@ def parse_scenario(raw: dict) -> Scenario:
     tx_raw, det_raw, gate_raw, key_raw, run_raw = (
         col.section(raw, name) for name in ("transmitter", "detector", "gate", "keyrate", "run")
     )
-    bits = tx_raw.get("pattern_bits")  # None: a seeded pattern
+    bits = tx_raw.get("pattern_bits", TransmitterConfig.pattern_bits)  # None: a seeded pattern
     if not (bits is None or (bits and isinstance(bits, list) and all(b in (0, 1) for b in bits))):
         col.fail(f"transmitter.pattern_bits: expected a non-empty list of 0/1, got {bits!r}")
         bits = None
-
-    try:
-        transmitter = TransmitterConfig(
-            symbol_rate_hz=col.number(tx_raw, "symbol_rate_hz", 1e9, "transmitter", minimum=1.0),
-            mean_photon_number=col.number(tx_raw, "mean_photon_number", 0.1, "transmitter"),
-            carve_duty=col.number(tx_raw, "carve_duty", 0.2, "transmitter"),
-            visibility=col.number(tx_raw, "visibility", 1.0, "transmitter"),
-            pattern_bits=None if bits is None else tuple(bits),
-        )
-    except ValueError as exc:
-        col.fail(f"transmitter: {exc}")
-        transmitter = TransmitterConfig()
-    try:
-        detector = DetectorModel(
-            efficiency=col.number(det_raw, "efficiency", 0.10, "detector"),
-            dark_rate_hz=col.number(det_raw, "dark_rate_hz", 520.0, "detector"),
-            dead_time_s=col.number(det_raw, "dead_time_s", 10e-6, "detector"),
-            afterpulse_probability=col.number(det_raw, "afterpulse_probability", 0.02, "detector"),
-            afterpulse_decay_s=col.number(det_raw, "afterpulse_decay_s", 5e-6, "detector"),
-            afterpulse_memory_s=col.number(det_raw, "afterpulse_memory_s", 4e-4, "detector"),
-            excess_loss_db=col.number(
-                det_raw, "excess_loss_db", DetectorModel.excess_loss_db, "detector"
-            ),
-            monitored_ports=col.choice(
-                det_raw, "monitored_ports", "one", "detector", ("one", "both")
-            ),
-        )
-    except ValueError as exc:
-        col.fail(f"detector: {exc}")
-        detector = DetectorModel()
-    slot_phase = gate_raw.get("slot_phase_s", 0.0)
+    transmitter = col.build(
+        TransmitterConfig, tx_raw, "transmitter", pattern_bits=None if bits is None else tuple(bits)
+    )
+    detector = col.build(DetectorModel, det_raw, "detector")
+    slot_phase = gate_raw.get("slot_phase_s", GateConfig.slot_phase_s)
     if slot_phase == "auto":
         slot_phase = None
     elif slot_phase is not None and not _finite(slot_phase):
         col.fail(f"gate.slot_phase_s: expected a finite number, 'auto' or null, got {slot_phase!r}")
-        slot_phase = 0.0
-    try:
-        gate = GateConfig(
-            gate_fraction=col.number(gate_raw, "gate_fraction", 0.30, "gate"),
-            slot_phase_s=slot_phase,
-        )
-    except ValueError as exc:
-        col.fail(f"gate: {exc}")
-        gate = GateConfig()
+    gate = col.build(GateConfig, gate_raw, "gate", slot_phase_s=slot_phase)
     f_ec = col.number(key_raw, "f_ec", DEFAULT_F_EC, "keyrate", minimum=1.0)
-    run = RunSettings(
-        mode=col.choice(run_raw, "mode", "oracle", "run", ("oracle", "monte_carlo")),
-        duration_s=col.number(run_raw, "duration_s", 30.0, "run", minimum=0.0),
-        seed=col.integer(run_raw, "seed", 1, "run", minimum=0),
-    )
-    if run.duration_s <= 0.0:
-        col.fail("run.duration_s: must be > 0")
+    run = col.build(RunSettings, run_raw, "run")
 
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
             col.fail("sweep: expected an object")
-            sweep = None
         else:
             axis = sweep.get("axis")
             values = sweep.get("values")
@@ -372,7 +362,6 @@ def parse_scenario(raw: dict) -> Scenario:
         gate=gate,
         f_ec=f_ec,
         run=run,
-        sweep=copy.deepcopy(sweep),
         raw=copy.deepcopy(raw),
     )
 
@@ -380,9 +369,11 @@ def parse_scenario(raw: dict) -> Scenario:
 def apply_axis(raw: dict, axis: str, value) -> dict:
     """New config dict with one sweep axis applied.
 
-    ``topology.reach_km`` sets both feeders to reach minus the drop length;
-    ``channels.upstream_count`` keeps the first k upstream channels in plan
-    order and all downstream ones.
+    ``topology.budget_db`` applies to attenuator links only, the other two
+    plant axes to fibre plants only.  ``topology.reach_km`` sets both
+    feeders to reach minus the drop length; ``channels.upstream_count``
+    keeps the first k upstream channels in plan order and all downstream
+    ones.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep.axis: {axis!r} not one of {list(SWEEP_AXES)}"])
@@ -390,12 +381,14 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
         raise ConfigError([f"sweep.values: {value!r} is not a finite number"])
     out = copy.deepcopy(raw)
     topo = out.setdefault("topology", {})
+    attenuator = topo.get("kind", "odn") == "attenuator"
+    if axis.startswith("topology.") and (axis == "topology.budget_db") != attenuator:
+        name, kind = axis.rsplit(".", 1)[1], "odn" if attenuator else "attenuator"
+        raise ConfigError([f"sweep.axis: {name} applies to {kind} topologies only"])
     if axis == "topology.budget_db":
-        if topo.get("kind", "odn") != "attenuator":
-            raise ConfigError(["sweep.axis: budget_db applies to attenuator topologies only"])
         topo["budget_db"] = float(value)
     elif axis == "topology.reach_km":
-        drop = float(topo.get("drop_km", 1.0))
+        drop = float(topo.get("drop_km", OdnTopology.drop_km))
         feeder = float(value) - drop
         if feeder < 0.0:
             raise ConfigError([f"sweep.values: reach {value} km shorter than the {drop} km drop"])
@@ -408,7 +401,7 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
         channels = out.setdefault("channels", {}).get("classical", [])
         kept, seen = [], 0
         for spec in channels:
-            if spec.get("direction", "downstream") == "upstream":
+            if spec.get("direction", WavelengthChannel.direction) == "upstream":
                 seen += 1
                 if seen > want:
                     continue

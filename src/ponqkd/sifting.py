@@ -24,7 +24,7 @@ class GateConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gate_fraction <= 1.0):
-            raise ValueError("gate_fraction must be in (0, 1]")
+            raise ValueError("gate_fraction: must be in (0, 1]")
 
 
 def estimate_slot_phase(times_s: np.ndarray, period_s: float) -> float:

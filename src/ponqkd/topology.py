@@ -70,11 +70,10 @@ class Splitter:
     def __post_init__(self) -> None:
         n = self.port_count
         if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError(f"port_count must be a power of two >= 1, got {n}")
-        if self.excess_loss_db < 0.0:
-            raise ValueError("excess loss must be >= 0")
-        if self.directivity_db < 0.0:
-            raise ValueError("directivity must be >= 0")
+            raise ValueError(f"port_count: must be a power of two >= 1, got {n}")
+        for name in ("excess_loss_db", "directivity_db"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name}: must be >= 0")
 
     @property
     def loss_db(self) -> float:
@@ -155,29 +154,30 @@ class OdnTopology:
 
     All three fibres are one fibre type, so the plant carries one sorted
     ``((nm, dB/km), ...)`` attenuation table of finite, positive values.
+    The defaults are the deployed-plant geometry of the bundled scenarios.
     """
 
-    feeder_down_km: float
-    feeder_up_km: float
-    drop_km: float
-    splitter: Splitter
+    feeder_down_km: float = 13.2
+    feeder_up_km: float = 15.1
+    drop_km: float = 1.0
+    splitter: Splitter = Splitter()
     attenuation_db_per_km: tuple[tuple[float, float], ...] = DEFAULT_ATTENUATION_DB_PER_KM
 
     def __post_init__(self) -> None:
         for name in ("feeder_down_km", "feeder_up_km", "drop_km"):
             length = getattr(self, name)
             if not math.isfinite(length) or length < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {length}")
+                raise ValueError(f"{name}: must be finite and >= 0, got {length}")
         table = tuple((float(w), float(a)) for w, a in self.attenuation_db_per_km)
         if not table:
-            raise ValueError("attenuation table must not be empty")
+            raise ValueError("attenuation_db_per_km: must not be empty")
         if not all(math.isfinite(w) and math.isfinite(a) for w, a in table):
-            raise ValueError("attenuation table must hold finite numbers")
+            raise ValueError("attenuation_db_per_km: must hold finite numbers")
         wavelengths = [w for w, _ in table]
         if sorted(wavelengths) != wavelengths or len(set(wavelengths)) != len(wavelengths):
-            raise ValueError("attenuation table must be sorted by wavelength without duplicates")
+            raise ValueError("attenuation_db_per_km: must be sorted, with no repeated wavelength")
         if any(a <= 0.0 for _, a in table):
-            raise ValueError("attenuation values must be positive")
+            raise ValueError("attenuation_db_per_km: values must be positive")
         object.__setattr__(self, "attenuation_db_per_km", table)
 
     def element_loss_db(self, name: str, wavelength_nm: float) -> float:
@@ -198,18 +198,3 @@ def path_loss_db(topology: OdnTopology, wavelength_nm: float) -> float:
         sum(topology.element_loss_db(name, wavelength_nm) for name in UPSTREAM_QUANTUM_PATH)
     )
 
-
-def default_odn(
-    port_count: int = 16,
-    feeder_down_km: float = 13.2,
-    feeder_up_km: float = 15.1,
-    drop_km: float = 1.0,
-    excess_loss_db: float = 0.0,
-    directivity_db: float = 55.0,
-    attenuation_db_per_km: tuple[tuple[float, float], ...] | None = None,
-) -> OdnTopology:
-    """The deployed-plant geometry used by the bundled scenarios."""
-    if attenuation_db_per_km is None:
-        attenuation_db_per_km = DEFAULT_ATTENUATION_DB_PER_KM
-    splitter = Splitter(port_count, excess_loss_db, directivity_db)
-    return OdnTopology(feeder_down_km, feeder_up_km, drop_km, splitter, attenuation_db_per_km)

@@ -135,7 +135,7 @@ MALFORMED = [
     (("channels", "classical", 0, "launch_power_dbm"), math.nan, "classical[0].launch_power_dbm"),
     (("run", "duration_s"), math.inf, "run.duration_s"),
     (("gate", "slot_phase_s"), math.nan, "gate.slot_phase_s"),
-    (("topology", "attenuation_db_per_km"), NAN_TABLE, "attenuation table"),
+    (("topology", "attenuation_db_per_km"), NAN_TABLE, "topology.attenuation_db_per_km"),
     (("channels", "rx_filter", "transmission_db"), NAN_TABLE, "transmission table"),
     (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [math.inf, 0.1]}, "raman"),
     (("transmitter",), [1], "transmitter: expected an object"),
@@ -149,6 +149,12 @@ MALFORMED = [
     (("sweep", "values"), [2, math.nan], "sweep.values"),
     (("run", "seed"), -1, "run.seed"),
     (("raman", "temperature_k"), 2.5, "raman.profile"),
+    (("topology", "drop_km"), -1, "topology.drop_km"),
+    (("topology", "port_count"), 12, "topology.port_count"),
+    (("transmitter", "symbol_rate_hz"), 0.5, "transmitter.symbol_rate_hz"),
+    (("detector", "dark_rate_hz"), -1, "detector.dark_rate_hz"),
+    (("detector", "monitored_ports"), "three", "detector.monitored_ports"),
+    (("run", "mode"), "sideways", "run.mode"),
 ]
 
 
@@ -182,6 +188,11 @@ def test_malformed_config_exits_config_from_every_verb(tmp_path, capsys, verb, p
         (["sweep", "--config", "odn-split-sweep", "--values", "2.5"], "whole numbers"),
         (["sweep", "--config", "odn-upstream-sweep", "--values", "1.5"], "whole numbers"),
         (["sweep", "--config", "odn-upstream-sweep", "--values=-1,1"], "upstream channels"),
+        # a plant axis on an attenuator link would sweep nothing
+        (["sweep", "--config", "b2b-budget-sweep", "--axis", "topology.reach_km",
+          "--values", "5,25"], "reach_km applies to odn topologies only"),
+        (["sweep", "--config", "b2b-budget-sweep", "--axis", "topology.splitter.port_count",
+          "--values", "4,16"], "port_count applies to odn topologies only"),
     ],
 )
 def test_non_finite_or_fractional_flags_exit_config(capsys, argv, field):

@@ -29,8 +29,9 @@ from ponqkd.raman import (
 from ponqkd.topology import (
     NEPER_PER_DB,
     FilterProfile,
+    OdnTopology,
+    Splitter,
     attenuation_at,
-    default_odn,
     gaussian_transmission_table,
 )
 
@@ -39,7 +40,7 @@ ANCHOR_NM = C_NM_THZ / 193.9  # 1546.12 nm upstream transmitter
 
 def np_per_km(wavelength_nm):
     """Attenuation of the default fibre table in Np/km."""
-    return attenuation_at(default_odn(), wavelength_nm) * NEPER_PER_DB
+    return attenuation_at(OdnTopology(), wavelength_nm) * NEPER_PER_DB
 
 
 def test_channel_wavelength_range():
@@ -132,7 +133,7 @@ def test_backward_conversion_saturates():
 
 def test_upstream_composition_frozen():
     plan = ChannelPlan((WavelengthChannel(ANCHOR_NM, 2.5, "upstream"),))
-    noise = odn_noise_at_bob(plan, default_odn(), FilterProfile(1310.0, 1.22), default_raman_profile())
+    noise = odn_noise_at_bob(plan, OdnTopology(), FilterProfile(1310.0, 1.22), default_raman_profile())
     assert noise.upstream_copropagating == pytest.approx(811781359265.8605, rel=1e-12)
     assert noise.drop_backscatter == 0.0
     assert noise.feeder_leakage == 0.0
@@ -140,14 +141,14 @@ def test_upstream_composition_frozen():
 
 def test_downstream_composition_frozen():
     plan = ChannelPlan((WavelengthChannel(C_NM_THZ / 196.0, 2.5, "downstream"),))
-    noise = odn_noise_at_bob(plan, default_odn(), FilterProfile(1310.0, 1.22), default_raman_profile())
+    noise = odn_noise_at_bob(plan, OdnTopology(), FilterProfile(1310.0, 1.22), default_raman_profile())
     assert noise.drop_backscatter == pytest.approx(30344041212.753654, rel=1e-12)
     assert noise.feeder_leakage == pytest.approx(17501805.676037602, rel=1e-12)
     assert noise.upstream_copropagating == 0.0
 
 
 def test_noise_linear_in_launch_power():
-    topo = default_odn()
+    topo = OdnTopology()
     flat = FilterProfile(1310.0, 1.22)
     prof = default_raman_profile()
     one = odn_noise_at_bob(
@@ -165,8 +166,8 @@ def test_upstream_noise_scales_inverse_with_split():
     flat = FilterProfile(1310.0, 1.22)
     prof = default_raman_profile()
     plan = ChannelPlan((WavelengthChannel(ANCHOR_NM, 2.5, "upstream"),))
-    n16 = odn_noise_at_bob(plan, default_odn(port_count=16), flat, prof).total_at_receiver
-    n32 = odn_noise_at_bob(plan, default_odn(port_count=32), flat, prof).total_at_receiver
+    n16 = odn_noise_at_bob(plan, OdnTopology(splitter=Splitter(16)), flat, prof).total_at_receiver
+    n32 = odn_noise_at_bob(plan, OdnTopology(splitter=Splitter(32)), flat, prof).total_at_receiver
     assert n16 / n32 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -175,8 +176,8 @@ def test_drop_backscatter_sum_cancels_one_splitter_pass():
     flat = FilterProfile(1310.0, 1.22)
     prof = default_raman_profile()
     plan = ChannelPlan((WavelengthChannel(C_NM_THZ / 196.0, 2.5, "downstream"),))
-    d16 = odn_noise_at_bob(plan, default_odn(port_count=16), flat, prof).drop_backscatter
-    d32 = odn_noise_at_bob(plan, default_odn(port_count=32), flat, prof).drop_backscatter
+    d16 = odn_noise_at_bob(plan, OdnTopology(splitter=Splitter(16)), flat, prof).drop_backscatter
+    d32 = odn_noise_at_bob(plan, OdnTopology(splitter=Splitter(32)), flat, prof).drop_backscatter
     assert d16 / d32 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -184,13 +185,17 @@ def test_feeder_leakage_follows_directivity():
     flat = FilterProfile(1310.0, 1.22)
     prof = default_raman_profile()
     plan = ChannelPlan((WavelengthChannel(C_NM_THZ / 196.0, 2.5, "downstream"),))
-    weak = odn_noise_at_bob(plan, default_odn(directivity_db=30.0), flat, prof).feeder_leakage
-    strong = odn_noise_at_bob(plan, default_odn(directivity_db=40.0), flat, prof).feeder_leakage
+    weak = odn_noise_at_bob(
+        plan, OdnTopology(splitter=Splitter(directivity_db=30.0)), flat, prof
+    ).feeder_leakage
+    strong = odn_noise_at_bob(
+        plan, OdnTopology(splitter=Splitter(directivity_db=40.0)), flat, prof
+    ).feeder_leakage
     assert weak / strong == pytest.approx(10.0, rel=1e-12)
 
 
 def test_tdma_group_counts_once():
-    topo = default_odn()
+    topo = OdnTopology()
     flat = FilterProfile(1310.0, 1.22)
     prof = default_raman_profile()
     single = odn_noise_at_bob(
@@ -211,7 +216,7 @@ def test_tdma_group_counts_once():
 
 
 def test_rx_insertion_loss_applies_to_noise():
-    topo = default_odn()
+    topo = OdnTopology()
     prof = default_raman_profile()
     plan = ChannelPlan((WavelengthChannel(ANCHOR_NM, 2.5, "upstream"),))
     lossless = odn_noise_at_bob(plan, topo, FilterProfile(1310.0, 1.22), prof)
@@ -250,7 +255,7 @@ def test_equivalent_dwdm_power_subtracts_rejection():
 
 
 def test_equivalent_dwdm_same_received_noise():
-    topo = default_odn()
+    topo = OdnTopology()
     prof = default_raman_profile()
     narrow = FilterProfile(
         1310.0, 1.22, transmission_db=gaussian_transmission_table(1310.0, 1.22)

@@ -1,11 +1,16 @@
 """Config schema round trips, validation error collection, sweep axes."""
 
 import copy
+import json
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from ponqkd.dpslink import DetectorModel, TransmitterConfig
 from ponqkd.errors import ConfigError
-from ponqkd.scenario import SWEEP_AXES, apply_axis, config_hash, parse_scenario
+from ponqkd.scenario import SWEEP_AXES, RunSettings, apply_axis, config_hash, parse_scenario
 from ponqkd.scenarios import (
     CAL_EXCESS_LOSS_DB,
     CAL_VISIBILITY,
@@ -14,7 +19,8 @@ from ponqkd.scenarios import (
     downstream_c_channels,
     upstream_c_channels,
 )
-from ponqkd.topology import path_loss_db
+from ponqkd.sifting import GateConfig
+from ponqkd.topology import OdnTopology, path_loss_db
 
 
 def test_parse_bundled_baseline_fields():
@@ -171,3 +177,36 @@ def test_bundled_scenarios_are_isolated_copies():
     assert second["detector"]["dark_rate_hz"] == 520.0
     with pytest.raises(KeyError):
         bundled_scenario("no-such-scenario")
+
+
+def test_defaults_live_on_the_dataclasses():
+    scn = parse_scenario({"schema": 1})
+    assert scn.transmitter == TransmitterConfig()
+    assert scn.detector == DetectorModel()
+    assert scn.gate == GateConfig()
+    assert scn.run == RunSettings()
+    assert scn.topology == OdnTopology()
+
+
+def _fields(scn) -> dict:
+    """(section, field) -> value over every parsed section of a scenario."""
+    out = {}
+    for section, value in asdict(scn).items():
+        if section != "raw":
+            items = value.items() if isinstance(value, dict) else [(None, value)]
+            out.update({(section, key): v for key, v in items})
+    return out
+
+
+def test_readme_config_block_shows_the_defaults():
+    # the block shows the bundled values of four fields, as its sentence says
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+    shown = _fields(parse_scenario(json.loads(block)))
+    default = _fields(parse_scenario({"schema": 1, "name": "example"}))
+    assert {key for key, value in shown.items() if value != default[key]} == {
+        ("profile", "scale"),
+        ("transmitter", "visibility"),
+        ("run", "seed"),
+        ("plan", "channels"),
+    }

@@ -8,9 +8,9 @@ from ponqkd.errors import PathElementError, WavelengthRangeError
 from ponqkd.topology import (
     UPSTREAM_QUANTUM_PATH,
     FilterProfile,
+    OdnTopology,
     Splitter,
     attenuation_at,
-    default_odn,
     equivalent_noise_bandwidth_nm,
     gaussian_transmission_table,
     path_loss_db,
@@ -18,7 +18,7 @@ from ponqkd.topology import (
 
 
 def test_attenuation_at_anchor_points():
-    plant = default_odn()
+    plant = OdnTopology()
     assert attenuation_at(plant, 1260.0) == 0.42
     assert attenuation_at(plant, 1310.0) == 0.37
     assert attenuation_at(plant, 1550.0) == 0.21
@@ -26,36 +26,36 @@ def test_attenuation_at_anchor_points():
 
 
 def test_attenuation_interpolates_linearly():
-    plant = default_odn()
+    plant = OdnTopology()
     # midpoint of the 1310-1550 segment
     assert attenuation_at(plant, 1430.0) == pytest.approx(0.29, abs=1e-12)
 
 
 def test_attenuation_outside_hull_raises():
-    plant = default_odn()
+    plant = OdnTopology()
     with pytest.raises(WavelengthRangeError):
         attenuation_at(plant, 1259.9)
     with pytest.raises(WavelengthRangeError):
         attenuation_at(plant, 1625.1)
     # a one-point table is a hull of one wavelength
-    single = default_odn(attenuation_db_per_km=((1310.0, 0.37),))
+    single = OdnTopology(attenuation_db_per_km=((1310.0, 0.37),))
     assert attenuation_at(single, 1310.0) == 0.37
     with pytest.raises(WavelengthRangeError):
         attenuation_at(single, 1310.1)
 
 
 def test_span_loss_is_length_times_attenuation():
-    plant = default_odn(feeder_up_km=16.0)
+    plant = OdnTopology(feeder_up_km=16.0)
     assert plant.element_loss_db("feeder_up", 1310.0) == pytest.approx(5.92, abs=1e-12)
 
 
 def test_span_validation():
     with pytest.raises(ValueError):
-        default_odn(drop_km=-1.0)
+        OdnTopology(drop_km=-1.0)
     with pytest.raises(ValueError):
-        default_odn(attenuation_db_per_km=((1550.0, 0.21), (1310.0, 0.37)))
+        OdnTopology(attenuation_db_per_km=((1550.0, 0.21), (1310.0, 0.37)))
     with pytest.raises(ValueError):
-        default_odn(attenuation_db_per_km=((1310.0, 0.0),))
+        OdnTopology(attenuation_db_per_km=((1310.0, 0.0),))
 
 
 def test_splitter_loss():
@@ -105,34 +105,34 @@ def test_filter_table_needs_three_points():
 
 
 def test_path_loss_matches_reference_plant():
-    topo = default_odn()
+    topo = OdnTopology()
     # 0.37 + 12.04 + 15.1 * 0.37 for the 2:16 plant
     assert path_loss_db(topo, 1310.0) == pytest.approx(17.998199826559247, rel=1e-12)
     assert path_loss_db(topo, 1310.0) == pytest.approx(18.0, abs=0.05)
 
 
 def test_path_loss_is_additive():
-    topo = default_odn()
+    topo = OdnTopology()
     total = path_loss_db(topo, 1310.0)
     parts = sum(topo.element_loss_db(name, 1310.0) for name in UPSTREAM_QUANTUM_PATH)
     assert abs(total - parts) <= 1e-9
 
 
 def test_unknown_path_element_raises():
-    topo = default_odn()
+    topo = OdnTopology()
     with pytest.raises(PathElementError):
         topo.element_loss_db("amplifier", 1310.0)
 
 
 def test_missing_filter_element_raises():
     # filter insertion losses live in the receiver excess loss, not the path
-    topo = default_odn()
+    topo = OdnTopology()
     with pytest.raises(PathElementError):
         topo.element_loss_db("onu_filter", 1310.0)
 
 
 def test_default_odn_geometry():
-    topo = default_odn()
+    topo = OdnTopology()
     assert topo.feeder_down_km == 13.2
     assert topo.feeder_up_km == 15.1
     assert topo.drop_km == 1.0
