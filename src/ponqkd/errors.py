@@ -29,4 +29,4 @@ class CalibrationError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Input data (tag streams, truth patterns, tables) violates a precondition."""
+    """Input data (tag streams, truth patterns) violates a precondition."""

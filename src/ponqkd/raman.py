@@ -28,14 +28,13 @@ returned rates are detected counts/s, directly comparable to a dark rate.
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShiftRangeError
+from .errors import ShiftRangeError
 from .topology import (
     NEPER_PER_DB,
     FilterProfile,
@@ -117,17 +116,21 @@ def thermal_occupation(shift_thz: float, temperature_k: float = ROOM_TEMPERATURE
 class WavelengthChannel:
     """One classical channel co-existing with the quantum signal."""
 
-    center_nm: float
-    launch_power_dbm: float
+    center_nm: float = 1550.0
+    launch_power_dbm: float = 0.0
     direction: str = "downstream"  # CO -> subscribers, or "upstream"
     band_tag: str = ""
     tdma_member: bool = False
 
     def __post_init__(self) -> None:
         if not (1260.0 <= self.center_nm <= 1625.0):
-            raise ValueError(f"channel at {self.center_nm} nm outside 1260-1625 nm plant window")
+            raise ValueError(f"center_nm: {self.center_nm} nm outside the 1260-1625 nm window")
+        try:
+            self.launch_power_mw  # the Raman sum scales with it
+        except OverflowError:
+            raise ValueError(f"launch_power_dbm: {self.launch_power_dbm} overflows in mW")
         if self.direction not in ("downstream", "upstream"):
-            raise ValueError(f"direction must be downstream/upstream, got {self.direction!r}")
+            raise ValueError(f"direction: must be downstream or upstream, got {self.direction!r}")
 
     @property
     def launch_power_mw(self) -> float:
@@ -142,6 +145,8 @@ class ChannelPlan:
     quantum_center_nm: float = 1310.0
 
     def __post_init__(self) -> None:
+        if self.quantum_center_nm < 1.0:
+            raise ValueError(f"quantum_center_nm: must be >= 1, got {self.quantum_center_nm}")
         object.__setattr__(self, "channels", tuple(self.channels))
 
 
@@ -163,47 +168,30 @@ class RamanProfile:
     def __post_init__(self) -> None:
         shifts = tuple(float(s) for s in self.shifts_thz)
         coeffs = tuple(float(v) for v in self.coefficients)
-        if len(shifts) != len(coeffs) or len(shifts) < 2:
-            raise DataError("profile needs matching shift/coefficient arrays of length >= 2")
-        if not all(math.isfinite(v) for v in shifts + coeffs):
-            raise DataError("profile shifts and coefficients must be finite")
+        if len(shifts) < 2:
+            raise ValueError("shifts_thz: needs at least 2 points")
+        if not all(math.isfinite(v) for v in shifts):
+            raise ValueError("shifts_thz: must be finite")
         if list(shifts) != sorted(shifts):
-            raise DataError("profile shifts must be sorted ascending")
-        if any(v < 0.0 for v in coeffs):
-            raise DataError("scattering coefficients must be >= 0")
+            raise ValueError("shifts_thz: must be sorted ascending")
+        if len(coeffs) != len(shifts):
+            raise ValueError(f"coefficients: needs one value per shift, got {len(coeffs)}")
+        if not all(math.isfinite(v) and v >= 0.0 for v in coeffs):
+            raise ValueError("coefficients: must be finite and >= 0")
         if self.scale < 0.0:
-            raise DataError("profile scale must be >= 0")
+            raise ValueError(f"scale: must be >= 0, got {self.scale}")
         object.__setattr__(self, "shifts_thz", shifts)
         object.__setattr__(self, "coefficients", coeffs)
 
-    @classmethod
-    def from_csv(cls, source: str | io.TextIOBase, scale: float = 1.0) -> "RamanProfile":
-        """Load ``shift_THz, coefficient`` rows; a header row is allowed."""
-        if isinstance(source, str):
-            with open(source, newline="") as handle:
-                return cls.from_csv(handle, scale=scale)
-        rows = []
-        for row in csv.reader(source):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                if rows:
-                    raise DataError(f"malformed profile row {row!r}")
-                continue  # header
-        if len(rows) < 2:
-            raise DataError("profile CSV has fewer than 2 data rows")
-        rows.sort(key=lambda r: r[0])
-        return cls(tuple(r[0] for r in rows), tuple(r[1] for r in rows), scale=scale)
 
-
-def default_raman_profile(temperature_k: float = ROOM_TEMPERATURE_K, scale: float = 1.0) -> RamanProfile:
-    """Two-branch profile built from the silica Stokes shape.
+@functools.lru_cache(maxsize=16)
+def default_raman_profile(temperature_k: float = ROOM_TEMPERATURE_K) -> RamanProfile:
+    """Two-branch profile built from the silica Stokes shape, at scale 1.
 
     Stokes coefficients carry the (n+1) emission factor, anti-Stokes the
     thermal occupation n, so the anti-Stokes branch is always the weaker
-    one at equal shift magnitude.
+    one at equal shift magnitude.  Profiles are immutable, so one is kept
+    per temperature.
     """
     shifts: list[float] = []
     coeffs: list[float] = []
@@ -219,7 +207,7 @@ def default_raman_profile(temperature_k: float = ROOM_TEMPERATURE_K, scale: floa
             continue
         shifts.append(shift)
         coeffs.append(shape * (thermal_occupation(shift, temperature_k) + 1.0))
-    return RamanProfile(tuple(shifts), tuple(coeffs), scale=scale)
+    return RamanProfile(tuple(shifts), tuple(coeffs))
 
 
 def raman_coefficient(profile: RamanProfile, pump_nm: float, signal_nm: float) -> float:

@@ -3,16 +3,18 @@
 Schema version 1.  Sections: ``topology``, ``channels``, ``transmitter``,
 ``detector``, ``raman``, ``gate``, ``keyrate``, ``run``; optional ``name``
 and ``sweep``.  Validation collects the failures of every section before
-raising, so one round trip reports the whole damage.  The plant, source,
-detector, gate and run sections are read straight into their dataclasses,
-which hold each field's default and range rule; every wrongly typed field
-is reported, but a section whose fields all type-check reports only the
-first range rule it breaks.
+raising, so one round trip reports the whole damage.  The plant, the
+classical channels, the quantum channel, the receiver filter, the Raman
+scale, source, detector, gate and run are read straight into their
+dataclasses, which hold each field's default and range rule; every wrongly
+typed field is reported, but a section whose fields all type-check reports
+only the first range rule it breaks.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -106,12 +108,25 @@ def _finite(value) -> bool:
         return False
 
 
+def _pair(item) -> tuple[float, float]:
+    x, y = item
+    return float(x), float(y)
+
+
 # JSON type a dataclass field takes, by the type of its default
 _JSON_KINDS = {
+    bool: ("true or false", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
     int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
     float: ("a finite number", _finite),
 }
+
+
+@functools.cache
+def _json_fields(cls) -> tuple:
+    """(name, type, expected, fits) of each dataclass field one JSON value fills."""
+    kinds = [(f.name, type(f.default)) for f in fields(cls)]
+    return tuple((name, kind, *_JSON_KINDS[kind]) for name, kind in kinds if kind in _JSON_KINDS)
 
 
 class _Collector:
@@ -145,58 +160,57 @@ class _Collector:
             return default
         return value
 
-    def build(self, cls, section: dict, where: str, **given):
+    def floats(self, section: dict, key: str, where: str, item=float, default=None):
+        """``section[key]`` as a tuple of ``item(entry)``, or None if it is no such list."""
+        try:
+            return tuple(item(entry) for entry in section.get(key, default))
+        except (TypeError, ValueError, OverflowError):
+            kind = "[nm, value] pairs" if item is _pair else "numbers"
+            self.fail(f"{where}.{key}: expected a list of {kind}")
+            return None
+
+    def build(self, cls, section: dict, where: str, given_at: str | None = None, **given):
         """``cls`` read from one config section, or None if it fails.
 
-        Every string, integer or float field not in ``given`` takes the
+        Every bool, string, integer or float field not in ``given`` takes the
         section key of the same name, or its own default when the key is
         missing; other fields come from ``given`` or their default.  Only the
         JSON type is checked here: the range rules are the dataclass's own,
-        and each of its messages starts with the field name.
+        and each of its messages starts with the field name, which is
+        reported under ``where``, or under ``given_at`` for a field in
+        ``given`` that came from elsewhere.
         """
         values, typed = dict(given), True
-        for spec in fields(cls):
-            kind = type(spec.default)
-            if spec.name in given or kind not in _JSON_KINDS or spec.name not in section:
-                continue
-            expected, fits = _JSON_KINDS[kind]
-            value = section[spec.name]
-            if fits(value):
-                values[spec.name] = kind(value)
-            else:
-                self.fail(f"{where}.{spec.name}: expected {expected}, got {value!r}")
-                typed = False
+        for name, kind, expected, fits in _json_fields(cls):
+            if name in section and name not in given:
+                value = section[name]
+                if fits(value):
+                    values[name] = kind(value)
+                else:
+                    self.fail(f"{where}.{name}: expected {expected}, got {value!r}")
+                    typed = False
         if not typed:
             return None
         try:
             return cls(**values)
         except ValueError as exc:
-            self.fail(f"{where}.{exc}")
+            name = str(exc).partition(":")[0]
+            self.fail(f"{given_at if given_at and name in given else where}.{exc}")
             return None
 
 
-def _parse_filter(spec: dict, col: _Collector, where: str) -> FilterProfile:
-    center = col.number(spec, "center_nm", ChannelPlan.quantum_center_nm, where, minimum=1.0)
-    insertion = col.number(spec, "insertion_loss_db", 0.0, where, minimum=0.0)
-    table = spec.get("transmission_db")
-    shape = col.choice(spec, "shape", "gaussian", where, ("gaussian", "flat"))
-    fwhm = col.number(spec, "fwhm_nm", 1.22, where, minimum=0.0)
-    if fwhm <= 0.0:
-        col.fail(f"{where}.fwhm_nm: must be > 0")
-        fwhm = 1.22
-    try:
-        if table is not None:
-            points = tuple((float(a), float(b)) for a, b in table)
-        elif shape == "gaussian":
-            points = gaussian_transmission_table(center, fwhm)
-        else:
-            points = None
-        return FilterProfile(
-            center_nm=center, fwhm_nm=fwhm, insertion_loss_db=insertion, transmission_db=points
-        )
-    except (ValueError, TypeError) as exc:
-        col.fail(f"{where}: {exc}")
-        return FilterProfile(center_nm=ChannelPlan.quantum_center_nm, fwhm_nm=1.22)
+def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile | None:
+    shape = col.choice(section, "shape", "gaussian", where, ("gaussian", "flat"))
+    if section.get("transmission_db") is not None:  # an explicit table wins over the shape
+        table = col.floats(section, "transmission_db", where, _pair)
+    else:
+        flat = col.build(FilterProfile, section, where)
+        if flat is None or shape == "flat":
+            return flat
+        table = gaussian_transmission_table(flat.center_nm, flat.fwhm_nm)  # of a checked width
+    if table is None:
+        return None
+    return col.build(FilterProfile, section, where, transmission_db=table)
 
 
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
@@ -204,24 +218,22 @@ def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, flo
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
         return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
-    table = OdnTopology.attenuation_db_per_km
-    if "attenuation_db_per_km" in section:
-        try:
-            table = tuple((float(wl), float(a)) for wl, a in section["attenuation_db_per_km"])
-        except (TypeError, ValueError):
-            col.fail("topology.attenuation_db_per_km: expected [[nm, dB/km], ...]")
+    table = col.floats(
+        section, "attenuation_db_per_km", "topology", _pair, OdnTopology.attenuation_db_per_km
+    )
     splitter = col.build(Splitter, section, "topology")
-    topology = col.build(
-        OdnTopology, section, "topology", splitter=splitter, attenuation_db_per_km=table
+    topology = col.build(  # built whatever the table, so the plant's own fields are checked
+        OdnTopology,
+        section,
+        "topology",
+        splitter=splitter,
+        attenuation_db_per_km=OdnTopology.attenuation_db_per_km if table is None else table,
     )
-    return (None if splitter is None else topology), None
+    return (None if splitter is None or table is None else topology), None
 
 
-def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProfile]:
+def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan | None, FilterProfile | None]:
     section = col.section(raw, "channels")
-    quantum_nm = col.number(
-        section, "quantum_center_nm", ChannelPlan.quantum_center_nm, "channels", minimum=1.0
-    )
     classical = section.get("classical", [])
     if not isinstance(classical, list):
         col.fail("channels.classical: expected a list")
@@ -231,53 +243,35 @@ def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan, FilterProf
         where = f"channels.classical[{idx}]"
         if not isinstance(spec, dict):
             col.fail(f"{where}: expected an object")
-            continue
-        try:
-            channels.append(
-                WavelengthChannel(
-                    center_nm=col.number(spec, "center_nm", 1550.0, where),
-                    launch_power_dbm=col.number(spec, "launch_power_dbm", 0.0, where),
-                    direction=spec.get("direction", WavelengthChannel.direction),
-                    band_tag=str(spec.get("band_tag", "")),
-                    tdma_member=bool(spec.get("tdma_member", False)),
-                )
-            )
-        except ValueError as exc:
-            col.fail(f"{where}: {exc}")
+        elif (channel := col.build(WavelengthChannel, spec, where)) is not None:
+            channels.append(channel)
     rx_section = col.section(section, "rx_filter", "channels.rx_filter")
     rx_filter = _parse_filter(rx_section, col, "channels.rx_filter")
-    try:
-        plan = ChannelPlan(channels=tuple(channels), quantum_center_nm=quantum_nm)
-    except ValueError as exc:
-        col.fail(f"channels: {exc}")
-        plan = ChannelPlan()
-    return plan, rx_filter
+    return col.build(ChannelPlan, section, "channels", channels=tuple(channels)), rx_filter
 
 
-def _parse_raman(raw: dict, col: _Collector) -> RamanProfile:
+def _parse_raman(raw: dict, col: _Collector) -> RamanProfile | None:
     section = col.section(raw, "raman")
-    scale = col.number(section, "scale", RamanProfile.scale, "raman", minimum=0.0)
     temperature = col.number(section, "temperature_k", ROOM_TEMPERATURE_K, "raman", minimum=1.0)
     spec = section.get("profile", "default")
-    try:
-        if spec == "default":
-            return default_raman_profile(temperature_k=temperature, scale=scale)
-        if isinstance(spec, dict) and "csv" in spec:
-            return RamanProfile.from_csv(spec["csv"], scale=scale)
-        if isinstance(spec, dict):
-            return RamanProfile(
-                shifts_thz=tuple(spec["shifts_thz"]),
-                coefficients=tuple(spec["coefficients"]),
-                scale=scale,
-            )
-    except (KeyError, TypeError) as exc:
-        col.fail(f"raman.profile: missing or malformed field ({exc})")
-        return default_raman_profile(scale=scale)
-    except (ValueError, OSError, OverflowError) as exc:  # overflow: default profile below ~3 K
-        col.fail(f"raman.profile: {exc}")
-        return default_raman_profile(scale=scale)
-    col.fail(f"raman.profile: {spec!r} is not 'default', a table, or a csv reference")
-    return default_raman_profile(scale=scale)
+    if spec == "default":
+        try:
+            default = default_raman_profile(temperature)
+        except OverflowError:  # the phonon occupation overflows below ~3 K
+            col.fail(f"raman.profile: the default profile overflows at {temperature} K")
+            return None
+        shifts, coeffs = default.shifts_thz, default.coefficients
+    elif isinstance(spec, dict):
+        shifts, coeffs = (
+            col.floats(spec, key, "raman.profile") for key in ("shifts_thz", "coefficients")
+        )
+        if shifts is None or coeffs is None:
+            return None
+    else:
+        col.fail(f"raman.profile: expected 'default' or a table, got {spec!r}")
+        return None
+    table = {"shifts_thz": shifts, "coefficients": coeffs}
+    return col.build(RamanProfile, section, "raman", given_at="raman.profile", **table)
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -298,21 +292,25 @@ def parse_scenario(raw: dict) -> Scenario:
     topology, budget = _parse_topology(raw, col)
     plan, rx_filter = _parse_channels(raw, col)
     profile = _parse_raman(raw, col)
-    if budget is not None and plan.channels:  # only an attenuator link has a budget
+    if budget is not None and plan is not None and plan.channels:  # budget: an attenuator link
         col.fail("channels.classical: an attenuator link has no fibre plant to carry them")
-    if topology is not None:
+    if plan is not None and topology is not None:
         # a run looks every wavelength up in the plant's one fibre table and
-        # every pump/quantum shift up in the Raman profile
+        # every pump/quantum shift up in the Raman profile.  Both tables span
+        # one interval and the shift falls as the pump wavelength grows, so
+        # the shortest and longest pumps stand for all of them.
+        pumps = [ch.center_nm for ch in plan.channels]
+        pumps = (min(pumps), max(pumps)) if pumps else ()
         try:
-            for nm in (plan.quantum_center_nm, *(ch.center_nm for ch in plan.channels)):
+            for nm in (plan.quantum_center_nm, *pumps):
                 attenuation_at(topology, nm)
         except WavelengthRangeError as exc:
             col.fail(f"channels: {exc}")
         try:
-            for ch in plan.channels:
-                raman_coefficient(profile, ch.center_nm, plan.quantum_center_nm)
+            for nm in pumps if profile is not None else ():
+                raman_coefficient(profile, nm, plan.quantum_center_nm)
         except ShiftRangeError as exc:
-            col.fail(f"channels: {ch.center_nm} nm pumping {plan.quantum_center_nm} nm: {exc}")
+            col.fail(f"channels: {nm} nm pumping {plan.quantum_center_nm} nm: {exc}")
 
     tx_raw, det_raw, gate_raw, key_raw, run_raw = (
         col.section(raw, name) for name in ("transmitter", "detector", "gate", "keyrate", "run")

@@ -91,31 +91,33 @@ class FilterProfile:
     from whichever description is present.
     """
 
-    center_nm: float
-    fwhm_nm: float
+    center_nm: float = 1310.0  # the default quantum channel
+    fwhm_nm: float = 1.22
     insertion_loss_db: float = 0.0
     transmission_db: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.center_nm < 1.0:
+            raise ValueError(f"center_nm: must be >= 1, got {self.center_nm}")
         if self.fwhm_nm <= 0.0:
-            raise ValueError("fwhm must be positive")
+            raise ValueError(f"fwhm_nm: must be > 0, got {self.fwhm_nm}")
         if self.insertion_loss_db < 0.0:
-            raise ValueError("insertion loss must be >= 0")
+            raise ValueError(f"insertion_loss_db: must be >= 0, got {self.insertion_loss_db}")
         if self.transmission_db is not None:
             table = tuple((float(w), float(t)) for w, t in self.transmission_db)
             if len(table) < 3:
-                raise ValueError("transmission table needs at least 3 points")
+                raise ValueError("transmission_db: needs at least 3 points")
             if not all(math.isfinite(w) and math.isfinite(t) for w, t in table):
-                raise ValueError("transmission table must hold finite numbers")
+                raise ValueError("transmission_db: must hold finite numbers")
             wavelengths = [w for w, _ in table]
             if sorted(wavelengths) != wavelengths:
-                raise ValueError("transmission table must be sorted by wavelength")
+                raise ValueError("transmission_db: must be sorted by wavelength")
             if not (wavelengths[0] <= self.center_nm <= wavelengths[-1]):
-                raise ValueError("transmission table must contain the center wavelength")
+                raise ValueError("transmission_db: must contain center_nm")
             with np.errstate(over="ignore"):
                 peak = np.power(10.0, max(t for _, t in table) / 10.0)
             if not 0.0 < peak < math.inf:  # the noise bandwidth divides by the peak
-                raise ValueError("transmission table has no passband")
+                raise ValueError("transmission_db: has no passband")
             object.__setattr__(self, "transmission_db", table)
 
 

@@ -136,7 +136,7 @@ MALFORMED = [
     (("run", "duration_s"), math.inf, "run.duration_s"),
     (("gate", "slot_phase_s"), math.nan, "gate.slot_phase_s"),
     (("topology", "attenuation_db_per_km"), NAN_TABLE, "topology.attenuation_db_per_km"),
-    (("channels", "rx_filter", "transmission_db"), NAN_TABLE, "transmission table"),
+    (("channels", "rx_filter", "transmission_db"), NAN_TABLE, "channels.rx_filter.transmission_db"),
     (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [math.inf, 0.1]}, "raman"),
     (("transmitter",), [1], "transmitter: expected an object"),
     (("channels", "rx_filter"), [1], "channels.rx_filter: expected an object"),
@@ -155,6 +155,17 @@ MALFORMED = [
     (("detector", "dark_rate_hz"), -1, "detector.dark_rate_hz"),
     (("detector", "monitored_ports"), "three", "detector.monitored_ports"),
     (("run", "mode"), "sideways", "run.mode"),
+    (("channels", "classical", 0, "tdma_member"), "false",
+     "channels.classical[0].tdma_member: expected true or false"),
+    (("channels", "classical", 0, "band_tag"), [1, 2], "channels.classical[0].band_tag: expected a string"),
+    # one rule, one message, whatever side of zero the width falls
+    (("channels", "rx_filter", "fwhm_nm"), 0, "channels.rx_filter.fwhm_nm: must be > 0, got"),
+    (("channels", "rx_filter", "fwhm_nm"), -1, "channels.rx_filter.fwhm_nm: must be > 0, got"),
+    (("channels", "classical", 0, "launch_power_dbm"), 1e308,
+     "channels.classical[0].launch_power_dbm: 1e+308 overflows"),
+    (("raman", "profile"), {"csv": "profile.csv"}, "raman.profile.shifts_thz: expected a list"),
+    (("topology", "attenuation_db_per_km"), [[10**400, 0.3]],
+     "topology.attenuation_db_per_km: expected a list"),
 ]
 
 

@@ -14,7 +14,6 @@ from ponqkd.errors import ShiftRangeError
 from ponqkd.raman import (
     C_NM_THZ,
     ChannelPlan,
-    RamanProfile,
     WavelengthChannel,
     backward_conversion_km,
     default_raman_profile,
@@ -93,14 +92,6 @@ def test_profile_scaling():
     assert raman_coefficient(doubled, ANCHOR_NM, 1310.0) == pytest.approx(
         2.0 * raman_coefficient(profile, ANCHOR_NM, 1310.0), rel=1e-12
     )
-
-
-def test_profile_csv_round_trip(tmp_path):
-    path = tmp_path / "profile.csv"
-    path.write_text("shift_thz,coefficient\n-10.0,0.001\n0.0,0.01\n10.0,0.02\n")
-    profile = RamanProfile.from_csv(str(path), scale=3.0)
-    assert profile.shifts_thz == (-10.0, 0.0, 10.0)
-    assert profile.scale == 3.0
 
 
 def test_forward_conversion_frozen():

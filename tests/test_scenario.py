@@ -3,13 +3,14 @@
 import copy
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from ponqkd.dpslink import DetectorModel, TransmitterConfig
 from ponqkd.errors import ConfigError
+from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile
 from ponqkd.scenario import SWEEP_AXES, RunSettings, apply_axis, config_hash, parse_scenario
 from ponqkd.scenarios import (
     CAL_EXCESS_LOSS_DB,
@@ -20,7 +21,7 @@ from ponqkd.scenarios import (
     upstream_c_channels,
 )
 from ponqkd.sifting import GateConfig
-from ponqkd.topology import OdnTopology, path_loss_db
+from ponqkd.topology import FilterProfile, OdnTopology, gaussian_transmission_table, path_loss_db
 
 
 def test_parse_bundled_baseline_fields():
@@ -180,12 +181,16 @@ def test_bundled_scenarios_are_isolated_copies():
 
 
 def test_defaults_live_on_the_dataclasses():
-    scn = parse_scenario({"schema": 1})
+    scn = parse_scenario({"schema": 1, "channels": {"classical": [{}]}})
     assert scn.transmitter == TransmitterConfig()
     assert scn.detector == DetectorModel()
     assert scn.gate == GateConfig()
     assert scn.run == RunSettings()
     assert scn.topology == OdnTopology()
+    assert scn.plan == ChannelPlan(channels=(WavelengthChannel(),))
+    gaussian = gaussian_transmission_table(FilterProfile.center_nm, FilterProfile.fwhm_nm)
+    assert scn.rx_filter == replace(FilterProfile(), transmission_db=gaussian)
+    assert scn.profile == default_raman_profile()
 
 
 def _fields(scn) -> dict:
