@@ -58,7 +58,6 @@ from .sifting import (
     apply_gate,
     estimate_slot_phase,
     oracle_qber_report,
-    qber_composition_oracle,
     sift_and_score,
 )
 from .topology import (
@@ -113,7 +112,6 @@ __all__ = [
     "parse_scenario",
     "path_loss_db",
     "positivity_threshold",
-    "qber_composition_oracle",
     "run_scenario",
     "run_sweep",
     "secure_rate",

@@ -35,7 +35,7 @@ import numpy as np
 from .roots import brentq
 from .scenarios import CAL_EXCESS_LOSS_DB
 
-# default truth-pattern period used when extending a pattern cyclically
+# longest seeded truth pattern; a longer run repeats it cyclically
 PATTERN_PERIOD = 1 << 20
 
 ORIGIN_SIGNAL = 0
@@ -55,7 +55,6 @@ class TransmitterConfig:
     mean_photon_number: float = 0.1
     carve_duty: float = 0.2
     visibility: float = 1.0
-    pattern_bits: tuple[int, ...] | None = None  # explicit differential bits, else seeded
 
     def __post_init__(self) -> None:
         if self.symbol_rate_hz < 1.0:
@@ -66,11 +65,6 @@ class TransmitterConfig:
             raise ValueError("carve_duty: must be in (0, 1]")
         if not (0.0 < self.visibility <= 1.0):
             raise ValueError("visibility: must be in (0, 1]")
-        if self.pattern_bits is not None:
-            bits = tuple(int(b) for b in self.pattern_bits)
-            if any(b not in (0, 1) for b in bits):
-                raise ValueError("pattern_bits: must be 0/1")
-            object.__setattr__(self, "pattern_bits", bits)
 
     @property
     def symbol_period_s(self) -> float:
@@ -110,25 +104,6 @@ class DetectorModel:
             raise ValueError("afterpulse_decay_s: must be > 0")
         if self.monitored_ports not in ("one", "both"):
             raise ValueError("monitored_ports: must be 'one' or 'both'")
-
-
-def generate_phase_train(
-    config: TransmitterConfig, n_symbols: int, seed: int | np.random.SeedSequence | None = None
-) -> np.ndarray:
-    """Differential bits for ``n_symbols`` pulses.
-
-    Returns ``n_symbols - 1`` bits; bit k is 0 when pulses k and k+1 share
-    a phase and 1 when they differ by pi.  Explicit ``pattern_bits`` on the
-    config win over the seeded draw.
-    """
-    if n_symbols < 2:
-        raise ValueError("need at least 2 pulses for one differential bit")
-    if config.pattern_bits is not None:
-        base = np.asarray(config.pattern_bits, dtype=np.uint8)
-        reps = -(-(n_symbols - 1) // len(base))
-        return np.tile(base, reps)[: n_symbols - 1]
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=n_symbols - 1, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -457,7 +432,8 @@ def simulate_timetags(
     n_symbols = max(2, int(round(duration_s * tx.symbol_rate_hz)))
     duration_s = n_symbols * period_s
     pattern_period = min(PATTERN_PERIOD, n_symbols - 1)
-    truth_bits = generate_phase_train(tx, pattern_period + 1, ss_pattern)
+    rng_pattern = np.random.default_rng(ss_pattern)
+    truth_bits = rng_pattern.integers(0, 2, size=pattern_period, dtype=np.uint8)
 
     one_port = det.monitored_ports == "one"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -82,13 +83,26 @@ def run_scenario(
     mode = mode or scn.run.mode
     raman = _noise_contribution(scn)
     budget = scn.quantum_path_loss_db
-    rates = click_rate_oracle(
-        scn.transmitter,
-        budget,
-        scn.detector,
-        noise_rate=raman.total_at_receiver,
-        gate_fraction=scn.gate.gate_fraction,
-    )
+    try:
+        rates = click_rate_oracle(
+            scn.transmitter,
+            budget,
+            scn.detector,
+            noise_rate=raman.total_at_receiver,
+            gate_fraction=scn.gate.gate_fraction,
+        )
+        # the live fraction is 1/(1 + ...) > 0, and reads 0 only if the balance overflowed
+        solved = rates.live_fraction > 0.0 and all(map(math.isfinite, vars(rates).values()))
+    except (RootError, OverflowError):
+        solved = False
+    if not solved:
+        raise ConfigError(
+            [
+                f"link: the detector balance overflows at {budget!r} dB path loss and "
+                f"{raman.total_at_receiver!r} counts/s of Raman noise; a source, "
+                "detector, filter or launch magnitude is out of range"
+            ]
+        )
     run_seed: int | None
     if mode == "oracle":
         qber_report = oracle_qber_report(
@@ -99,12 +113,15 @@ def run_scenario(
         run_seed = None
     else:
         use_seed = scn.run.seed if seed is None else seed
+        duration_s = duration_s or scn.run.duration_s
+        if duration_s * scn.transmitter.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
+            raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
         stream = simulate_timetags(
             scn.transmitter,
             budget,
             det=scn.detector,
             noise_rate=raman.total_at_receiver,
-            duration_s=duration_s or scn.run.duration_s,
+            duration_s=duration_s,
             seed=use_seed,
         )
         qber_report = sift_and_score(apply_gate(stream, scn.gate))

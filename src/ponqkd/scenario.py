@@ -207,7 +207,11 @@ def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile |
         flat = col.build(FilterProfile, section, where)
         if flat is None or shape == "flat":
             return flat
-        table = gaussian_transmission_table(flat.center_nm, flat.fwhm_nm)  # of a checked width
+        try:
+            table = gaussian_transmission_table(flat.center_nm, flat.fwhm_nm)
+        except ValueError as exc:
+            col.fail(f"{where}.{exc}")
+            return None
     if table is None:
         return None
     return col.build(FilterProfile, section, where, transmission_db=table)
@@ -315,13 +319,7 @@ def parse_scenario(raw: dict) -> Scenario:
     tx_raw, det_raw, gate_raw, key_raw, run_raw = (
         col.section(raw, name) for name in ("transmitter", "detector", "gate", "keyrate", "run")
     )
-    bits = tx_raw.get("pattern_bits", TransmitterConfig.pattern_bits)  # None: a seeded pattern
-    if not (bits is None or (bits and isinstance(bits, list) and all(b in (0, 1) for b in bits))):
-        col.fail(f"transmitter.pattern_bits: expected a non-empty list of 0/1, got {bits!r}")
-        bits = None
-    transmitter = col.build(
-        TransmitterConfig, tx_raw, "transmitter", pattern_bits=None if bits is None else tuple(bits)
-    )
+    transmitter = col.build(TransmitterConfig, tx_raw, "transmitter")
     detector = col.build(DetectorModel, det_raw, "detector")
     slot_phase = gate_raw.get("slot_phase_s", GateConfig.slot_phase_s)
     if slot_phase == "auto":

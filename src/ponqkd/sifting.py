@@ -108,35 +108,23 @@ def sift_and_score(stream: TimeTagStream) -> QberReport:
     )
 
 
-def qber_composition_oracle(
+def oracle_qber_report(
     signal_rate: float, intrinsic_error: float, background_gated: float
-) -> float:
-    """Expected QBER from signal and uniform-background rates.
+) -> QberReport:
+    """Expected QberReport over 1 s, the oracle-mode twin of sift_and_score.
 
     Background clicks land on random slots and are wrong half the time.
+    With no clicks at all the QBER is 0, as for an empty stream.
     """
     if signal_rate < 0.0 or background_gated < 0.0:
         raise ValueError("rates must be >= 0")
     total = signal_rate + background_gated
-    if total == 0.0:
-        raise ValueError("QBER undefined with no clicks at all")
-    return (intrinsic_error * signal_rate + 0.5 * background_gated) / total
-
-
-def oracle_qber_report(
-    signal_rate: float,
-    intrinsic_error: float,
-    background_gated: float,
-    duration_s: float = 1.0,
-) -> QberReport:
-    """Expectation-value QberReport, the oracle-mode twin of sift_and_score."""
-    qber = qber_composition_oracle(signal_rate, intrinsic_error, background_gated)
-    total = signal_rate + background_gated
+    qber = (intrinsic_error * signal_rate + 0.5 * background_gated) / total if total else 0.0
     return QberReport(
         qber=qber,
         raw_rate=total,
-        sifted_bits=total * duration_s,
-        error_bits=qber * total * duration_s,
+        sifted_bits=total,
+        error_bits=qber * total,
         gated_rejected=0.0,
-        duration_s=duration_s,
+        duration_s=1.0,
     )

@@ -143,8 +143,10 @@ def gaussian_transmission_table(
     Utility for building bundled filter profiles.  Scaling ``fwhm_nm`` at a
     fixed ``points``/``span_fwhm`` scales the sampled equivalent noise
     bandwidth exactly proportionally, which the bundled wide/narrow filter
-    pair relies on.
+    pair relies on.  A span too wide for a float raises ValueError.
     """
+    if not math.isfinite(span_fwhm * fwhm_nm):
+        raise ValueError(f"fwhm_nm: {fwhm_nm} nm too wide to sample a gaussian passband")
     offsets = np.linspace(-span_fwhm * fwhm_nm / 2.0, span_fwhm * fwhm_nm / 2.0, points)
     rel_db = -10.0 * math.log10(2.0) * (2.0 * offsets / fwhm_nm) ** 2
     return tuple((float(center_nm + o), float(t)) for o, t in zip(offsets, rel_db))

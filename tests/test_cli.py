@@ -141,8 +141,6 @@ MALFORMED = [
     (("transmitter",), [1], "transmitter: expected an object"),
     (("channels", "rx_filter"), [1], "channels.rx_filter: expected an object"),
     (("channels", "classical"), 5, "channels.classical: expected a list"),
-    (("transmitter", "pattern_bits"), 5, "transmitter.pattern_bits"),
-    (("transmitter", "pattern_bits"), [0, 2], "transmitter.pattern_bits"),
     (("channels", "rx_filter", "transmission_db"), [[1309.0, -4e3], [1310.0, -4e3], [1311.0, -4e3]],
      "no passband"),
     (("sweep", "values"), ["x"], "sweep.values"),
@@ -163,6 +161,8 @@ MALFORMED = [
     (("channels", "rx_filter", "fwhm_nm"), -1, "channels.rx_filter.fwhm_nm: must be > 0, got"),
     (("channels", "classical", 0, "launch_power_dbm"), 1e308,
      "channels.classical[0].launch_power_dbm: 1e+308 overflows"),
+    # a gaussian passband four widths wide does not fit in a float
+    (("channels", "rx_filter", "fwhm_nm"), 1e308, "channels.rx_filter.fwhm_nm: 1e+308 nm too wide"),
     (("raman", "profile"), {"csv": "profile.csv"}, "raman.profile.shifts_thz: expected a list"),
     (("topology", "attenuation_db_per_km"), [[10**400, 0.3]],
      "topology.attenuation_db_per_km: expected a list"),
@@ -184,6 +184,66 @@ def test_malformed_config_exits_config_from_every_verb(tmp_path, capsys, verb, p
     assert main([verb, "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+LINK_OVERFLOW = "link: the detector balance overflows"
+
+# (path into pon-us-1, value, rx_filter shape, text the error must name): each
+# passes validate; the first rows leave the detector balance no finite steady
+# state, the last two hold more symbols than a Monte Carlo run can count
+ABSURD_MAGNITUDES = [
+    (("detector", "afterpulse_memory_s"), 1e308, "gaussian", LINK_OVERFLOW),
+    (("detector", "dark_rate_hz"), 1e308, "gaussian", LINK_OVERFLOW),
+    (("detector", "dead_time_s"), 1e308, "gaussian", LINK_OVERFLOW),
+    # the balance's quadratic overflows, and its live fraction reads 0
+    (("detector", "dead_time_s"), 1e160, "gaussian", LINK_OVERFLOW),
+    (("transmitter", "symbol_rate_hz"), 1e308, "gaussian", LINK_OVERFLOW),
+    (("channels", "classical", 0, "launch_power_dbm"), 2000, "gaussian", LINK_OVERFLOW),
+    (("raman", "scale"), 1e308, "gaussian", LINK_OVERFLOW),
+    (("raman", "temperature_k"), 1e308, "gaussian", LINK_OVERFLOW),
+    (("detector", "afterpulse_decay_s"), 1e308, "gaussian", LINK_OVERFLOW),
+    (("channels", "classical", 0, "launch_power_dbm"), 3080, "gaussian", LINK_OVERFLOW),
+    (("channels", "rx_filter", "fwhm_nm"), 1e200, "flat", LINK_OVERFLOW),
+    (("channels", "rx_filter", "fwhm_nm"), 1e308, "flat", LINK_OVERFLOW),
+    (("channels", "rx_filter", "fwhm_nm"), 1e200, "gaussian", LINK_OVERFLOW),
+    (("channels", "rx_filter", "fwhm_nm"), 1e307, "gaussian", LINK_OVERFLOW),
+    (("run", "duration_s"), 1e12, "gaussian", "run.duration_s: 1000000000000.0 s holds more"),
+    (("run", "duration_s"), 1e308, "gaussian", "run.duration_s: 1e+308 s holds more"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, shape, field",
+    ABSURD_MAGNITUDES,
+    ids=[f"{'.'.join(map(str, path))}={value!r}-{shape}" for path, value, shape, _ in ABSURD_MAGNITUDES],
+)
+def test_absurd_magnitude_exits_config_from_run(tmp_path, capsys, path, value, shape, field):
+    raw = bundled_scenario("pon-us-1")
+    raw["channels"]["rx_filter"]["shape"] = shape
+    raw["run"]["duration_s"] = 0.05
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = write_config(tmp_path, raw)
+    assert main(["validate", "--config", config]) == EXIT_OK
+    # only a Monte Carlo run counts symbols
+    modes = ["monte_carlo"] if path == ("run", "duration_s") else ["oracle", "monte_carlo"]
+    for mode in modes:
+        assert main(["run", "--config", config, "--mode", mode]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+def test_link_with_no_clicks_scores_qber_zero_in_both_modes(tmp_path, capsys):
+    raw = bundled_scenario("pon-baseline")
+    raw["detector"].update(efficiency=0.0, dark_rate_hz=0.0)
+    path = write_config(tmp_path, raw)
+    for mode in ("oracle", "monte_carlo"):
+        assert main(["run", "--config", path, "--mode", mode, "--duration", "1"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["qber"]["sifted_bits"] == 0
+        assert payload["qber"]["qber"] == 0.0
+        assert payload["keyrate"]["secure_rate"] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from ponqkd.dpslink import (
     _dead_time_pass,
     _time_order,
     click_rate_oracle,
-    generate_phase_train,
     simulate_timetags,
 )
 from ponqkd.raman import odn_noise_at_bob
@@ -29,21 +28,6 @@ from ponqkd.scenarios import bundled_scenario
 def test_intrinsic_error_from_visibility():
     assert TransmitterConfig(visibility=0.99).intrinsic_error == pytest.approx(0.005)
     assert TransmitterConfig(visibility=1.0).intrinsic_error == 0.0
-
-
-def test_phase_train_explicit_pattern():
-    tx = TransmitterConfig(pattern_bits=(1, 0, 1, 1))
-    bits = generate_phase_train(tx, 9)
-    assert bits.tolist() == [1, 0, 1, 1, 1, 0, 1, 1]
-
-
-def test_phase_train_seed_reproducible():
-    a = generate_phase_train(TransmitterConfig(), 500, seed=11)
-    b = generate_phase_train(TransmitterConfig(), 500, seed=11)
-    c = generate_phase_train(TransmitterConfig(), 500, seed=12)
-    assert len(a) == 499
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_oracle_decomposition_without_saturation():
@@ -185,8 +169,6 @@ def test_config_validation():
         TransmitterConfig(visibility=1.2)
     with pytest.raises(ValueError):
         TransmitterConfig(carve_duty=0.0)
-    with pytest.raises(ValueError):
-        TransmitterConfig(pattern_bits=(0, 2))
     with pytest.raises(ValueError):
         DetectorModel(efficiency=1.5)
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Property tests: what ``validate`` accepts, ``run`` completes; the
-dead-time pass agrees with the plain event-by-event loop."""
+"""Property tests: what ``validate`` accepts, ``run`` and ``sweep`` complete;
+the dead-time pass agrees with the plain event-by-event loop."""
 
 import math
 from unittest import mock
@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ponqkd import runner  # noqa: E402
 from ponqkd.dpslink import simulate_timetags  # noqa: E402
 from ponqkd.errors import ConfigError  # noqa: E402
-from ponqkd.runner import run_scenario  # noqa: E402
-from ponqkd.scenario import parse_scenario  # noqa: E402
-from ponqkd.scenarios import bundled_scenario  # noqa: E402
+from ponqkd.runner import run_scenario, run_sweep, sweep_rows  # noqa: E402
+from ponqkd.scenario import SWEEP_AXES, parse_scenario  # noqa: E402
+from ponqkd.scenarios import bundled_names, bundled_scenario  # noqa: E402
 from test_dpslink import assert_pass_matches_reference  # noqa: E402
 
 # a little beyond the 1260-1625 nm plant window, so rejections get exercised
@@ -182,6 +182,9 @@ def test_validated_config_completes_monte_carlo_run(raw):
     with mock.patch.object(runner, "simulate_timetags", keep):
         res = run_scenario(scn, mode="monte_carlo", duration_s=0.02)
     assert math.isfinite(res.qber_report.qber)
+    oracle = run_scenario(scn, mode="oracle")
+    assert math.isfinite(oracle.qber_report.qber)
+    assert math.isfinite(oracle.keyrate_report.secure_rate)
     (stream,) = streams
     times = stream.times_s
     assert np.all((times >= 0.0) & (times <= stream.duration_s))
@@ -190,3 +193,41 @@ def test_validated_config_completes_monte_carlo_run(raw):
         on_port = times[stream.ports == port]
         # the simulator's own rule: a click at or after the last one plus tau
         assert np.all(on_port[1:] >= on_port[:-1] + dead_time_s)
+
+
+IN_RANGE = {
+    "topology.budget_db": st.floats(0.0, 40.0),
+    "topology.reach_km": st.floats(1.0, 40.0),
+    "topology.splitter.port_count": st.sampled_from([1, 2, 8, 32, 1024]),
+    "channels.upstream_count": st.integers(0, 20),
+}
+# zero, negatives, a fraction for the counting axes, a split or channel count
+# past any plant and a magnitude past any float product
+OFF_RANGE = st.sampled_from([0, -3, -0.5, 2.5, 2**40, 1e308])
+
+
+@st.composite
+def sweeps(draw):
+    """A bundled scenario in either mode, any sweep axis and one to three values."""
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    names = st.sampled_from(bundled_names())
+    if axis == "topology.budget_db":  # which only the one attenuator link takes
+        names = st.just("b2b-budget-sweep") | names
+    raw = bundled_scenario(draw(names))
+    raw["run"].update(mode=draw(st.sampled_from(["oracle", "monte_carlo"])), duration_s=0.02)
+    values = draw(st.lists(IN_RANGE[axis] | OFF_RANGE, min_size=1, max_size=3))
+    return raw, axis, values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=sweeps())
+def test_sweep_completes_or_exits_config(case):
+    raw, axis, values = case
+    scn = parse_scenario(raw)
+    try:
+        rows = sweep_rows(values, run_sweep(scn, axis, values))
+    except ConfigError:
+        return
+    assert len(rows) == len(values)
+    for row in rows:
+        assert math.isfinite(row["qber"]) and math.isfinite(row["secure_rate_bs"])

@@ -19,6 +19,7 @@ from ponqkd.runner import (
 )
 from ponqkd.scenario import apply_axis, parse_scenario
 from ponqkd.scenarios import CAL_RAMAN_SCALE, CAL_VISIBILITY, bundled_names, bundled_scenario
+from test_acceptance import z_scores
 
 
 def scenario(name):
@@ -64,6 +65,17 @@ def test_monte_carlo_bit_identical_per_seed():
     assert first.qber_report == second.qber_report
     other = run_scenario(scn, seed=6)
     assert other.qber_report != first.qber_report
+
+
+def test_transmitter_key_the_oracle_cannot_see_is_ignored():
+    # the oracle assumes a balanced seeded truth pattern; an explicit pattern
+    # key would let the Monte Carlo leave it, so the section ignores it
+    raw = monte_carlo_raw(duration_s=10.0)
+    raw["transmitter"]["pattern_bits"] = [0]
+    scn = parse_scenario(raw)
+    scored = run_scenario(scn).qber_report
+    oracle = run_scenario(scn, mode="oracle").qber_report
+    assert all(abs(z) <= 3.0 for z in z_scores(oracle, scored))
 
 
 def test_run_sweep_uses_config_sweep_in_order():

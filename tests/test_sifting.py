@@ -13,7 +13,6 @@ from ponqkd.sifting import (
     apply_gate,
     estimate_slot_phase,
     oracle_qber_report,
-    qber_composition_oracle,
     sift_and_score,
 )
 
@@ -166,27 +165,27 @@ def test_report_ratio_invariants_on_simulated_stream():
 
 
 def test_composition_oracle_limits():
-    assert qber_composition_oracle(1000.0, 0.02, 0.0) == 0.02
-    assert qber_composition_oracle(0.0, 0.02, 77.0) == 0.5
+    assert oracle_qber_report(1000.0, 0.02, 0.0).qber == 0.02
+    assert oracle_qber_report(0.0, 0.02, 77.0).qber == 0.5
 
 
 def test_composition_oracle_frozen_example():
     # 2592 c/s at e_int 0.0377 plus a 108 c/s gated background
-    value = qber_composition_oracle(2592.0, 0.0377, 108.0)
+    value = oracle_qber_report(2592.0, 0.0377, 108.0).qber
     assert value == pytest.approx(0.056192, abs=1e-6)
 
 
 def test_composition_oracle_rejects_empty():
+    # no clicks at all score QBER 0, as sift_and_score does an empty stream
+    assert oracle_qber_report(0.0, 0.1, 0.0).qber == 0.0
     with pytest.raises(ValueError):
-        qber_composition_oracle(0.0, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        qber_composition_oracle(-1.0, 0.1, 10.0)
+        oracle_qber_report(-1.0, 0.1, 10.0)
 
 
 def test_oracle_report_invariants():
-    report = oracle_qber_report(2592.0, 0.0377, 108.0, duration_s=2.0)
+    report = oracle_qber_report(2592.0, 0.0377, 108.0)
     assert report.raw_rate == pytest.approx(2700.0)
-    assert report.sifted_bits == pytest.approx(5400.0)
+    assert report.sifted_bits == pytest.approx(2700.0)
     assert report.qber == pytest.approx(report.error_bits / report.sifted_bits, rel=1e-12)
 
 
@@ -209,7 +208,7 @@ def test_sifted_qber_converges_to_composition_oracle():
     stream = make_stream(times, truth=truth, duration=duration, rate=1.0 / period)
     report = sift_and_score(stream)
     # kept signal rate is half the generated rate; backgrounds all survive
-    expected = qber_composition_oracle(signal_rate * 0.5, e_int, bg_rate)
+    expected = oracle_qber_report(signal_rate * 0.5, e_int, bg_rate).qber
     sd = np.sqrt(expected * (1.0 - expected) / report.sifted_bits)
     assert report.sifted_bits > 1e5
     assert abs(report.qber - expected) <= 3.0 * sd
