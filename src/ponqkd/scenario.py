@@ -16,9 +16,10 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .dpslink import DetectorModel, TransmitterConfig
 from .errors import ConfigError, ShiftRangeError, WavelengthRangeError
@@ -217,11 +218,16 @@ def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile |
     return col.build(FilterProfile, section, where, transmission_db=table)
 
 
+def _budget_db(section: dict, col: _Collector) -> float:
+    """An attenuator link's loss budget; its one rule is the parser's, not a dataclass's."""
+    return col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
+
+
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
     section = col.section(raw, "topology")
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
-        return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
+        return None, _budget_db(section, col)
     table = col.floats(
         section, "attenuation_db_per_km", "topology", _pair, OdnTopology.attenuation_db_per_km
     )
@@ -369,18 +375,21 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
     plant axes to fibre plants only.  ``topology.reach_km`` sets both
     feeders to reach minus the drop length; ``channels.upstream_count``
     keeps the first k upstream channels in plan order and all downstream
-    ones.
+    ones.  Only the section the axis touches is copied; the new dict shares
+    every other section with ``raw``, which is left as it was.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep.axis: {axis!r} not one of {list(SWEEP_AXES)}"])
     if not _finite(value):
         raise ConfigError([f"sweep.values: {value!r} is not a finite number"])
-    out = copy.deepcopy(raw)
+    out = dict(raw)
     topo = out.setdefault("topology", {})
     attenuator = topo.get("kind", "odn") == "attenuator"
-    if axis.startswith("topology.") and (axis == "topology.budget_db") != attenuator:
-        name, kind = axis.rsplit(".", 1)[1], "odn" if attenuator else "attenuator"
-        raise ConfigError([f"sweep.axis: {name} applies to {kind} topologies only"])
+    if axis.startswith("topology."):
+        if (axis == "topology.budget_db") != attenuator:
+            name, kind = axis.rsplit(".", 1)[1], "odn" if attenuator else "attenuator"
+            raise ConfigError([f"sweep.axis: {name} applies to {kind} topologies only"])
+        topo = out["topology"] = dict(topo)
     if axis == "topology.budget_db":
         topo["budget_db"] = float(value)
     elif axis == "topology.reach_km":
@@ -394,20 +403,58 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
         topo["port_count"] = _whole(axis, value)
     elif axis == "channels.upstream_count":
         want = _whole(axis, value)
-        channels = out.setdefault("channels", {}).get("classical", [])
-        kept, seen = [], 0
-        for spec in channels:
-            if spec.get("direction", WavelengthChannel.direction) == "upstream":
-                seen += 1
-                if seen > want:
-                    continue
-            kept.append(spec)
+        section = out["channels"] = dict(out.get("channels", {}))
+        specs = section.get("classical", [])
+        directions = [spec.get("direction", WavelengthChannel.direction) for spec in specs]
+        seen = directions.count("upstream")
         if not 0 <= want <= seen:
             raise ConfigError(
                 [f"sweep.values: requested {want} upstream channels, plan has {seen}"]
             )
-        out["channels"]["classical"] = kept
+        section["classical"] = _first_upstream(specs, directions, want)
     return out
+
+
+def sweep_point(scn: Scenario, axis: str, value, raw: dict) -> Scenario:
+    """``parse_scenario(raw)`` for ``raw = apply_axis(scn.raw, axis, value)``, built from ``scn``.
+
+    Only the dataclass the axis sets is rebuilt, and only the rules the
+    swept value can break run, with the parser's messages: ``scn`` passed
+    every other rule, and the axis changes nothing they read.
+    """
+    topology, plan, budget = scn.topology, scn.plan, scn.budget_db
+    if axis == "topology.budget_db":
+        col = _Collector()
+        budget = _budget_db(raw["topology"], col)
+        if col.errors:
+            raise ConfigError(col.errors)
+    elif axis == "topology.reach_km":
+        feeder = raw["topology"]["feeder_up_km"]
+        topology = replace_checked(topology, "topology", feeder_down_km=feeder, feeder_up_km=feeder)
+    elif axis == "topology.splitter.port_count":
+        splitter = replace_checked(
+            topology.splitter, "topology", port_count=raw["topology"]["port_count"]
+        )
+        topology = replace_checked(topology, "topology", splitter=splitter)
+    else:  # channels.upstream_count, a whole number apply_axis has checked
+        directions = [channel.direction for channel in plan.channels]
+        channels = _first_upstream(plan.channels, directions, int(value))
+        plan = replace_checked(plan, "channels", channels=tuple(channels))
+    return replace(scn, topology=topology, plan=plan, budget_db=budget, raw=raw)
+
+
+def replace_checked(obj, where: str, **changes):
+    """``dataclasses.replace(obj, **changes)``, a broken range rule reported as the parser does."""
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError([f"{where}.{exc}"]) from None
+
+
+def _first_upstream(items, directions: list[str], want: int) -> list:
+    """``items`` in order, less every upstream one after the first ``want``."""
+    rank = itertools.count(1)
+    return [item for item, d in zip(items, directions) if d != "upstream" or next(rank) <= want]
 
 
 def _whole(axis: str, value) -> int:

@@ -234,6 +234,38 @@ def test_absurd_magnitude_exits_config_from_run(tmp_path, capsys, path, value, s
         assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
+# (path into pon-us-1, value, rx_filter shape): each passes validate and runs
+# in oracle mode, drowned in Raman noise, but a Monte Carlo run would have to
+# draw more clicks than numpy can count
+ABSURD_RAMAN_RATES = [
+    (("channels", "classical", 0, "launch_power_dbm"), 500, "gaussian"),
+    (("channels", "rx_filter", "fwhm_nm"), 1e60, "flat"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, shape",
+    ABSURD_RAMAN_RATES,
+    ids=[f"{'.'.join(map(str, path))}={value!r}-{shape}" for path, value, shape in ABSURD_RAMAN_RATES],
+)
+def test_absurd_raman_rate_exits_config_from_monte_carlo_run(tmp_path, capsys, path, value, shape):
+    raw = bundled_scenario("pon-us-1")
+    raw["channels"]["rx_filter"]["shape"] = shape
+    raw["run"]["duration_s"] = 0.05
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = write_config(tmp_path, raw)
+    assert main(["validate", "--config", config]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--config", config, "--mode", "oracle"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["qber"]["qber"] == 0.5
+    assert main(["run", "--config", config, "--mode", "monte_carlo"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: link: up to") and "more than a Monte Carlo run" in err
+
+
 def test_link_with_no_clicks_scores_qber_zero_in_both_modes(tmp_path, capsys):
     raw = bundled_scenario("pon-baseline")
     raw["detector"].update(efficiency=0.0, dark_rate_hz=0.0)

@@ -17,6 +17,7 @@ from ponqkd.runner import run_scenario, run_sweep, sweep_rows  # noqa: E402
 from ponqkd.scenario import SWEEP_AXES, parse_scenario  # noqa: E402
 from ponqkd.scenarios import bundled_names, bundled_scenario  # noqa: E402
 from test_dpslink import assert_pass_matches_reference  # noqa: E402
+from test_scenario import sweep_point_and_parse  # noqa: E402
 
 # a little beyond the 1260-1625 nm plant window, so rejections get exercised
 wavelengths = st.floats(min_value=1200.0, max_value=1700.0, allow_nan=False)
@@ -231,3 +232,12 @@ def test_sweep_completes_or_exits_config(case):
     assert len(rows) == len(values)
     for row in rows:
         assert math.isfinite(row["qber"]) and math.isfinite(row["secure_rate_bs"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=sweeps())
+def test_sweep_point_equals_parsed_point(case):
+    raw, axis, values = case
+    for value in values:
+        built, parsed = sweep_point_and_parse(raw, axis, value)
+        assert built == parsed

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from ponqkd import runner
 from ponqkd.errors import CalibrationError, ConfigError
 from ponqkd.runner import (
+    CALIBRATION_PARAMETERS,
     SWEEP_COLUMNS,
     VERSION,
     calibrate,
@@ -17,7 +19,7 @@ from ponqkd.runner import (
     sweep_csv,
     sweep_rows,
 )
-from ponqkd.scenario import apply_axis, parse_scenario
+from ponqkd.scenario import apply_axis, config_hash, parse_scenario
 from ponqkd.scenarios import CAL_RAMAN_SCALE, CAL_VISIBILITY, bundled_names, bundled_scenario
 from test_acceptance import z_scores
 
@@ -184,6 +186,40 @@ def test_calibrate_unreachable_target_reports_bracket():
     assert "no sign change" in message
     assert "transmitter.visibility" in message
     assert "0.9" in message
+
+
+# parameter -> (scenario, observable, target) of its calibration anchor
+ANCHORS = {
+    "raman.scale": ("pon-us-1", "raman_total", 360.0),
+    "detector.excess_loss_db": ("pon-baseline", "raw_rate", 2700.0),
+    "transmitter.visibility": ("pon-baseline", "qber", 0.0377),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(CALIBRATION_PARAMETERS))
+def test_calibrate_leaves_its_input_alone(parameter):
+    name, observable, target = ANCHORS[parameter]
+    raw = bundled_scenario(name)
+    before = config_hash(raw)
+    first, _ = calibrate(raw, parameter, observable, target)
+    assert config_hash(raw) == before
+    second, _ = calibrate(raw, parameter, observable, target)
+    assert repr(second) == repr(first)
+
+
+@pytest.mark.parametrize("parameter", sorted(CALIBRATION_PARAMETERS))
+def test_calibration_points_equal_a_parse_of_their_config(monkeypatch, parameter):
+    points = []
+    observe = runner._observe
+
+    def keep(scn, observable):
+        points.append(scn)
+        return observe(scn, observable)
+
+    monkeypatch.setattr(runner, "_observe", keep)
+    name, observable, target = ANCHORS[parameter]
+    calibrate(bundled_scenario(name), parameter, observable, target)
+    assert points and all(parse_scenario(point.raw) == point for point in points)
 
 
 def test_calibrate_rejects_unknown_names():

@@ -11,7 +11,15 @@ import pytest
 from ponqkd.dpslink import DetectorModel, TransmitterConfig
 from ponqkd.errors import ConfigError
 from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile
-from ponqkd.scenario import SWEEP_AXES, RunSettings, apply_axis, config_hash, parse_scenario
+from ponqkd.scenario import (
+    SWEEP_AXES,
+    RunSettings,
+    Scenario,
+    apply_axis,
+    config_hash,
+    parse_scenario,
+    sweep_point,
+)
 from ponqkd.scenarios import (
     CAL_EXCESS_LOSS_DB,
     CAL_VISIBILITY,
@@ -138,6 +146,68 @@ def test_apply_axis_upstream_count_keeps_plan_order():
     ]
     with pytest.raises(ConfigError):
         apply_axis(raw, "channels.upstream_count", 8)
+
+
+# one in-range value per axis, and the scenario it applies to
+AXIS_CASES = {
+    "topology.budget_db": ("b2b-budget-sweep", 26),
+    "topology.reach_km": ("odn-upstream-sweep", 9.0),
+    "topology.splitter.port_count": ("odn-upstream-sweep", 4),
+    "channels.upstream_count": ("odn-upstream-sweep", 3),
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_apply_axis_leaves_its_input_alone(axis):
+    name, value = AXIS_CASES[axis]
+    raw = bundled_scenario(name)
+    before = config_hash(raw)
+    out = apply_axis(raw, axis, value)
+    assert config_hash(raw) == before
+    assert config_hash(out) != before
+
+
+def sweep_point_and_parse(raw, axis, value):
+    """One sweep value built from the parsed scenario and parsed afresh.
+
+    Each comes back as a :class:`Scenario`, or as the message list of the
+    ConfigError it raised.
+    """
+
+    def outcome(build):
+        try:
+            return build()
+        except ConfigError as exc:
+            return exc.errors
+
+    scn = parse_scenario(raw)
+    built = outcome(lambda: sweep_point(scn, axis, value, apply_axis(scn.raw, axis, value)))
+    parsed = outcome(lambda: parse_scenario(apply_axis(raw, axis, value)))
+    return built, parsed
+
+
+@pytest.mark.parametrize("name", [n for n in bundled_names() if "sweep" in bundled_scenario(n)])
+def test_sweep_point_equals_parsed_point_on_bundled_sweeps(name):
+    raw = bundled_scenario(name)
+    for value in raw["sweep"]["values"]:
+        built, parsed = sweep_point_and_parse(raw, raw["sweep"]["axis"], value)
+        assert isinstance(parsed, Scenario)
+        assert built == parsed
+
+
+@pytest.mark.parametrize(
+    "axis, value, message",
+    [
+        ("topology.budget_db", -0.5, "topology.budget_db: -0.5 below minimum 0.0"),
+        ("topology.splitter.port_count", 12, "topology.port_count: must be a power of two >= 1"),
+    ],
+)
+def test_sweep_point_reports_the_parsers_messages(axis, value, message):
+    name = AXIS_CASES[axis][0]
+    built, parsed = sweep_point_and_parse(bundled_scenario(name), axis, value)
+    assert built == parsed
+    (error,) = built
+    assert error.startswith(message)
 
 
 def test_apply_axis_unknown_axis():
