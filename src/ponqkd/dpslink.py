@@ -189,20 +189,45 @@ def _arrival_rates(
     return signal_in, background_in
 
 
+def _signal_retention(
+    tx: TransmitterConfig, gate_fraction: float, slot_phase_s: float | None
+) -> float:
+    """Share of the signal the gate keeps.
+
+    Signal arrives uniformly in the carve window ``[-d/2, d/2]`` of the
+    slot (in slot units, d the carve duty); the gate keeps ``phase +- g/2``
+    in every slot.  The retention is their overlap, summed over the
+    neighbouring slots, divided by d.  A centred gate (phase 0, or None:
+    the automatic phase finds the pulse centre) keeps ``min(1, g/d)``.
+    """
+    duty = tx.carve_duty
+    if not slot_phase_s or gate_fraction == 1.0:
+        return min(1.0, gate_fraction / duty)
+    period = tx.symbol_period_s
+    centre = math.remainder(math.fmod(slot_phase_s, period) / period, 1.0)  # in [-1/2, 1/2]
+    overlap = 0.0
+    for c in (centre - 1.0, centre, centre + 1.0):
+        low = max(-duty / 2.0, c - gate_fraction / 2.0)
+        high = min(duty / 2.0, c + gate_fraction / 2.0)
+        overlap += max(0.0, high - low)
+    return min(1.0, overlap / duty)
+
+
 def click_rate_oracle(
     tx: TransmitterConfig,
     loss_budget_db: float,
     det: DetectorModel,
     noise_rate: float = 0.0,
     gate_fraction: float = 1.0,
+    slot_phase_s: float | None = None,
 ) -> LinkRates:
     """Closed-form counted rates for one parameter point.
 
-    Signal photons arrive inside the carve window, so the gate keeps them
-    all while the gate is at least as wide as the carve; backgrounds and
-    afterpulses arrive uniformly over the symbol and are cut to the gate
-    fraction.  Dead time is shared by everything that physically clicks,
-    gated or not.
+    Signal photons arrive inside the carve window, so the gate keeps the
+    part of it that overlaps the gate, offset by ``slot_phase_s`` from the
+    pulse centre (None centres it); backgrounds and afterpulses arrive
+    uniformly over the symbol and are cut to the gate fraction.  Dead time
+    is shared by everything that physically clicks, gated or not.
     """
     if loss_budget_db < 0.0:
         raise ValueError("loss_budget_db must be >= 0")
@@ -212,7 +237,7 @@ def click_rate_oracle(
         raise ValueError("gate_fraction must be in (0, 1]")
     signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
     live, reg, ap_in, surv, p_eff = _saturation_fixed_point(signal_in + background_in, det)
-    retention = min(1.0, gate_fraction / tx.carve_duty)
+    retention = _signal_retention(tx, gate_fraction, slot_phase_s)
     n_det = 2 if det.monitored_ports == "both" else 1
     return LinkRates(
         signal_rate=n_det * signal_in * live * retention,
@@ -225,13 +250,32 @@ def click_rate_oracle(
     )
 
 
+def pattern_index(slots: np.ndarray, period: int) -> np.ndarray:
+    """``slots % period`` for non-negative slots; a mask when ``period`` is a power of two."""
+    if period & (period - 1) == 0:
+        return slots & (period - 1)
+    return slots % period
+
+
+def _truth_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.integers(0, 2, size=n, dtype=np.uint8)``, read straight from raw bits.
+
+    For two values numpy's bounded uint8 draw keeps the top bit of each
+    byte of the generator's 64-bit outputs, low byte first, and never
+    rejects one; reading those bits is several times faster and gives the
+    same pattern.
+    """
+    raw = rng.bit_generator.random_raw((n + 7) // 8).astype("<u8", copy=False)
+    return raw.view(np.uint8)[:n] >> 7
+
+
 @dataclass
 class TimeTagStream:
     """Registered detector clicks plus the ground truth to score them.
 
     Times are seconds from run start; the truth pattern repeats with period
     ``pattern_period`` symbols, so the truth bit for any slot k is
-    ``truth_bits[k % pattern_period]``.
+    ``truth_bits[k % pattern_period]`` (see :func:`pattern_index`).
     """
 
     times_s: np.ndarray
@@ -433,7 +477,7 @@ def simulate_timetags(
     duration_s = n_symbols * period_s
     pattern_period = min(PATTERN_PERIOD, n_symbols - 1)
     rng_pattern = np.random.default_rng(ss_pattern)
-    truth_bits = rng_pattern.integers(0, 2, size=pattern_period, dtype=np.uint8)
+    truth_bits = _truth_pattern(rng_pattern, pattern_period)
 
     one_port = det.monitored_ports == "one"
 
@@ -443,7 +487,7 @@ def simulate_timetags(
     # constructive port for bit 0, destructive for bit 1; wrong port with
     # probability (1 - V)/2
     wrong = rng_sig.random(n_detected) < tx.intrinsic_error
-    sig_ports = (truth_bits[slots % pattern_period] ^ wrong).astype(np.uint8)
+    sig_ports = (truth_bits[pattern_index(slots, pattern_period)] ^ wrong).astype(np.uint8)
     del wrong
     jitter = (rng_sig.random(n_detected) - 0.5) * tx.carve_duty * period_s
     sig_times = (slots.astype(np.float64) + 0.5) * period_s + jitter

@@ -281,6 +281,11 @@ def odn_noise_at_bob(
     Upstream channels flagged ``tdma_member`` share the medium in time, so
     the group contributes the average of its members' individual rates
     (at most one member transmits at any instant) instead of the sum.
+    The pump attenuations and scattering coefficients of the whole plan
+    are looked up with one ``np.interp`` each; a channel outside either
+    table's hull raises the error :func:`raman_coefficient` or
+    :func:`attenuation_at` would raise for it, the first such channel in
+    plan order deciding.
     """
     bandwidth = equivalent_noise_bandwidth_nm(rx_filter)
     rx_t = _transmission(rx_filter.insertion_loss_db)
@@ -293,15 +298,24 @@ def odn_noise_at_bob(
     leak_t = _transmission(topology.splitter.directivity_db)
     per_mw = 1e-3 / (_H_J_S * _C_M_PER_S / (quantum_nm * 1e-9))  # photon rate of 1 mW, 1/s
 
+    pumps = np.array([channel.center_nm for channel in plan.channels])
+    shifts = C_NM_THZ / pumps - frequency_thz(quantum_nm)
+    wavelengths, values = zip(*topology.attenuation_db_per_km)
+    inside = (profile.shifts_thz[0] <= shifts) & (shifts <= profile.shifts_thz[-1])
+    inside &= (wavelengths[0] <= pumps) & (pumps <= wavelengths[-1])
+    if not inside.all():  # raise what the lookups of the first such channel raise
+        pump_nm = float(pumps[inside.argmin()])
+        raman_coefficient(profile, pump_nm, quantum_nm)
+        attenuation_at(topology, pump_nm)
+    coeffs = np.interp(shifts, profile.shifts_thz, profile.coefficients) * profile.scale
+    pump_dbs = np.interp(pumps, wavelengths, values)
+
     upstream = 0.0
     drops = 0.0
     leakage = 0.0
     tdma_rates: list[float] = []
-    for channel in plan.channels:
-        pump_nm = channel.center_nm
-        coeff = raman_coefficient(profile, pump_nm, quantum_nm)
+    for channel, coeff, pump_db in zip(plan.channels, coeffs.tolist(), pump_dbs.tolist()):
         power = channel.launch_power_mw
-        pump_db = attenuation_at(topology, pump_nm)
         a = pump_db * NEPER_PER_DB
         if channel.direction == "upstream":
             # generated in the drop, then attenuated through splitter and

@@ -3,11 +3,12 @@ which fits one parameter per anchor with :func:`ponqkd.roots.brentq`."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +58,13 @@ OBSERVABLES = {
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's figures, plus the config that produced them.
+
+    ``raw`` is the run scenario's config dict, which nothing mutates;
+    ``config_hash`` digests it on first read, since only emitted reports
+    need it.
+    """
+
     scenario_name: str
     mode: str
     path_loss_db: float
@@ -65,8 +73,12 @@ class RunResult:
     qber_report: QberReport
     keyrate_report: KeyRateReport
     link_rates: LinkRates
-    config_hash: str
+    raw: dict = field(repr=False, hash=False)
     seed: int | None
+
+    @functools.cached_property
+    def config_hash(self) -> str:
+        return config_hash(self.raw)
 
 
 def _noise_contribution(scn: Scenario) -> RamanContribution:
@@ -97,6 +109,7 @@ def run_scenario(
             scn.detector,
             noise_rate=raman.total_at_receiver,
             gate_fraction=scn.gate.gate_fraction,
+            slot_phase_s=scn.gate.slot_phase_s,
         )
         # the live fraction is 1/(1 + ...) > 0, and reads 0 only if the balance overflowed
         solved = rates.live_fraction > 0.0 and all(map(math.isfinite, vars(rates).values()))
@@ -155,7 +168,7 @@ def run_scenario(
         qber_report=qber_report,
         keyrate_report=key_report,
         link_rates=rates,
-        config_hash=config_hash(scn.raw),
+        raw=scn.raw,
         seed=run_seed,
     )
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .dpslink import PORT_CONSTRUCTIVE, TimeTagStream
+from .dpslink import PORT_CONSTRUCTIVE, TimeTagStream, pattern_index
 from .errors import DataError
 
 
@@ -91,7 +91,7 @@ def sift_and_score(stream: TimeTagStream) -> QberReport:
     if len(times) and (times[0] < 0.0 or times[-1] > stream.duration_s):
         raise DataError("tag outside the simulated time span")
     slots = np.floor(times * stream.symbol_rate_hz).astype(np.int64)
-    truth_at_tag = stream.truth_bits[slots % stream.pattern_period]
+    truth_at_tag = stream.truth_bits[pattern_index(slots, stream.pattern_period)]
     if stream.monitored_ports == "one":
         decoded = np.zeros(len(times), dtype=np.uint8)
     else:

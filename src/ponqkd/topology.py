@@ -14,6 +14,7 @@ interpolated linearly in between; lookups outside the tabulated hull raise
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,11 +40,14 @@ DEFAULT_ATTENUATION_DB_PER_KM: tuple[tuple[float, float], ...] = (
 UPSTREAM_QUANTUM_PATH: tuple[str, ...] = ("drop", "splitter", "feeder_up")
 
 
+@functools.lru_cache(maxsize=256)
 def attenuation_at(topology: OdnTopology, wavelength_nm: float) -> float:
     """Interpolated fibre attenuation of the plant at ``wavelength_nm`` in dB/km.
 
     Linear interpolation between table anchors; a query outside the table
-    hull raises :class:`WavelengthRangeError`.
+    hull raises :class:`WavelengthRangeError`.  The plant is immutable, so
+    the value is kept per plant and wavelength: a run reads the quantum
+    band's three times, for two path elements and the Raman sum.
     """
     wavelengths, values = zip(*topology.attenuation_db_per_km)
     if not (wavelengths[0] <= wavelength_nm <= wavelengths[-1]):
@@ -88,7 +92,8 @@ class FilterProfile:
     or carries a measured transmission table ``transmission_db`` of
     ``((nm, dB), ...)`` points relative to the passband peak.  The
     equivalent noise bandwidth used for broadband-noise integration follows
-    from whichever description is present.
+    from whichever description is present; it is computed on first use
+    and kept, since the filter never changes.
     """
 
     center_nm: float = 1310.0  # the default quantum channel
@@ -120,19 +125,24 @@ class FilterProfile:
                 raise ValueError("transmission_db: has no passband")
             object.__setattr__(self, "transmission_db", table)
 
+    @functools.cached_property
+    def noise_bandwidth_nm(self) -> float:
+        """Equivalent noise bandwidth in nm.
+
+        With a transmission table: integral of the peak-normalised linear
+        transmission over wavelength (trapezoid rule).  Without one the
+        filter is treated as an ideal flat top of width ``fwhm_nm``.
+        """
+        if self.transmission_db is None:
+            return self.fwhm_nm
+        wavelengths = np.array([w for w, _ in self.transmission_db])
+        linear = 10.0 ** (np.array([t for _, t in self.transmission_db]) / 10.0)
+        return float(np.trapezoid(linear / linear.max(), wavelengths))
+
 
 def equivalent_noise_bandwidth_nm(profile: FilterProfile) -> float:
-    """Equivalent noise bandwidth of a filter in nm.
-
-    With a transmission table: integral of the peak-normalised linear
-    transmission over wavelength (trapezoid rule).  Without one the filter
-    is treated as an ideal flat top of width ``fwhm_nm``.
-    """
-    if profile.transmission_db is None:
-        return profile.fwhm_nm
-    wavelengths = np.array([w for w, _ in profile.transmission_db])
-    linear = 10.0 ** (np.array([t for _, t in profile.transmission_db]) / 10.0)
-    return float(np.trapezoid(linear / linear.max(), wavelengths))
+    """Equivalent noise bandwidth of a filter in nm (:attr:`FilterProfile.noise_bandwidth_nm`)."""
+    return profile.noise_bandwidth_nm
 
 
 def gaussian_transmission_table(

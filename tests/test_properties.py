@@ -1,6 +1,8 @@
 """Property tests: what ``validate`` accepts, ``run`` and ``sweep`` complete;
-the dead-time pass agrees with the plain event-by-event loop."""
+the dead-time pass agrees with the plain event-by-event loop, and the Raman
+sum with the plain per-channel loop."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -12,11 +14,20 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ponqkd import runner  # noqa: E402
 from ponqkd.dpslink import simulate_timetags  # noqa: E402
-from ponqkd.errors import ConfigError  # noqa: E402
+from ponqkd.errors import ConfigError, ShiftRangeError, WavelengthRangeError  # noqa: E402
+from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile  # noqa: E402
+from ponqkd.raman import odn_noise_at_bob  # noqa: E402
 from ponqkd.runner import run_scenario, run_sweep, sweep_rows  # noqa: E402
 from ponqkd.scenario import SWEEP_AXES, parse_scenario  # noqa: E402
 from ponqkd.scenarios import bundled_names, bundled_scenario  # noqa: E402
+from ponqkd.topology import FilterProfile, OdnTopology, gaussian_transmission_table  # noqa: E402
 from test_dpslink import assert_pass_matches_reference  # noqa: E402
+from test_raman import (  # noqa: E402
+    NARROW_PROFILE,
+    NARROW_TOPOLOGY,
+    noise_or_error,
+    reference_odn_noise_at_bob,
+)
 from test_scenario import sweep_point_and_parse  # noqa: E402
 
 # a little beyond the 1260-1625 nm plant window, so rejections get exercised
@@ -241,3 +252,52 @@ def test_sweep_point_equals_parsed_point(case):
     for value in values:
         built, parsed = sweep_point_and_parse(raw, axis, value)
         assert built == parsed
+
+
+# every classical channel the plant window allows, as the Raman sum sees it
+classical_channels = st.builds(
+    WavelengthChannel,
+    center_nm=st.floats(min_value=1260.0, max_value=1625.0),
+    launch_power_dbm=st.floats(min_value=-30.0, max_value=20.0),
+    direction=st.sampled_from(["upstream", "downstream"]),
+    tdma_member=st.booleans(),
+)
+
+
+@st.composite
+def rx_filters(draw):
+    """A flat or a tabulated gaussian receiver filter around 1310 nm."""
+    fwhm = draw(st.floats(min_value=0.05, max_value=20.0))
+    loss = draw(st.floats(min_value=0.0, max_value=6.0))
+    table = gaussian_transmission_table(1310.0, fwhm) if draw(st.booleans()) else None
+    return FilterProfile(1310.0, fwhm, insertion_loss_db=loss, transmission_db=table)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    channels=st.lists(classical_channels, max_size=12),
+    rx_filter=rx_filters(),
+    scale=st.floats(min_value=0.0, max_value=1e-3),
+)
+def test_raman_sum_equals_the_per_channel_loop(channels, rx_filter, scale):
+    plan = ChannelPlan(tuple(channels))
+    profile = dataclasses.replace(default_raman_profile(), scale=scale)
+    args = (plan, OdnTopology(), rx_filter, profile)
+    assert odn_noise_at_bob(*args) == reference_odn_noise_at_bob(*args)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    channels=st.lists(classical_channels, min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_raman_sum_raises_what_the_per_channel_loop_raises(channels, data):
+    # the narrow tables leave channels outside the plant table (below 1270
+    # nm), the Raman profile (beyond about 1613 nm) or both (beyond 1615 nm);
+    # the first such channel in plan order decides the error
+    bad_nm = data.draw(st.sampled_from([1262.0, 1614.0, 1620.0]))
+    channels.insert(data.draw(st.integers(0, len(channels))), WavelengthChannel(bad_nm))
+    args = (ChannelPlan(tuple(channels)), NARROW_TOPOLOGY, FilterProfile(), NARROW_PROFILE)
+    got = noise_or_error(odn_noise_at_bob, *args)
+    assert isinstance(got, tuple) and got[0] in (ShiftRangeError, WavelengthRangeError)
+    assert got == noise_or_error(reference_odn_noise_at_bob, *args)

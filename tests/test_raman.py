@@ -10,10 +10,14 @@ import math
 
 import pytest
 
-from ponqkd.errors import ShiftRangeError
+from ponqkd.errors import ShiftRangeError, WavelengthRangeError
 from ponqkd.raman import (
+    _C_M_PER_S,
+    _H_J_S,
     C_NM_THZ,
     ChannelPlan,
+    RamanContribution,
+    RamanProfile,
     WavelengthChannel,
     backward_conversion_km,
     default_raman_profile,
@@ -31,10 +35,85 @@ from ponqkd.topology import (
     OdnTopology,
     Splitter,
     attenuation_at,
+    equivalent_noise_bandwidth_nm,
     gaussian_transmission_table,
 )
+from ponqkd.scenario import parse_scenario
+from ponqkd.scenarios import bundled_names, bundled_scenario
 
 ANCHOR_NM = C_NM_THZ / 193.9  # 1546.12 nm upstream transmitter
+
+
+def reference_odn_noise_at_bob(plan, topology, rx_filter, profile):
+    """``odn_noise_at_bob`` as a plain loop: both table lookups per channel, one at a time."""
+
+    def transmission(loss_db):
+        return 10.0 ** (-loss_db / 10.0)
+
+    bandwidth = equivalent_noise_bandwidth_nm(rx_filter)
+    rx_t = transmission(rx_filter.insertion_loss_db)
+    quantum_nm = plan.quantum_center_nm
+    quantum_db = attenuation_at(topology, quantum_nm)
+    q = quantum_db * NEPER_PER_DB
+    down_km, up_km, drop_km = topology.feeder_down_km, topology.feeder_up_km, topology.drop_km
+    split_t = transmission(topology.splitter.loss_db)
+    feeder_up_t = transmission(up_km * quantum_db)
+    leak_t = transmission(topology.splitter.directivity_db)
+    per_mw = 1e-3 / (_H_J_S * _C_M_PER_S / (quantum_nm * 1e-9))
+
+    upstream = 0.0
+    drops = 0.0
+    leakage = 0.0
+    tdma_rates = []
+    for channel in plan.channels:
+        pump_nm = channel.center_nm
+        coeff = raman_coefficient(profile, pump_nm, quantum_nm)
+        power = channel.launch_power_mw
+        pump_db = attenuation_at(topology, pump_nm)
+        a = pump_db * NEPER_PER_DB
+        if channel.direction == "upstream":
+            drop_part = power * coeff * bandwidth * forward_conversion_km(a, q, drop_km)
+            pump_at_feeder = power * transmission(drop_km * pump_db) * split_t
+            feeder_part = pump_at_feeder * coeff * bandwidth * forward_conversion_km(a, q, up_km)
+            rate = drop_part * per_mw * (split_t * feeder_up_t) + feeder_part * per_mw
+            if channel.tdma_member:
+                tdma_rates.append(rate)
+            else:
+                upstream += rate
+        else:
+            pump_at_drop = power * transmission(down_km * pump_db) * split_t
+            per_drop = (
+                pump_at_drop * coeff * bandwidth * backward_conversion_km(a, q, drop_km) * per_mw
+            )
+            drops += topology.splitter.port_count * per_drop * (split_t * feeder_up_t)
+            leak = power * coeff * bandwidth * forward_conversion_km(a, q, down_km)
+            leakage += leak * per_mw * leak_t * feeder_up_t
+    if tdma_rates:
+        upstream += sum(tdma_rates) / len(tdma_rates)
+    return RamanContribution(upstream * rx_t, drops * rx_t, leakage * rx_t)
+
+
+def noise_or_error(fn, *args):
+    """What ``fn`` returns, or the type and text of the range error it raises."""
+    try:
+        return fn(*args)
+    except (ShiftRangeError, WavelengthRangeError) as exc:
+        return type(exc), str(exc)
+
+
+# a plant table and a Raman profile narrower than the 1260-1625 nm window,
+# so channels can fall outside either hull
+NARROW_TOPOLOGY = OdnTopology(
+    attenuation_db_per_km=((1270.0, 0.41), (1310.0, 0.37), (1550.0, 0.21), (1615.0, 0.24))
+)
+NARROW_PROFILE = RamanProfile(
+    tuple(s for s in default_raman_profile().shifts_thz if abs(s) <= 43.0),
+    tuple(
+        c
+        for s, c in zip(default_raman_profile().shifts_thz, default_raman_profile().coefficients)
+        if abs(s) <= 43.0
+    ),
+)
 
 
 def np_per_km(wavelength_nm):
@@ -204,6 +283,36 @@ def test_tdma_group_counts_once():
         prof,
     )
     assert shared.total_at_receiver == pytest.approx(single.total_at_receiver, rel=1e-12)
+
+
+WITH_CHANNELS = [n for n in bundled_names() if bundled_scenario(n)["channels"].get("classical")]
+
+
+@pytest.mark.parametrize("name", WITH_CHANNELS)
+def test_noise_equals_the_per_channel_loop_on_bundled_plans(name):
+    scn = parse_scenario(bundled_scenario(name))
+    args = (scn.plan, scn.topology, scn.rx_filter, scn.profile)
+    assert odn_noise_at_bob(*args) == reference_odn_noise_at_bob(*args)
+
+
+@pytest.mark.parametrize(
+    "bad_nm, error",
+    [
+        (1265.0, WavelengthRangeError),  # below the plant table, shift inside the profile
+        (1614.0, ShiftRangeError),  # inside the plant table, shift beyond 43 THz
+        (1620.0, ShiftRangeError),  # outside both: the shift is looked up first
+    ],
+)
+def test_out_of_hull_channel_raises_what_the_loop_raises(bad_nm, error):
+    good = [WavelengthChannel(1550.0, 0.0, "upstream"), WavelengthChannel(1490.0, 0.0)]
+    flat = FilterProfile(1310.0, 1.22)
+    for at in range(len(good) + 1):
+        channels = list(good)
+        channels.insert(at, WavelengthChannel(bad_nm, 0.0, "downstream"))
+        args = (ChannelPlan(tuple(channels)), NARROW_TOPOLOGY, flat, NARROW_PROFILE)
+        got = noise_or_error(odn_noise_at_bob, *args)
+        assert got[0] is error
+        assert got == noise_or_error(reference_odn_noise_at_bob, *args)
 
 
 def test_rx_insertion_loss_applies_to_noise():

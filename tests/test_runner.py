@@ -147,6 +147,42 @@ def test_emit_report_deterministic():
     assert isinstance(pair, list) and len(pair) == 2
 
 
+def test_config_hash_is_computed_only_for_reports(monkeypatch):
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return config_hash(raw)
+
+    monkeypatch.setattr(runner, "config_hash", counting)
+    calibrate(bundled_scenario("pon-baseline"), "detector.excess_loss_db", "raw_rate", 2700.0)
+    run_sweep(scenario("odn-reach-sweep"))
+    run_sweep(scenario("b2b-budget-sweep"))
+    assert calls == []
+
+    raw = bundled_scenario("pon-us-1")
+    res = run_scenario(parse_scenario(raw))
+    assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
+    assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
+    assert len(calls) == 1  # kept after the first read
+
+
+@pytest.mark.parametrize(
+    "phase_ns, raw_rate_bs", [(0.05, 2700.0), (0.1, 2069.7), (0.3, 178.9)]
+)
+def test_fixed_gate_phase_oracle_agrees_with_monte_carlo(phase_ns, raw_rate_bs):
+    # a fixed gate phase off the pulse centre cuts the signal in both modes
+    raw = bundled_scenario("pon-baseline")
+    raw["gate"]["slot_phase_s"] = phase_ns * 1e-9
+    scn = parse_scenario(raw)
+    oracle = run_scenario(scn, mode="oracle")
+    assert oracle.qber_report.raw_rate == pytest.approx(raw_rate_bs, rel=1e-4)
+    mc = run_scenario(scn, mode="monte_carlo", duration_s=10.0, seed=3)
+    z_bits, z_err = z_scores(oracle.qber_report, mc.qber_report)
+    assert abs(z_bits) <= 3.0
+    assert abs(z_err) <= 3.0
+
+
 def test_emit_report_csv_and_bad_format():
     res = run_scenario(scenario("pon-baseline"))
     lines = emit_report(res, fmt="csv").splitlines()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ponqkd.errors import PathElementError, WavelengthRangeError
@@ -15,6 +16,9 @@ from ponqkd.topology import (
     gaussian_transmission_table,
     path_loss_db,
 )
+from ponqkd.runner import run_scenario, run_sweep
+from ponqkd.scenario import parse_scenario
+from ponqkd.scenarios import bundled_scenario
 
 
 def test_attenuation_at_anchor_points():
@@ -91,6 +95,25 @@ def test_gaussian_table_enb_scales_exactly_with_fwhm():
         FilterProfile(1310.0, 1.22 * ratio, transmission_db=wide)
     )
     assert enb_w / enb_n == pytest.approx(ratio, rel=1e-12)
+
+
+def test_filter_noise_bandwidth_is_computed_once(monkeypatch):
+    calls = []
+    trapezoid = np.trapezoid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trapezoid(*args, **kwargs)
+
+    monkeypatch.setattr(np, "trapezoid", counting)
+    raw = bundled_scenario("odn-reach-sweep")
+    scn = parse_scenario(raw)
+    assert scn.rx_filter.transmission_db is not None
+    for _ in range(3):
+        run_scenario(scn)
+    run_sweep(scn)  # every point shares the parsed filter
+    assert len(calls) == 1
+    assert equivalent_noise_bandwidth_nm(scn.rx_filter) == pytest.approx(1.22 * 1.0645, rel=1e-3)
 
 
 def test_filter_table_must_cover_center():
