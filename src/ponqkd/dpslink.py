@@ -348,7 +348,7 @@ def _dead_time_pass(
     n = len(times)
     parent = np.flatnonzero(fires)
     ap_times = times[parent] + dead_time_s + delays
-    inside = ap_times < duration_s
+    inside = np.flatnonzero(ap_times < duration_s)
     parent, ap_times = parent[inside], ap_times[inside]
     del inside
     ap_ports = ports[parent]
@@ -432,7 +432,7 @@ def _dead_time_pass(
     registered[ap_at] &= registered[parent_at]
     del inv, ap_at, parent_at
 
-    sel = order[registered]
+    sel = order[np.flatnonzero(registered)]
     del order, registered
     if two_ports:
         sel.sort()
@@ -493,7 +493,7 @@ def simulate_timetags(
     sig_times = (slots.astype(np.float64) + 0.5) * period_s + jitter
     del slots, jitter
     if one_port:
-        keep = sig_ports == PORT_CONSTRUCTIVE
+        keep = np.flatnonzero(sig_ports == PORT_CONSTRUCTIVE)
         sig_times, sig_ports = sig_times[keep], sig_ports[keep]
         del keep
 

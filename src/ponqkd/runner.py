@@ -98,6 +98,8 @@ def run_scenario(
     The pipeline is plant -> Raman background -> link statistics -> sifted
     QBER -> secure rate.  Oracle mode is deterministic expectation values;
     Monte Carlo simulates tags and scores them exactly like hardware would.
+    ``seed``, ``mode`` and ``duration_s`` override the config's ``run``
+    section; None keeps it.
     """
     mode = mode or scn.run.mode
     raman = _noise_contribution(scn)
@@ -133,7 +135,10 @@ def run_scenario(
         run_seed = None
     else:
         use_seed = scn.run.seed if seed is None else seed
-        duration_s = duration_s or scn.run.duration_s
+        if duration_s is None:
+            duration_s = scn.run.duration_s
+        elif not (math.isfinite(duration_s) and duration_s > 0.0):
+            raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
         if duration_s * scn.transmitter.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
             raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
         # at most one signal primary per symbol; dark and Raman ones on each monitored port

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ def test_mode_override_wins_over_config():
     res = run_scenario(parse_scenario(monte_carlo_raw()), mode="oracle")
     assert res.mode == "oracle"
     assert res.seed is None
+
+
+@pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+def test_duration_override_must_be_finite_and_positive(duration_s):
+    # only None means "use the config's duration"
+    with pytest.raises(ConfigError, match="run.duration_s"):
+        run_scenario(scenario("pon-baseline"), mode="monte_carlo", duration_s=duration_s)
 
 
 def test_monte_carlo_bit_identical_per_seed():
@@ -283,6 +291,21 @@ def test_bundled_outputs_are_pinned():
         res = run_scenario(scenario(name), mode="monte_carlo", duration_s=2.0, seed=5)
         digest.update(emit_report(res).encode())
     assert digest.hexdigest() == BUNDLED_OUTPUT_PIN
+
+
+# sha256 over 2 s Monte Carlo reports of pon-baseline and pon-us-20 (seed 5)
+# with the gate phase found by estimate_slot_phase ("auto")
+AUTO_PHASE_OUTPUT_PIN = "21751cd49b6fe4d2775e8c315fedf22eedcb93e723fb396bd990ecb35d42abdf"
+
+
+def test_auto_phase_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for name in ("pon-baseline", "pon-us-20"):
+        raw = bundled_scenario(name)
+        raw["gate"]["slot_phase_s"] = "auto"
+        res = run_scenario(parse_scenario(raw), mode="monte_carlo", duration_s=2.0, seed=5)
+        digest.update(emit_report(res).encode())
+    assert digest.hexdigest() == AUTO_PHASE_OUTPUT_PIN
 
 
 def test_abstract_figures_are_pinned():

@@ -1,5 +1,7 @@
 """Gating and sifting behaviour on synthetic and simulated streams."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,110 @@ def test_slot_phase_lands_on_pulse_center_under_background():
 
 def test_slot_phase_of_empty_stream_is_zero():
     assert estimate_slot_phase(np.empty(0), 1e-9) == 0.0
+
+
+def reference_estimate_slot_phase(times_s, period_s):
+    """The circular mean in float64 throughout: the reference for estimate_slot_phase."""
+    if not len(times_s):
+        return 0.0
+    angle = np.mod(times_s, period_s) * (2.0 * np.pi / period_s)
+    mean = np.arctan2(np.sin(angle).sum(), np.cos(angle).sum())
+    return float(np.mod(mean * period_s / (2.0 * np.pi), period_s) - period_s / 2.0)
+
+
+def reference_apply_gate(stream, gate):
+    """The gate by boolean mask with the float64 phase: the reference for apply_gate."""
+    if gate.gate_fraction == 1.0:
+        return dataclasses.replace(stream)
+    period = 1.0 / stream.symbol_rate_hz
+    phase = gate.slot_phase_s
+    if phase is None:
+        phase = reference_estimate_slot_phase(stream.times_s, period)
+    offset = np.mod(stream.times_s - phase, period) - period / 2.0
+    mask = np.abs(offset) <= gate.gate_fraction * period / 2.0
+    return dataclasses.replace(
+        stream,
+        times_s=stream.times_s[mask],
+        ports=stream.ports[mask],
+        origins=stream.origins[mask],
+        gated_rejected=stream.gated_rejected + int(np.count_nonzero(~mask)),
+    )
+
+
+def assert_same_stream(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+MC_SEEDS = (1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def mc_streams():
+    """5 s Monte Carlo streams at each of MC_SEEDS: pon-baseline and pon-us-20,
+    and pon-baseline with both ports monitored, so the ports vary too."""
+    streams = {}
+    for name, ports in (("pon-baseline", "one"), ("pon-us-20", "one"), ("pon-baseline", "both")):
+        raw = bundled_scenario(name)
+        raw["detector"]["monitored_ports"] = ports
+        scn = parse_scenario(raw)
+        noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
+        for seed in MC_SEEDS:
+            streams[name, ports, seed] = simulate_timetags(
+                scn.transmitter, scn.quantum_path_loss_db, scn.detector, noise, 5.0, seed
+            )
+    return streams
+
+
+def test_slot_phase_equals_the_float64_reference(mc_streams):
+    for stream in mc_streams.values():
+        period = 1.0 / stream.symbol_rate_hz
+        got = estimate_slot_phase(stream.times_s, period)
+        assert abs(got - reference_estimate_slot_phase(stream.times_s, period)) <= 1e-7 * period
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        GateConfig(gate_fraction=0.3, slot_phase_s=0.0),
+        GateConfig(gate_fraction=0.3, slot_phase_s=1e-10),
+        GateConfig(gate_fraction=0.3, slot_phase_s=-1e-10),
+        GateConfig(gate_fraction=0.3, slot_phase_s=3e-10),
+        GateConfig(gate_fraction=0.3, slot_phase_s=None),
+        GateConfig(gate_fraction=1.0, slot_phase_s=None),
+    ],
+    ids=["phase-0", "phase+0.1ns", "phase-0.1ns", "phase+0.3ns", "auto", "ungated"],
+)
+def test_gate_equals_the_boolean_mask_reference(mc_streams, gate):
+    for stream in mc_streams.values():
+        once = apply_gate(stream, gate)
+        assert_same_stream(once, reference_apply_gate(stream, gate))
+        # a second pass adds to the rejected count the first one left
+        assert_same_stream(apply_gate(once, gate), reference_apply_gate(once, gate))
+
+
+@pytest.mark.parametrize(
+    "times, phase",
+    [
+        # 1 Hz slots, every tag on a slot edge, outside a 30 % gate centred at 0.5 + phase
+        ([0.0, 1.0, 2.0, 3.0, 4.0], 0.0),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], 0.2),
+        ([], 0.0),
+        ([], None),
+    ],
+    ids=["all-rejected", "all-rejected-shifted", "empty", "empty-auto"],
+)
+def test_gate_keeping_no_tag_equals_the_reference(times, phase):
+    stream = make_stream(times)
+    gate = GateConfig(gate_fraction=0.3, slot_phase_s=phase)
+    got = apply_gate(stream, gate)
+    assert len(got) == 0 and got.gated_rejected == len(times)
+    assert_same_stream(got, reference_apply_gate(stream, gate))
 
 
 def test_sift_counts_single_port():
