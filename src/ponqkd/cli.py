@@ -22,7 +22,7 @@ from .runner import (
     sweep_csv,
     sweep_rows,
 )
-from .scenario import SWEEP_AXES, config_hash, parse_scenario
+from .scenario import SWEEP_AXES, config_hash, parse_scenario, sweep_point
 from .scenarios import DESCRIPTIONS, bundled_names, bundled_scenario
 
 EXIT_OK = 0
@@ -115,6 +115,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     scn = parse_scenario(raw)
+    for value in (scn.sweep or {}).get("values", ()):  # each point is built, none is run
+        sweep_point(scn, scn.sweep["axis"], value)
     sys.stdout.write(f"ok {scn.name} {config_hash(raw)}\n")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +18,7 @@ from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
 from .roots import RootError, brentq
-from .scenario import (
-    Scenario,
-    apply_axis,
-    config_hash,
-    parse_scenario,
-    replace_checked,
-    sweep_point,
-)
+from .scenario import Scenario, config_hash, parse_scenario, reread, sweep_point
 from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
 
 VERSION = "0.1.0"
@@ -41,12 +34,11 @@ SWEEP_COLUMNS = (
     "secure_bits_per_pulse",
 )
 
-# "section.key" -> (the Scenario attribute holding the key, bracket low,
-# bracket high, limit the high end may grow to)
+# "section.key" -> (bracket low, bracket high, limit the high end may grow to)
 CALIBRATION_PARAMETERS = {
-    "raman.scale": ("profile", 0.0, 1.0, 1e12),
-    "detector.excess_loss_db": ("detector", 0.0, 60.0, None),
-    "transmitter.visibility": ("transmitter", 1e-6, 1.0, None),
+    "raman.scale": (0.0, 1.0, 1e12),
+    "detector.excess_loss_db": (0.0, 60.0, None),
+    "transmitter.visibility": (1e-6, 1.0, None),
 }
 
 OBSERVABLES = {
@@ -193,7 +185,7 @@ def run_sweep(
     """One run per axis value, in axis order regardless of completion order.
 
     Each point is built from the parsed ``scn`` by :func:`sweep_point`, so
-    nothing is parsed again.  Every Monte Carlo point draws from its own
+    the config is parsed once.  Every Monte Carlo point draws from its own
     child of the master seed, so results do not depend on scheduling.  The
     run mode picks the schedule.  Monte Carlo points run on a thread pool of
     one thread per usable CPU, at most one per point: the draws and the
@@ -213,7 +205,7 @@ def run_sweep(
 
     def one(item: tuple[int, float]) -> RunResult:
         index, value = item
-        point = sweep_point(scn, axis, value, apply_axis(scn.raw, axis, value))
+        point = sweep_point(scn, axis, value)
         return run_scenario(point, seed=children[index])
 
     if scn.run.mode == "oracle":
@@ -333,10 +325,11 @@ def calibrate(
     no sign change, or no convergence within ``roots.MAX_ITER`` iterations,
     raises :class:`CalibrationError` carrying the bracket diagnostics.  The
     config is parsed once, with the parameter at the bracket's low end; each
-    objective call then replaces only the dataclass that holds the
-    parameter.  Returns the result plus the calibrated config dict for
-    persistence, which shares every section but the fitted one with ``raw``;
-    ``raw`` itself is left as it was.
+    objective call then has :func:`~ponqkd.scenario.reread` read the one
+    section that holds the parameter.  A non-finite ``target`` raises
+    :class:`ConfigError`.  Returns the result plus the calibrated config
+    dict for persistence, which shares every section but the fitted one with
+    ``raw``; ``raw`` itself is left as it was.
     """
     if parameter not in CALIBRATION_PARAMETERS:
         raise ConfigError(
@@ -344,14 +337,15 @@ def calibrate(
         )
     if observable not in OBSERVABLES:
         raise ConfigError([f"observable: {observable!r} not one of {list(OBSERVABLES)}"])
+    if not math.isfinite(target):
+        raise ConfigError([f"target: expected a finite number, got {target!r}"])
 
-    attribute, lo, hi, limit = CALIBRATION_PARAMETERS[parameter]
-    section, key = parameter.split(".")
+    lo, hi, limit = CALIBRATION_PARAMETERS[parameter]
+    section = parameter.split(".")[0]
     base = parse_scenario(_set_parameter(raw, parameter, lo))
 
     def objective(p: float) -> float:
-        held = replace_checked(getattr(base, attribute), section, **{key: p})
-        point = replace(base, **{attribute: held}, raw=_set_parameter(base.raw, parameter, p))
+        point = reread(base, _set_parameter(base.raw, parameter, p), section)
         return _observe(point, observable) - target
 
     f_lo, f_hi = objective(lo), objective(hi)

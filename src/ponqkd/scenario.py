@@ -218,16 +218,11 @@ def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile |
     return col.build(FilterProfile, section, where, transmission_db=table)
 
 
-def _budget_db(section: dict, col: _Collector) -> float:
-    """An attenuator link's loss budget; its one rule is the parser's, not a dataclass's."""
-    return col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
-
-
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
     section = col.section(raw, "topology")
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
-        return None, _budget_db(section, col)
+        return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
     table = col.floats(
         section, "attenuation_db_per_km", "topology", _pair, OdnTopology.attenuation_db_per_km
     )
@@ -415,40 +410,44 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
     return out
 
 
-def sweep_point(scn: Scenario, axis: str, value, raw: dict) -> Scenario:
-    """``parse_scenario(raw)`` for ``raw = apply_axis(scn.raw, axis, value)``, built from ``scn``.
+def reread(scn: Scenario, raw: dict, section: str) -> Scenario:
+    """``parse_scenario(raw)`` for a ``raw`` that differs from ``scn.raw`` in ``section`` only.
 
-    Only the dataclass the axis sets is rebuilt, and only the rules the
-    swept value can break run, with the parser's messages: ``scn`` passed
-    every other rule, and the axis changes nothing they read.
+    The parser's own reader reads that one section again: ``topology``,
+    ``raman``, ``transmitter`` or ``detector``.  Every other object is
+    shared with ``scn``, and a broken rule of the section raises
+    :class:`ConfigError` with the parser's message.  The rules that tie the
+    plant and the Raman profile to the channel plan do not run again, so
+    ``raw`` keeps the plant kind, the fibre table and the Raman table of
+    ``scn.raw``; no sweep axis or calibration parameter changes them.
     """
-    topology, plan, budget = scn.topology, scn.plan, scn.budget_db
-    if axis == "topology.budget_db":
-        col = _Collector()
-        budget = _budget_db(raw["topology"], col)
-        if col.errors:
-            raise ConfigError(col.errors)
-    elif axis == "topology.reach_km":
-        feeder = raw["topology"]["feeder_up_km"]
-        topology = replace_checked(topology, "topology", feeder_down_km=feeder, feeder_up_km=feeder)
-    elif axis == "topology.splitter.port_count":
-        splitter = replace_checked(
-            topology.splitter, "topology", port_count=raw["topology"]["port_count"]
-        )
-        topology = replace_checked(topology, "topology", splitter=splitter)
-    else:  # channels.upstream_count, a whole number apply_axis has checked
-        directions = [channel.direction for channel in plan.channels]
-        channels = _first_upstream(plan.channels, directions, int(value))
-        plan = replace_checked(plan, "channels", channels=tuple(channels))
-    return replace(scn, topology=topology, plan=plan, budget_db=budget, raw=raw)
+    col = _Collector()
+    if section == "topology":
+        topology, budget = _parse_topology(raw, col)
+        changes = {"topology": topology, "budget_db": budget}
+    elif section == "raman":
+        changes = {"profile": _parse_raman(raw, col)}
+    else:
+        cls = {"transmitter": TransmitterConfig, "detector": DetectorModel}[section]
+        changes = {section: col.build(cls, col.section(raw, section), section)}
+    if col.errors:
+        raise ConfigError(col.errors)
+    return replace(scn, **changes, raw=raw)
 
 
-def replace_checked(obj, where: str, **changes):
-    """``dataclasses.replace(obj, **changes)``, a broken range rule reported as the parser does."""
-    try:
-        return replace(obj, **changes)
-    except ValueError as exc:
-        raise ConfigError([f"{where}.{exc}"]) from None
+def sweep_point(scn: Scenario, axis: str, value) -> Scenario:
+    """``parse_scenario(apply_axis(scn.raw, axis, value))``, built from ``scn``.
+
+    A plant axis has :func:`reread` read the topology section again.
+    ``channels.upstream_count`` keeps the first upstream channels of
+    ``scn.plan``: fewer pumps break no rule the plan passed.
+    """
+    raw = apply_axis(scn.raw, axis, value)
+    if axis != "channels.upstream_count":
+        return reread(scn, raw, "topology")
+    directions = [channel.direction for channel in scn.plan.channels]
+    channels = _first_upstream(scn.plan.channels, directions, int(value))
+    return replace(scn, plan=replace(scn.plan, channels=tuple(channels)), raw=raw)
 
 
 def _first_upstream(items, directions: list[str], want: int) -> list:

@@ -166,6 +166,22 @@ MALFORMED = [
     (("raman", "profile"), {"csv": "profile.csv"}, "raman.profile.shifts_thz: expected a list"),
     (("topology", "attenuation_db_per_km"), [[10**400, 0.3]],
      "topology.attenuation_db_per_km: expected a list"),
+    (("keyrate", "f_ec"), "high", "keyrate.f_ec: expected a finite number"),
+    (("raman", "temperature_k"), math.nan, "raman.temperature_k: expected a finite number"),
+    (("topology", "kind"), "mesh", "topology.kind: 'mesh' not one of"),
+    (("channels", "rx_filter", "shape"), "round", "channels.rx_filter.shape: 'round' not one of"),
+    (("channels", "classical"), [5], "channels.classical[0]: expected an object"),
+    (("raman", "profile"), 7, "raman.profile: expected 'default' or a table"),
+    (("sweep",), [], "sweep: expected an object"),
+    (("channels", "rx_filter", "transmission_db"), "x",
+     "channels.rx_filter.transmission_db: expected a list"),
+    (("detector", "afterpulse_probability"), 2, "detector.afterpulse_probability: must be in"),
+    (("channels", "quantum_center_nm"), 0.5, "channels.quantum_center_nm: must be >= 1"),
+    (("raman", "profile"), {"shifts_thz": [1.0, -1.0], "coefficients": [0.1, 0.1]},
+     "raman.profile.shifts_thz: must be sorted"),
+    (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [0.1]},
+     "raman.profile.coefficients: needs one value per shift"),
+    (("raman", "scale"), -1, "raman.scale: must be >= 0"),
 ]
 
 
@@ -184,6 +200,39 @@ def test_malformed_config_exits_config_from_every_verb(tmp_path, capsys, verb, p
     assert main([verb, "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+def test_malformed_budget_exits_config_from_every_verb(tmp_path, capsys, verb):
+    raw = bundled_scenario("b2b-budget-sweep")
+    raw["topology"]["budget_db"] = "x"
+    assert main([verb, "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: topology.budget_db: expected a finite")
+
+
+# (scenario, sweep section) pairs that parse but hold a value no sweep point takes
+BROKEN_SWEEPS = [
+    ("odn-split-sweep", {"axis": "topology.splitter.port_count", "values": [2, 12]}),
+    ("odn-split-sweep", {"axis": "topology.splitter.port_count", "values": [2.5]}),
+    ("odn-reach-sweep", {"axis": "topology.reach_km", "values": [0.5]}),
+    ("odn-split-sweep", {"axis": "topology.budget_db", "values": [20]}),
+    ("odn-upstream-sweep", {"axis": "channels.upstream_count", "values": [30]}),
+    ("b2b-budget-sweep", {"axis": "topology.budget_db", "values": [-1]}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, sweep", BROKEN_SWEEPS, ids=[f"{n}-{s['values']}" for n, s in BROKEN_SWEEPS]
+)
+def test_validate_refuses_what_sweep_refuses(tmp_path, capsys, name, sweep):
+    raw = {**bundled_scenario(name), "sweep": sweep}
+    config = write_config(tmp_path, raw)
+    assert main(["sweep", "--config", config]) == EXIT_CONFIG
+    refused = capsys.readouterr().err
+    assert main(["validate", "--config", config]) == EXIT_CONFIG
+    assert capsys.readouterr().err == refused
+    assert refused.startswith("config error:")
+    assert main(["run", "--config", config]) == EXIT_OK  # a single run takes no sweep value
 
 
 LINK_OVERFLOW = "link: the detector balance overflows"
@@ -291,6 +340,8 @@ def test_link_with_no_clicks_scores_qber_zero_in_both_modes(tmp_path, capsys):
         (["sweep", "--config", "odn-split-sweep", "--values", "2.5"], "whole numbers"),
         (["sweep", "--config", "odn-upstream-sweep", "--values", "1.5"], "whole numbers"),
         (["sweep", "--config", "odn-upstream-sweep", "--values=-1,1"], "upstream channels"),
+        (["sweep", "--config", "odn-split-sweep", "--values", "abc"], "--values: could not parse"),
+        (["sweep", "--config", "odn-split-sweep", "--values", ","], "--values: expected at least"),
         # a plant axis on an attenuator link would sweep nothing
         (["sweep", "--config", "b2b-budget-sweep", "--axis", "topology.reach_km",
           "--values", "5,25"], "reach_km applies to odn topologies only"),
@@ -375,6 +426,13 @@ def test_calibrate_writes_fitted_config(tmp_path, capsys):
     fitted = json.loads(fitted_path.read_text())
     assert fitted["raman"]["scale"] == summary["value"]
     assert main(["validate", "--config", str(fitted_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "1e400"])
+def test_calibrate_non_finite_target_exits_config(capsys, target):
+    argv = ["--param", "raman.scale", "--observable", "raman_total", "--target", target]
+    assert main(["calibrate", "--config", "pon-us-1", *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: target: expected a finite number")
 
 
 def test_calibrate_unreachable_target_exits_calibration(capsys):

@@ -266,6 +266,33 @@ def test_calibration_points_equal_a_parse_of_their_config(monkeypatch, parameter
     assert points and all(parse_scenario(point.raw) == point for point in points)
 
 
+def test_calibrate_expands_the_raman_scale_bracket(monkeypatch):
+    # 1e12 counts/s needs a scale above the bracket's first high end of 1;
+    # the Raman total is linear in the scale, so the fit is exact
+    points = []
+    observe = runner._observe
+
+    def keep(scn, observable):
+        points.append(scn)
+        return observe(scn, observable)
+
+    monkeypatch.setattr(runner, "_observe", keep)
+    result, fitted = calibrate(bundled_scenario("pon-us-1"), "raman.scale", "raman_total", 1e12)
+    assert result.value == pytest.approx(1e12 / 360.0 * CAL_RAMAN_SCALE, rel=1e-12)
+    assert result.iterations == 2
+    assert fitted["raman"]["scale"] == result.value
+    assert max(point.profile.scale for point in points) > 1.0
+    assert all(parse_scenario(point.raw) == point for point in points)
+    with pytest.raises(CalibrationError, match=r"no sign change on \[0\.0, 1000000000000\.0\]"):
+        calibrate(bundled_scenario("pon-us-1"), "raman.scale", "raman_total", 1e24)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_calibrate_rejects_a_non_finite_target(target):
+    with pytest.raises(ConfigError, match="target: expected a finite number"):
+        calibrate(bundled_scenario("pon-us-1"), "raman.scale", "raman_total", target)
+
+
 def test_calibrate_rejects_unknown_names():
     raw = bundled_scenario("pon-baseline")
     with pytest.raises(ConfigError):

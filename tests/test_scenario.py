@@ -18,6 +18,7 @@ from ponqkd.scenario import (
     apply_axis,
     config_hash,
     parse_scenario,
+    reread,
     sweep_point,
 )
 from ponqkd.scenarios import (
@@ -181,7 +182,7 @@ def sweep_point_and_parse(raw, axis, value):
             return exc.errors
 
     scn = parse_scenario(raw)
-    built = outcome(lambda: sweep_point(scn, axis, value, apply_axis(scn.raw, axis, value)))
+    built = outcome(lambda: sweep_point(scn, axis, value))
     parsed = outcome(lambda: parse_scenario(apply_axis(raw, axis, value)))
     return built, parsed
 
@@ -208,6 +209,39 @@ def test_sweep_point_reports_the_parsers_messages(axis, value, message):
     assert built == parsed
     (error,) = built
     assert error.startswith(message)
+
+
+# (section, its new content on pon-us-1), keeping the plant kind, the fibre
+# table and the Raman table: some parse, some break a rule of their section
+REREAD_CASES = [
+    ("topology", {"kind": "odn", "port_count": 4, "feeder_up_km": 3.0, "directivity_db": 40.0}),
+    ("topology", {"kind": "odn", "port_count": 3}),
+    ("topology", {"kind": "odn", "drop_km": -1.0, "excess_loss_db": "x"}),
+    ("raman", {"scale": 2.5, "temperature_k": 250.0}),
+    ("raman", {"scale": -1.0}),
+    ("raman", {"temperature_k": 2.5}),
+    ("detector", {"efficiency": 0.5, "dark_rate_hz": 40.0}),
+    ("detector", {"efficiency": 2.0}),
+    ("transmitter", {"visibility": 0.9}),
+    ("transmitter", {"visibility": "high"}),
+]
+
+
+@pytest.mark.parametrize(
+    "section, content", REREAD_CASES, ids=[f"{s}-{c}"[:48] for s, c in REREAD_CASES]
+)
+def test_reread_equals_a_parse_of_its_config(section, content):
+    def outcome(build):
+        try:
+            return build()
+        except ConfigError as exc:
+            return exc.errors
+
+    scn = parse_scenario(bundled_scenario("pon-us-1"))
+    raw = {**scn.raw, section: content}
+    built = outcome(lambda: reread(scn, raw, section))
+    parsed = outcome(lambda: parse_scenario(raw))
+    assert built == parsed
 
 
 def test_apply_axis_unknown_axis():
