@@ -22,7 +22,7 @@ from .runner import (
     sweep_csv,
     sweep_rows,
 )
-from .scenario import SWEEP_AXES, config_hash, parse_scenario, sweep_point
+from .scenario import RUN_MODES, SWEEP_AXES, config_hash, parse_scenario, sweep_points
 from .scenarios import DESCRIPTIONS, bundled_names, bundled_scenario
 
 EXIT_OK = 0
@@ -46,15 +46,20 @@ def _load_config(ref: str) -> dict:
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    run = raw.setdefault("run", {}) if isinstance(raw, dict) else None
-    if not isinstance(run, dict):
+    """``raw`` with the flags given written into its ``run`` and ``sweep`` sections."""
+    if not isinstance(raw, dict):
         return raw  # parse_scenario reports the malformed config
-    if getattr(args, "mode", None):
-        run["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
-        run["seed"] = args.seed
-    if getattr(args, "duration", None) is not None:
-        run["duration_s"] = args.duration
+    values = getattr(args, "values", None)
+    flags = (
+        ("run", "mode", args.mode),
+        ("run", "seed", args.seed),
+        ("run", "duration_s", args.duration),
+        ("sweep", "axis", getattr(args, "axis", None)),
+        ("sweep", "values", None if values is None else _parse_values(values)),
+    )
+    for name, key, value in flags:
+        if value is not None and isinstance(raw.setdefault(name, {}), dict):
+            raw[name][key] = value
     return raw
 
 
@@ -84,15 +89,9 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    scn = parse_scenario(raw)
-    axis = args.axis or (scn.sweep or {}).get("axis")
-    values = _parse_values(args.values) if args.values else (scn.sweep or {}).get("values")
-    if axis is None or values is None:
-        raise ConfigError(
-            ["sweep: provide --axis and --values or a config with a sweep section"]
-        )
-    results = run_sweep(scn, axis=axis, values=values)
+    scn = parse_scenario(_apply_overrides(_load_config(args.config), args))
+    results = run_sweep(scn)
+    values = scn.sweep["values"]
     if args.format == "json":
         text = json.dumps(sweep_rows(values, results), indent=2, sort_keys=True) + "\n"
     else:
@@ -115,8 +114,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     scn = parse_scenario(raw)
-    for value in (scn.sweep or {}).get("values", ()):  # each point is built, none is run
-        sweep_point(scn, scn.sweep["axis"], value)
+    if scn.sweep is not None:
+        sweep_points(scn)  # each point is built, none is run
     sys.stdout.write(f"ok {scn.name} {config_hash(raw)}\n")
     return EXIT_OK
 
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="bundled scenario name or JSON path")
-        p.add_argument("--mode", choices=("oracle", "monte_carlo"))
+        p.add_argument("--mode", choices=RUN_MODES)
         p.add_argument("--seed", type=int)
         p.add_argument("--duration", type=float, help="Monte Carlo duration in seconds")
         p.add_argument("--out", help="write output here instead of stdout")

@@ -221,7 +221,10 @@ def raman_coefficient(profile: RamanProfile, pump_nm: float, signal_nm: float) -
     shift = frequency_thz(pump_nm) - frequency_thz(signal_nm)
     lo, hi = profile.shifts_thz[0], profile.shifts_thz[-1]
     if not (lo <= shift <= hi):
-        raise ShiftRangeError(f"shift {shift:.2f} THz outside profile hull [{lo}, {hi}] THz")
+        raise ShiftRangeError(
+            f"{pump_nm} nm pumping {signal_nm} nm: "
+            f"shift {shift:.2f} THz outside profile hull [{lo}, {hi}] THz"
+        )
     value = float(np.interp(shift, profile.shifts_thz, profile.coefficients))
     return value * profile.scale
 

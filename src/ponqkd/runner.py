@@ -18,7 +18,8 @@ from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
 from .roots import RootError, brentq
-from .scenario import Scenario, config_hash, parse_scenario, reread, sweep_point
+from .scenario import RUN_MODES, Scenario, _finite, config_hash, parse_scenario
+from .scenario import reread, sweep_points
 from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
 
 VERSION = "0.1.0"
@@ -91,9 +92,20 @@ def run_scenario(
     QBER -> secure rate.  Oracle mode is deterministic expectation values;
     Monte Carlo simulates tags and scores them exactly like hardware would.
     ``seed``, ``mode`` and ``duration_s`` override the config's ``run``
-    section; None keeps it.
+    section and obey its rules; None keeps it.  A seed may also be a
+    :class:`numpy.random.SeedSequence`, as :func:`run_sweep` passes.
     """
-    mode = mode or scn.run.mode
+    mode = scn.run.mode if mode is None else mode
+    if mode not in RUN_MODES:
+        raise ConfigError([f"run.mode: must be 'oracle' or 'monte_carlo', got {mode!r}"])
+    seed = scn.run.seed if seed is None else seed
+    if not isinstance(seed, np.random.SeedSequence) and not (
+        isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+    ):
+        raise ConfigError([f"run.seed: expected an integer >= 0, got {seed!r}"])
+    duration_s = scn.run.duration_s if duration_s is None else duration_s
+    if not (_finite(duration_s) and duration_s > 0.0):
+        raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
     raman = _noise_contribution(scn)
     budget = scn.quantum_path_loss_db
     try:
@@ -126,11 +138,6 @@ def run_scenario(
         )
         run_seed = None
     else:
-        use_seed = scn.run.seed if seed is None else seed
-        if duration_s is None:
-            duration_s = scn.run.duration_s
-        elif not (math.isfinite(duration_s) and duration_s > 0.0):
-            raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
         if duration_s * scn.transmitter.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
             raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
         # at most one signal primary per symbol; dark and Raman ones on each monitored port
@@ -151,7 +158,7 @@ def run_scenario(
             det=scn.detector,
             noise_rate=raman.total_at_receiver,
             duration_s=duration_s,
-            seed=use_seed,
+            seed=seed,
         )
         qber_report = sift_and_score(apply_gate(stream, scn.gate))
         run_seed = stream.seed
@@ -177,41 +184,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(
-    scn: Scenario,
-    axis: str | None = None,
-    values: Sequence | None = None,
-) -> list[RunResult]:
-    """One run per axis value, in axis order regardless of completion order.
+def run_sweep(scn: Scenario) -> list[RunResult]:
+    """One run per value of ``scn``'s sweep section, in axis order.
 
-    Each point is built from the parsed ``scn`` by :func:`sweep_point`, so
-    the config is parsed once.  Every Monte Carlo point draws from its own
-    child of the master seed, so results do not depend on scheduling.  The
-    run mode picks the schedule.  Monte Carlo points run on a thread pool of
-    one thread per usable CPU, at most one per point: the draws and the
-    dead-time pass run in numpy without the interpreter lock, and a 20 s
-    budget sweep runs about 2x faster on two threads than on one.  Oracle
-    points run one after another in the calling thread: each takes well
-    under a millisecond, so the pool costs more than it saves.
+    :func:`~ponqkd.scenario.sweep_points` builds every point from the parsed
+    ``scn`` before any runs, so a value no point takes is refused first.
+    Every Monte Carlo point draws from its own child of the master seed, so
+    results do not depend on scheduling.  The run mode picks the schedule.
+    Monte Carlo points run on a thread pool of one thread per usable CPU, at
+    most one per point: the draws and the dead-time pass run in numpy
+    without the interpreter lock, and a 20 s budget sweep runs about 2x
+    faster on two threads than on one.  Oracle points run one after another
+    in the calling thread: each takes well under a millisecond, so the pool
+    costs more than it saves.
     """
-    if axis is None or values is None:
-        if scn.sweep is None:
-            raise ConfigError(["sweep: scenario carries no sweep section and none was given"])
-        axis = axis or scn.sweep["axis"]
-        values = values if values is not None else scn.sweep["values"]
-    if not values:
-        raise ConfigError(["sweep.values: expected a non-empty list"])
-    children = np.random.SeedSequence(scn.run.seed).spawn(len(values))
-
-    def one(item: tuple[int, float]) -> RunResult:
-        index, value = item
-        point = sweep_point(scn, axis, value)
-        return run_scenario(point, seed=children[index])
-
+    if scn.sweep is None:
+        raise ConfigError(["sweep: provide --axis and --values or a config with a sweep section"])
+    points = sweep_points(scn)
+    seeds = np.random.SeedSequence(scn.run.seed).spawn(len(points))
     if scn.run.mode == "oracle":
-        return list(map(one, enumerate(values)))
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(values))) as pool:
-        return list(pool.map(one, enumerate(values)))
+        return list(map(run_scenario, points, seeds))
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(points))) as pool:
+        return list(pool.map(run_scenario, points, seeds))
 
 
 def sweep_rows(values: Sequence, results: Sequence[RunResult]) -> list[dict]:

@@ -30,20 +30,20 @@ from .raman import (
     RamanProfile,
     WavelengthChannel,
     default_raman_profile,
-    raman_coefficient,
+    odn_noise_at_bob,
 )
 from .sifting import GateConfig
 from .topology import (
     FilterProfile,
     OdnTopology,
     Splitter,
-    attenuation_at,
     gaussian_transmission_table,
     path_loss_db,
 )
 
 SCHEMA_VERSION = 1
 SECTIONS = ("topology", "channels", "transmitter", "detector", "raman", "gate", "keyrate", "run")
+RUN_MODES = ("oracle", "monte_carlo")
 SWEEP_AXES = (
     "topology.budget_db",
     "topology.reach_km",
@@ -59,7 +59,7 @@ class RunSettings:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("oracle", "monte_carlo"):
+        if self.mode not in RUN_MODES:
             raise ValueError(f"mode: must be 'oracle' or 'monte_carlo', got {self.mode!r}")
         if self.duration_s <= 0.0:
             raise ValueError("duration_s: must be > 0")
@@ -109,9 +109,16 @@ def _finite(value) -> bool:
         return False
 
 
+def _number(value) -> float:
+    """A table entry, which follows the number rule of a scalar."""
+    if not _finite(value):
+        raise ValueError(value)
+    return float(value)
+
+
 def _pair(item) -> tuple[float, float]:
     x, y = item
-    return float(x), float(y)
+    return _number(x), _number(y)
 
 
 # JSON type a dataclass field takes, by the type of its default
@@ -161,12 +168,12 @@ class _Collector:
             return default
         return value
 
-    def floats(self, section: dict, key: str, where: str, item=float, default=None):
+    def floats(self, section: dict, key: str, where: str, item=_number, default=None):
         """``section[key]`` as a tuple of ``item(entry)``, or None if it is no such list."""
         try:
             return tuple(item(entry) for entry in section.get(key, default))
         except (TypeError, ValueError, OverflowError):
-            kind = "[nm, value] pairs" if item is _pair else "numbers"
+            kind = "[nm, value] pairs of finite numbers" if item is _pair else "finite numbers"
             self.fail(f"{where}.{key}: expected a list of {kind}")
             return None
 
@@ -213,9 +220,9 @@ def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile |
         except ValueError as exc:
             col.fail(f"{where}.{exc}")
             return None
-    if table is None:
-        return None
-    return col.build(FilterProfile, section, where, transmission_db=table)
+    # built whatever the table, so the filter's own fields are checked
+    profile = col.build(FilterProfile, section, where, transmission_db=table)
+    return None if table is None else profile
 
 
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
@@ -300,22 +307,12 @@ def parse_scenario(raw: dict) -> Scenario:
     if budget is not None and plan is not None and plan.channels:  # budget: an attenuator link
         col.fail("channels.classical: an attenuator link has no fibre plant to carry them")
     if plan is not None and topology is not None:
-        # a run looks every wavelength up in the plant's one fibre table and
-        # every pump/quantum shift up in the Raman profile.  Both tables span
-        # one interval and the shift falls as the pump wavelength grows, so
-        # the shortest and longest pumps stand for all of them.
-        pumps = [ch.center_nm for ch in plan.channels]
-        pumps = (min(pumps), max(pumps)) if pumps else ()
-        try:
-            for nm in (plan.quantum_center_nm, *pumps):
-                attenuation_at(topology, nm)
-        except WavelengthRangeError as exc:
+        try:  # the plant and Raman lookups a run makes
+            path_loss_db(topology, plan.quantum_center_nm)
+            if plan.channels and rx_filter is not None and profile is not None:
+                odn_noise_at_bob(plan, topology, rx_filter, profile)
+        except (ShiftRangeError, WavelengthRangeError) as exc:
             col.fail(f"channels: {exc}")
-        try:
-            for nm in pumps if profile is not None else ():
-                raman_coefficient(profile, nm, plan.quantum_center_nm)
-        except ShiftRangeError as exc:
-            col.fail(f"channels: {nm} nm pumping {plan.quantum_center_nm} nm: {exc}")
 
     tx_raw, det_raw, gate_raw, key_raw, run_raw = (
         col.section(raw, name) for name in ("transmitter", "detector", "gate", "keyrate", "run")
@@ -433,6 +430,11 @@ def reread(scn: Scenario, raw: dict, section: str) -> Scenario:
     if col.errors:
         raise ConfigError(col.errors)
     return replace(scn, **changes, raw=raw)
+
+
+def sweep_points(scn: Scenario) -> list[Scenario]:
+    """Every point of ``scn``'s sweep section, built by :func:`sweep_point` in axis order."""
+    return [sweep_point(scn, scn.sweep["axis"], value) for value in scn.sweep["values"]]
 
 
 def sweep_point(scn: Scenario, axis: str, value) -> Scenario:

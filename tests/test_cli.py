@@ -182,6 +182,25 @@ MALFORMED = [
     (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [0.1]},
      "raman.profile.coefficients: needs one value per shift"),
     (("raman", "scale"), -1, "raman.scale: must be >= 0"),
+    # a table entry follows the number rule of a scalar: no strings, no bools
+    (("topology", "attenuation_db_per_km"), [["1260", "0.42"], ["1625", "0.24"]],
+     "topology.attenuation_db_per_km: expected a list"),
+    (("topology", "attenuation_db_per_km"), [[1260, True], [1625, 0.24]],
+     "topology.attenuation_db_per_km: expected a list"),
+    (("topology", "attenuation_db_per_km"), ["13", "69"],
+     "topology.attenuation_db_per_km: expected a list"),
+    (("channels", "rx_filter", "transmission_db"), [["1309", "-3"], ["1310", "0"], ["1311", "-3"]],
+     "channels.rx_filter.transmission_db: expected a list"),
+    (("channels", "rx_filter", "transmission_db"), [[1309.0, -3.0], [1310.0, True], [1311.0, -3.0]],
+     "channels.rx_filter.transmission_db: expected a list"),
+    (("channels", "rx_filter", "transmission_db"), ["13", "10", "11"],
+     "channels.rx_filter.transmission_db: expected a list"),
+    (("raman", "profile"), {"shifts_thz": ["-60", "60"], "coefficients": [0.1, 0.1]},
+     "raman.profile.shifts_thz: expected a list"),
+    (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": [True, 0.1]},
+     "raman.profile.coefficients: expected a list"),
+    (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": ["01", "02"]},
+     "raman.profile.coefficients: expected a list"),
 ]
 
 
@@ -233,6 +252,30 @@ def test_validate_refuses_what_sweep_refuses(tmp_path, capsys, name, sweep):
     assert capsys.readouterr().err == refused
     assert refused.startswith("config error:")
     assert main(["run", "--config", config]) == EXIT_OK  # a single run takes no sweep value
+
+
+@pytest.mark.parametrize("pumps_nm", [(1262.0, 1625.0), (1625.0, 1262.0)])
+def test_validate_and_run_name_the_first_out_of_hull_channel(tmp_path, capsys, pumps_nm):
+    # with a fibre table from 1270 nm, 1262 nm is outside it; 1625 nm pumping
+    # 1280 nm is a shift of about 50 THz, outside the 45 THz profile
+    table = [[1270.0, 0.41], [1310.0, 0.37], [1550.0, 0.21], [1625.0, 0.24]]
+    raw = bundled_scenario("pon-us-1")
+    raw["topology"]["attenuation_db_per_km"] = table
+    raw["channels"]["quantum_center_nm"] = 1280.0
+    raw["channels"]["classical"] = [
+        {"center_nm": nm, "launch_power_dbm": 2.5, "direction": "upstream"} for nm in pumps_nm
+    ]
+    path = write_config(tmp_path, raw)
+    errors = []
+    for verb in ("validate", "run"):
+        assert main([verb, "--config", path]) == EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    first = (
+        "1262.0 nm outside attenuation hull [1270.0, 1625.0] nm"
+        if pumps_nm[0] == 1262.0
+        else "1625.0 nm pumping 1280.0 nm: shift -49.73 THz outside profile hull [-45.0, 45.0] THz"
+    )
+    assert errors == [f"config error: channels: {first}\n"] * 2
 
 
 LINK_OVERFLOW = "link: the detector balance overflows"
@@ -342,6 +385,9 @@ def test_link_with_no_clicks_scores_qber_zero_in_both_modes(tmp_path, capsys):
         (["sweep", "--config", "odn-upstream-sweep", "--values=-1,1"], "upstream channels"),
         (["sweep", "--config", "odn-split-sweep", "--values", "abc"], "--values: could not parse"),
         (["sweep", "--config", "odn-split-sweep", "--values", ","], "--values: expected at least"),
+        (["sweep", "--config", "odn-split-sweep", "--values", ""], "--values: expected at least"),
+        # a flag sets its key of the sweep section, which the parser reads whole
+        (["sweep", "--config", "pon-baseline", "--axis", "topology.reach_km"], "sweep.values"),
         # a plant axis on an attenuator link would sweep nothing
         (["sweep", "--config", "b2b-budget-sweep", "--axis", "topology.reach_km",
           "--values", "5,25"], "reach_km applies to odn topologies only"),

@@ -1,6 +1,7 @@
 """Property tests: what ``validate`` accepts, ``run`` and ``sweep`` complete;
-the dead-time pass agrees with the plain event-by-event loop, and the Raman
-sum with the plain per-channel loop."""
+the dead-time pass agrees with the plain event-by-event loop, the Raman sum
+with the plain per-channel loop, and the plant check with the rule that looks
+up the shortest and longest pump only."""
 
 import dataclasses
 import math
@@ -16,11 +17,16 @@ from ponqkd import runner  # noqa: E402
 from ponqkd.dpslink import simulate_timetags  # noqa: E402
 from ponqkd.errors import ConfigError, ShiftRangeError, WavelengthRangeError  # noqa: E402
 from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile  # noqa: E402
-from ponqkd.raman import odn_noise_at_bob  # noqa: E402
+from ponqkd.raman import odn_noise_at_bob, raman_coefficient  # noqa: E402
 from ponqkd.runner import run_scenario, run_sweep, sweep_rows  # noqa: E402
 from ponqkd.scenario import SWEEP_AXES, parse_scenario  # noqa: E402
 from ponqkd.scenarios import bundled_names, bundled_scenario  # noqa: E402
-from ponqkd.topology import FilterProfile, OdnTopology, gaussian_transmission_table  # noqa: E402
+from ponqkd.topology import (  # noqa: E402
+    FilterProfile,
+    OdnTopology,
+    attenuation_at,
+    gaussian_transmission_table,
+)
 from test_dpslink import assert_pass_matches_reference  # noqa: E402
 from test_raman import (  # noqa: E402
     NARROW_PROFILE,
@@ -235,9 +241,10 @@ def sweeps(draw):
 @given(case=sweeps())
 def test_sweep_completes_or_exits_config(case):
     raw, axis, values = case
+    raw["sweep"] = {"axis": axis, "values": values}
     scn = parse_scenario(raw)
     try:
-        rows = sweep_rows(values, run_sweep(scn, axis, values))
+        rows = sweep_rows(values, run_sweep(scn))
     except ConfigError:
         return
     assert len(rows) == len(values)
@@ -301,3 +308,47 @@ def test_raman_sum_raises_what_the_per_channel_loop_raises(channels, data):
     got = noise_or_error(odn_noise_at_bob, *args)
     assert isinstance(got, tuple) and got[0] in (ShiftRangeError, WavelengthRangeError)
     assert got == noise_or_error(reference_odn_noise_at_bob, *args)
+
+
+def extreme_pump_rule(quantum_nm, pumps):
+    """Whether a plan passes on the narrow tables by the shortest and longest pump.
+
+    Both tables span one interval and the shift falls as the pump
+    wavelength grows, so those two pumps stand for all of them.
+    """
+    ends = (min(pumps), max(pumps)) if pumps else ()
+    try:
+        for nm in (quantum_nm, *ends):
+            attenuation_at(NARROW_TOPOLOGY, nm)
+        for nm in ends:
+            raman_coefficient(NARROW_PROFILE, nm, quantum_nm)
+    except (ShiftRangeError, WavelengthRangeError):
+        return False
+    return True
+
+
+# the channel window, and a little past the narrow plant table at each end
+window_nm = st.floats(1260.0, 1625.0) | st.sampled_from([1260.0, 1269.9, 1270.0, 1615.0, 1615.1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quantum_nm=window_nm, pumps=st.lists(window_nm, max_size=5))
+def test_plant_check_gives_the_extreme_pump_verdict(quantum_nm, pumps):
+    raw = bundled_scenario("pon-us-1")
+    table = NARROW_TOPOLOGY.attenuation_db_per_km
+    raw["topology"]["attenuation_db_per_km"] = [list(row) for row in table]
+    raw["raman"]["profile"] = {
+        "shifts_thz": list(NARROW_PROFILE.shifts_thz),
+        "coefficients": list(NARROW_PROFILE.coefficients),
+    }
+    raw["channels"]["quantum_center_nm"] = quantum_nm
+    raw["channels"]["classical"] = [
+        {"center_nm": nm, "launch_power_dbm": 2.5, "direction": "upstream"} for nm in pumps
+    ]
+    try:
+        parse_scenario(raw)
+    except ConfigError as exc:
+        assert not extreme_pump_rule(quantum_nm, pumps)
+        assert [message.split(":")[0] for message in exc.errors] == ["channels"]
+    else:
+        assert extreme_pump_rule(quantum_nm, pumps)

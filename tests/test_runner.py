@@ -60,11 +60,37 @@ def test_mode_override_wins_over_config():
     assert res.seed is None
 
 
-@pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf, "1", True])
 def test_duration_override_must_be_finite_and_positive(duration_s):
     # only None means "use the config's duration"
     with pytest.raises(ConfigError, match="run.duration_s"):
         run_scenario(scenario("pon-baseline"), mode="monte_carlo", duration_s=duration_s)
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"mode": "oracel"}, "run.mode"),
+        ({"mode": ""}, "run.mode"),
+        ({"seed": -1}, "run.seed"),
+        ({"seed": 1.5}, "run.seed"),
+        ({"seed": True}, "run.seed"),
+        ({"seed": "3"}, "run.seed"),
+    ],
+)
+def test_mode_and_seed_overrides_obey_the_run_section(override, field):
+    # "oracel" used to run a Monte Carlo simulation; -1 and 1.5 ended in numpy errors
+    kwargs = {"mode": "monte_carlo", "duration_s": 0.01, **override}
+    with pytest.raises(ConfigError, match=field):
+        run_scenario(scenario("pon-baseline"), **kwargs)
+
+
+def test_seed_override_takes_integers_and_seed_sequences():
+    scn = scenario("pon-baseline")
+    (child,) = np.random.SeedSequence(3).spawn(1)
+    for seed in (0, np.int64(7), child):
+        res = run_scenario(scn, seed=seed, mode="monte_carlo", duration_s=0.01)
+        assert res.mode == "monte_carlo"
 
 
 def test_monte_carlo_bit_identical_per_seed():
@@ -97,8 +123,9 @@ def test_run_sweep_uses_config_sweep_in_order():
 
 
 def test_run_sweep_explicit_axis_overrides():
-    scn = scenario("pon-baseline")
-    results = run_sweep(scn, axis="topology.splitter.port_count", values=[8, 16, 32])
+    raw = bundled_scenario("pon-baseline")
+    raw["sweep"] = {"axis": "topology.splitter.port_count", "values": [8, 16, 32]}
+    results = run_sweep(parse_scenario(raw))
     # splitter loss steps by 3.01 dB per doubling
     losses = [r.path_loss_db for r in results]
     assert losses[1] - losses[0] == pytest.approx(3.0102999566398116, rel=1e-9)
@@ -110,7 +137,8 @@ def test_run_sweep_scheduling_independent():
     # with its own child of the master seed
     raw = monte_carlo_raw(duration_s=0.2, seed=11)
     axis, values = "topology.reach_km", [14.0, 16.0, 18.0]
-    pooled = run_sweep(parse_scenario(raw), axis=axis, values=values)
+    raw["sweep"] = {"axis": axis, "values": values}
+    pooled = run_sweep(parse_scenario(raw))
     children = np.random.SeedSequence(11).spawn(len(values))
     serial = [
         run_scenario(parse_scenario(apply_axis(raw, axis, v)), seed=children[i])
@@ -123,14 +151,30 @@ def test_run_sweep_without_sweep_section():
     scn = scenario("pon-baseline")
     with pytest.raises(ConfigError):
         run_sweep(scn)
+    raw = bundled_scenario("pon-baseline")
+    raw["sweep"] = {"axis": "topology.reach_km", "values": []}
     with pytest.raises(ConfigError):
-        run_sweep(scn, axis="topology.reach_km", values=[])
+        run_sweep(parse_scenario(raw))
+
+
+def test_refused_sweep_value_runs_no_point(monkeypatch):
+    # every point is built before any runs, so the last value's refusal
+    # comes before the first simulation
+    calls = []
+    monkeypatch.setattr(runner, "simulate_timetags", lambda *args, **kwargs: calls.append(args))
+    raw = bundled_scenario("b2b-budget-sweep")
+    raw["run"].update(mode="monte_carlo", duration_s=100.0)
+    raw["sweep"]["values"] = [10, 11, 12, 13, -1]
+    with pytest.raises(ConfigError, match="topology.budget_db: -1.0 below minimum"):
+        run_sweep(parse_scenario(raw))
+    assert calls == []
 
 
 def test_sweep_table_rendering():
-    scn = scenario("pon-baseline")
+    raw = bundled_scenario("pon-baseline")
     values = [10.0, 16.0]
-    results = run_sweep(scn, axis="topology.reach_km", values=values)
+    raw["sweep"] = {"axis": "topology.reach_km", "values": values}
+    results = run_sweep(parse_scenario(raw))
     rows = sweep_rows(values, results)
     assert [row["axis_value"] for row in rows] == values
     assert all(set(row) == set(SWEEP_COLUMNS) for row in rows)
