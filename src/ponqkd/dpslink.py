@@ -296,15 +296,36 @@ class TimeTagStream:
 def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...]:
     """``times`` and its label arrays in the order of a stable sort by time.
 
-    A plain sort is several times faster than a stable one; the two agree
-    unless some times repeat, and then the stable sort decides.
+    The bit pattern of a float64 ``t >= +0.0`` read as a uint64 grows with
+    ``t``.  Its low ``b`` bits, with ``2**b >= len(times)``, are swapped for
+    the element's index and the keys sorted in place: numpy sorts a uint64
+    array with its SIMD kernels, which ``argsort`` lacks, and the index
+    falls out of the low bits.  Keys whose high bits tie (a handful per run)
+    are put back in ``(time, index)`` order by one small stable sort.  A
+    time with its sign bit set (-0.0 or below) or a NaN takes the stable
+    argsort, and the gathers follow whichever order was taken.
     """
-    order = np.argsort(times)
-    ordered = times[order]
-    if np.any(ordered[1:] == ordered[:-1]):
+    n = len(times)
+    b = (n - 1).bit_length() if n else 0
+    low = np.uint64((1 << b) - 1)
+    key = np.ascontiguousarray(times, dtype=np.float64).view(np.uint64) & ~low
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    signed = n > 0 and bool(key[-1] >> np.uint64(63))
+    tied = np.flatnonzero((key[1:] ^ key[:-1]) <= low)  # equal high bits
+    key &= low
+    order = key.view(np.int64)  # the key array, reused in place
+    if len(tied):
+        # every place in a run of tied neighbours; one stable sort of them all
+        # by time keeps the runs apart, since their high bits differ, and
+        # within a run they are already in index order
+        last = np.append(tied[1:] != tied[:-1] + 1, True)
+        members = np.sort(np.concatenate((tied, tied[last] + 1)))
+        sub = order[members]
+        order[members] = sub[np.argsort(times[sub], kind="stable")]
+    if signed or (n > 0 and np.isnan(times[order[-1]])):
         order = np.argsort(times, kind="stable")
-        ordered = times[order]
-    return (ordered, *(a[order] for a in labels))
+    return (times[order], *(a[order] for a in labels))
 
 
 # below this many open clusters a lockstep round costs more per decided
@@ -351,16 +372,19 @@ def _dead_time_pass(
     inside = np.flatnonzero(ap_times < duration_s)
     parent, ap_times = parent[inside], ap_times[inside]
     del inside
-    ap_ports = ports[parent]
+    n_ap = len(ap_times)
     two_ports = n > 0 and ports.min() != ports.max()
     if two_ports:
         # the output order at equal times; on one port such candidates are
         # interchangeable, so they need no order there
+        ap_ports = ports[parent]
         order = np.lexsort((ap_ports, ap_times))
         parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
+        port = np.concatenate([ports, ap_ports])
+        del ap_ports
 
     t = np.concatenate([times, ap_times])
-    port = np.concatenate([ports, ap_ports])
+    del ap_times
     size = len(t)
     index = np.int32 if size < 2**31 else np.int64
     if two_ports:
@@ -371,9 +395,11 @@ def _dead_time_pass(
     inv[order] = np.arange(size, dtype=index)
     ap_at = inv[n:]  # timeline place of each candidate, and of its parent
     parent_at = inv[parent]
-    del parent
+    del inv, parent
 
     ts = t[order]
+    if not two_ports:
+        del t  # the one-port output is read from the timeline itself
     # event k + 1 arrives inside the dead time event k would start (the
     # comparison the sequential rule makes, so rounding agrees)
     close = ts[1:] < ts[:-1] + dead_time_s
@@ -382,26 +408,33 @@ def _dead_time_pass(
     clustered = np.zeros(size, dtype=bool)
     clustered[1:] = close
     clustered[:-1] |= close
-    pos = np.flatnonzero(clustered)
+    pos = np.flatnonzero(clustered).astype(index)
     n_clustered = len(pos)
     tc = ts[pos]
-    del ts
+    if two_ports:
+        del ts
     head = np.ones(n_clustered, dtype=bool)
     head[1:] = ~close[pos[1:] - 1]
-    del close, pos
+    del close
     cur = np.flatnonzero(head).astype(index)  # next undecided slot per open cluster
     del head
     end = np.append(cur[1:], index(n_clustered))
 
-    # slot of each event among the clustered ones; lone events share the
-    # extra slot ``n_clustered``, which stands for "registered"
-    slot = np.cumsum(clustered, dtype=index) - 1
-    slot[~clustered] = n_clustered
-    del clustered
+    # each clustered event's slot among the clustered ones (a lone event's
+    # slot is never read); ``par`` holds the slot of each clustered
+    # candidate's parent, and the extra slot ``n_clustered``, which stands
+    # for "registered", for a lone parent and for every primary
+    slot = np.empty(size, dtype=index)
+    slot[pos] = np.arange(n_clustered, dtype=index)
     hit = np.full(n_clustered + 1, -1, dtype=np.int8)  # -1 while undecided
     hit[n_clustered] = 1
     par = np.full(n_clustered + 1, n_clustered, dtype=index)  # parent's slot
-    par[slot[ap_at]] = slot[parent_at]
+    inner = np.flatnonzero(clustered[ap_at])
+    inner_parent = parent_at[inner]
+    par[slot[ap_at[inner]]] = np.where(
+        clustered[inner_parent], slot[inner_parent], index(n_clustered)
+    )
+    del slot, inner, inner_parent
 
     free_at = np.full(len(cur), -math.inf)
     while len(cur) >= _SERIAL_CLUSTERS:
@@ -426,19 +459,53 @@ def _dead_time_pass(
                 k += 1
     del par, tc, cur, end, free_at
 
-    registered = hit[slot] == 1
-    del hit, slot
-    # a lone candidate registers exactly when its parent does
+    # lone events register, clustered ones as decided, and a lone candidate
+    # exactly when its parent does
+    registered = ~clustered
+    del clustered
+    registered[pos] = hit[:n_clustered] == 1
+    del hit, pos
     registered[ap_at] &= registered[parent_at]
-    del inv, ap_at, parent_at
+    del ap_at, parent_at
 
-    sel = order[np.flatnonzero(registered)]
-    del order, registered
+    keep = np.flatnonzero(registered)
+    del registered
+    sel = order[keep]
+    del order
+    origin = np.concatenate([origins, np.full(n_ap, ORIGIN_AFTERPULSE, dtype=np.uint8)])
     if two_ports:
         sel.sort()
         sel = sel[np.argsort(t[sel], kind="stable")]
-    ap_origins = np.full(len(ap_times), ORIGIN_AFTERPULSE, dtype=np.uint8)
-    return t[sel], port[sel], np.concatenate([origins, ap_origins])[sel]
+        return t[sel], port[sel], origin[sel]
+    same_port = np.full(len(keep), ports[0] if n else 0, dtype=ports.dtype)
+    return ts[keep], same_port, origin[sel]
+
+
+# peak bytes simulate_timetags holds per event of expected_events(): the
+# largest tracemalloc peak over 2 s runs on one and both ports, 6-20 dB,
+# afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 61 bytes
+# per event (runs of 1.4e5-9.7e5 events, the 2 MiB truth pattern included)
+MC_BYTES_PER_EVENT = 64
+
+
+def expected_events(
+    tx: TransmitterConfig,
+    loss_budget_db: float,
+    det: DetectorModel,
+    noise_rate: float,
+    duration_s: float,
+    p_eff: float,
+) -> float:
+    """Mean count of events a Monte Carlo run holds: primaries plus candidates.
+
+    The primaries are the signal detections on both ports (a one-port run
+    draws them all before it drops the destructive port's) and the dark and
+    Raman clicks on the monitored ports; each primary sends an afterpulse
+    candidate with probability ``p_eff``.
+    """
+    ports = 1 if det.monitored_ports == "one" else 2
+    signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
+    return duration_s * (2.0 * signal_in + ports * background_in) * (1.0 + p_eff)
 
 
 def simulate_timetags(
@@ -489,26 +556,23 @@ def simulate_timetags(
     wrong = rng_sig.random(n_detected) < tx.intrinsic_error
     sig_ports = (truth_bits[pattern_index(slots, pattern_period)] ^ wrong).astype(np.uint8)
     del wrong
-    jitter = (rng_sig.random(n_detected) - 0.5) * tx.carve_duty * period_s
-    sig_times = (slots.astype(np.float64) + 0.5) * period_s + jitter
-    del slots, jitter
+    u = rng_sig.random(n_detected)
     if one_port:
+        # the destructive port's detections are drawn, then dropped unused
         keep = np.flatnonzero(sig_ports == PORT_CONSTRUCTIVE)
-        sig_times, sig_ports = sig_times[keep], sig_ports[keep]
+        slots, u = slots[keep], u[keep]
         del keep
+    jitter = (u - 0.5) * tx.carve_duty * period_s
+    sig_times = (slots.astype(np.float64) + 0.5) * period_s + jitter
+    del slots, u, jitter
 
     rng_bg = np.random.default_rng(ss_background)
     n_det_ports = 1 if one_port else 2  # dark/noise rates are per detector
     n_dark = rng_bg.poisson(n_det_ports * det.dark_rate_hz * duration_s)
     n_raman = rng_bg.poisson(n_det_ports * noise_rate * duration_s)
     bg_times = rng_bg.random(n_dark + n_raman) * duration_s
-    if one_port:
-        bg_ports = np.zeros(n_dark + n_raman, dtype=np.uint8)
-    else:
-        bg_ports = rng_bg.integers(0, 2, size=n_dark + n_raman, dtype=np.uint8)
 
     times = np.concatenate([sig_times, bg_times])
-    ports = np.concatenate([sig_ports, bg_ports])
     origins = np.concatenate(
         [
             np.full(len(sig_times), ORIGIN_SIGNAL, dtype=np.uint8),
@@ -516,8 +580,15 @@ def simulate_timetags(
             np.full(n_raman, ORIGIN_RAMAN, dtype=np.uint8),
         ]
     )
-    del sig_times, sig_ports, bg_times, bg_ports
-    times, ports, origins = _time_order(times, ports, origins)
+    del sig_times, bg_times
+    if one_port:
+        times, origins = _time_order(times, origins)
+        ports = np.zeros(len(times), dtype=np.uint8)
+    else:
+        bg_ports = rng_bg.integers(0, 2, size=n_dark + n_raman, dtype=np.uint8)
+        times, ports, origins = _time_order(times, np.concatenate([sig_ports, bg_ports]), origins)
+        del bg_ports
+    del sig_ports
 
     signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
     p_eff = _saturation_fixed_point(signal_in + background_in, det)[4]

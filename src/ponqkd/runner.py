@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dpslink import click_rate_oracle, simulate_timetags, LinkRates
+from .dpslink import MC_BYTES_PER_EVENT, LinkRates, click_rate_oracle, expected_events
+from .dpslink import simulate_timetags
 from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
@@ -152,6 +153,23 @@ def run_scenario(
                     "filter or launch magnitude is out of range"
                 ]
             )
+        need = MC_BYTES_PER_EVENT * expected_events(
+            scn.transmitter,
+            budget,
+            scn.detector,
+            raman.total_at_receiver,
+            duration_s,
+            rates.afterpulse_probability_effective,
+        )
+        memory = _physical_memory_bytes()
+        if need > memory:
+            raise ConfigError(
+                [
+                    f"run.duration_s: {duration_s!r} s of Monte Carlo needs about "
+                    f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+                    "of physical memory"
+                ]
+            )
         stream = simulate_timetags(
             scn.transmitter,
             budget,
@@ -175,6 +193,14 @@ def run_scenario(
         raw=scn.raw,
         seed=run_seed,
     )
+
+
+def _physical_memory_bytes() -> float:
+    """The machine's physical memory; infinite where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
 
 
 def _usable_cpus() -> int:

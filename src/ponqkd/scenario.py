@@ -259,7 +259,15 @@ def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan | None, Fil
             channels.append(channel)
     rx_section = col.section(section, "rx_filter", "channels.rx_filter")
     rx_filter = _parse_filter(rx_section, col, "channels.rx_filter")
-    return col.build(ChannelPlan, section, "channels", channels=tuple(channels)), rx_filter
+    plan = col.build(ChannelPlan, section, "channels", channels=tuple(channels))
+    if plan is not None and rx_filter is not None:
+        quantum_nm = plan.quantum_center_nm
+        if not rx_filter.in_passband(quantum_nm):
+            col.fail(
+                f"channels.rx_filter: the {quantum_nm} nm quantum channel lies outside "
+                f"the 3 dB passband of the filter centred at {rx_filter.center_nm} nm"
+            )
+    return plan, rx_filter
 
 
 def _parse_raman(raw: dict, col: _Collector) -> RamanProfile | None:

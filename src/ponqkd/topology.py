@@ -125,6 +125,21 @@ class FilterProfile:
                 raise ValueError("transmission_db: has no passband")
             object.__setattr__(self, "transmission_db", table)
 
+    def in_passband(self, wavelength_nm: float) -> bool:
+        """Whether ``wavelength_nm`` lies in the filter's 3 dB passband.
+
+        A flat top passes ``center_nm +- fwhm_nm / 2``.  A table passes where
+        its interpolated transmission is at most 3 dB below its peak, and
+        nothing outside the wavelengths it covers.
+        """
+        if self.transmission_db is None:
+            return abs(wavelength_nm - self.center_nm) <= self.fwhm_nm / 2.0
+        wavelengths = [w for w, _ in self.transmission_db]
+        levels = [t for _, t in self.transmission_db]
+        if not wavelengths[0] <= wavelength_nm <= wavelengths[-1]:
+            return False
+        return float(np.interp(wavelength_nm, wavelengths, levels)) >= max(levels) - 3.0
+
     @functools.cached_property
     def noise_bandwidth_nm(self) -> float:
         """Equivalent noise bandwidth in nm.

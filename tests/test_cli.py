@@ -201,6 +201,15 @@ MALFORMED = [
      "raman.profile.coefficients: expected a list"),
     (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": ["01", "02"]},
      "raman.profile.coefficients: expected a list"),
+    # the receiver filter must pass the 1310 nm quantum channel: a flat top
+    # 2 nm off centre, a gaussian at 1550 nm (its table ends near 1552 nm),
+    # and a table 6 dB down at 1310 nm
+    (("channels", "rx_filter"), {"shape": "flat", "center_nm": 1312.0, "fwhm_nm": 1.22},
+     "channels.rx_filter: the 1310.0 nm quantum channel lies outside the 3 dB passband"),
+    (("channels", "rx_filter", "center_nm"), 1550.0,
+     "channels.rx_filter: the 1310.0 nm quantum channel lies outside the 3 dB passband"),
+    (("channels", "rx_filter", "transmission_db"), [[1309.0, -9.0], [1310.0, -6.0], [1311.0, 0.0]],
+     "channels.rx_filter: the 1310.0 nm quantum channel lies outside the 3 dB passband"),
 ]
 
 
@@ -262,6 +271,7 @@ def test_validate_and_run_name_the_first_out_of_hull_channel(tmp_path, capsys, p
     raw = bundled_scenario("pon-us-1")
     raw["topology"]["attenuation_db_per_km"] = table
     raw["channels"]["quantum_center_nm"] = 1280.0
+    raw["channels"]["rx_filter"]["center_nm"] = 1280.0  # the filter follows the channel
     raw["channels"]["classical"] = [
         {"center_nm": nm, "launch_power_dbm": 2.5, "direction": "upstream"} for nm in pumps_nm
     ]

@@ -285,9 +285,19 @@ def assert_pass_matches_reference(*args):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("ports", ["one", "both"])
-@pytest.mark.parametrize("budget", [8.0, 14.0, 18.0])
-@pytest.mark.parametrize("p_ap", [0.0, 1.0])
+# (monitored ports, budget, afterpulse probability): the corners, and the
+# budget sweep's heaviest point, one port at 10 dB with the default detector
+PASS_CASES = [
+    (ports, budget, p_ap)
+    for p_ap in (0.0, 1.0)
+    for budget in (8.0, 14.0, 18.0)
+    for ports in ("one", "both")
+] + [("one", 10.0, DetectorModel.afterpulse_probability)]
+
+
+@pytest.mark.parametrize(
+    "ports, budget, p_ap", PASS_CASES, ids=[f"{p}-{b}-{m}" for m, b, p in PASS_CASES]
+)
 def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap):
     captured = []
 
@@ -302,6 +312,11 @@ def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap)
     fires = args[3]
     assert fires.any() == (p_ap > 0.0)
     assert len(stream) > 1000
+    if budget == 10.0:
+        assert clustered_share(*args[:2], *args[3:]) > 0.4
+    if ports == "one":
+        assert stream.ports.dtype == np.uint8
+        assert not stream.ports.any()
     assert_pass_matches_reference(*args)
 
 
@@ -363,17 +378,35 @@ def test_dead_time_pass_exact_time_ties(case):
     assert_pass_matches_reference(times, one_port, origins, fires, delays, tau, duration)
 
 
-def count_clusters(times, ports, fires, delays, dead_time_s, duration_s):
-    """Runs of events closer together than the dead time, over both ports."""
+def close_flags(times, ports, fires, delays, dead_time_s, duration_s):
+    """Per port, with primaries and the candidates inside the run on one
+    sorted timeline: whether each event after the first arrives within the
+    dead time of the one before."""
     ap_times = times[fires] + dead_time_s + delays
     inside = ap_times < duration_s
     ap_ports = ports[fires][inside]
-    count = 0
     for port in (0, 1):
         t = np.sort(np.concatenate([times[ports == port], ap_times[inside][ap_ports == port]]))
-        close = t[1:] < t[:-1] + dead_time_s
-        count += int(np.count_nonzero(close[:1])) + int(np.count_nonzero(close[1:] & ~close[:-1]))
-    return count
+        yield t[1:] < t[:-1] + dead_time_s
+
+
+def count_clusters(*case):
+    """Runs of events closer together than the dead time, over both ports."""
+    return sum(
+        int(np.count_nonzero(close[:1])) + int(np.count_nonzero(close[1:] & ~close[:-1]))
+        for close in close_flags(*case)
+    )
+
+
+def clustered_share(*case):
+    """Share of the events that sit in a cluster, over both ports."""
+    clustered = sum(
+        int(np.count_nonzero(np.append(close, False) | np.insert(close, 0, False)))
+        for close in close_flags(*case)
+    )
+    times, _, fires, delays, dead_time_s, duration_s = case
+    candidates = np.count_nonzero(times[fires] + dead_time_s + delays < duration_s)
+    return clustered / (len(times) + candidates)
 
 
 def burst_case(seed, lengths, two_ports):

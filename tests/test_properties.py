@@ -1,7 +1,8 @@
 """Property tests: what ``validate`` accepts, ``run`` and ``sweep`` complete;
-the dead-time pass agrees with the plain event-by-event loop, the Raman sum
-with the plain per-channel loop, and the plant check with the rule that looks
-up the shortest and longest pump only."""
+the time order agrees with a stable argsort, the dead-time pass with the
+plain event-by-event loop, the Raman sum with the plain per-channel loop, and
+the plant check with the rule that looks up the shortest and longest pump
+only."""
 
 import dataclasses
 import math
@@ -14,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ponqkd import runner  # noqa: E402
-from ponqkd.dpslink import simulate_timetags  # noqa: E402
+from ponqkd.dpslink import _time_order, simulate_timetags  # noqa: E402
 from ponqkd.errors import ConfigError, ShiftRangeError, WavelengthRangeError  # noqa: E402
 from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile  # noqa: E402
 from ponqkd.raman import odn_noise_at_bob, raman_coefficient  # noqa: E402
@@ -48,6 +49,7 @@ channels = st.lists(
 def test_validated_odn_config_completes_oracle_run(quantum_nm, classical):
     raw = bundled_scenario("pon-us-1")
     raw["channels"]["quantum_center_nm"] = quantum_nm
+    raw["channels"]["rx_filter"]["center_nm"] = quantum_nm  # the filter follows the channel
     raw["channels"]["classical"] = [
         {"center_nm": nm, "launch_power_dbm": 2.5, "direction": direction}
         for nm, direction in classical
@@ -120,6 +122,50 @@ def test_validated_plant_and_filter_complete_oracle_run(raw):
     res = run_scenario(scn, mode="oracle")
     assert math.isfinite(res.raman.total_at_receiver)
     assert math.isfinite(res.qber_report.qber)
+
+
+@st.composite
+def time_arrays(draw):
+    """Times for ``_time_order``, each drawn from one of five families.
+
+    Exact ties from a few values; neighbouring doubles that share their top
+    bits, so their sort keys tie; subnormals; +0.0, -0.0 and the smallest
+    subnormal; any non-negative double.  Now and then two NaNs.  Lengths 0, 1,
+    a power of two, one past it, or anything up to 300.
+    """
+    k = draw(st.integers(0, 10))
+    n = draw(st.sampled_from([0, 1, 2**k, 2**k + 1]) | st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = np.float64(draw(st.floats(0.0, 1e6)))
+    spread = np.uint64(1) << np.uint64(draw(st.integers(0, 16)))
+    families = [
+        rng.choice(rng.random(draw(st.integers(1, 4))) * base, size=n),
+        (base.view(np.uint64) + rng.integers(0, spread, size=n, dtype=np.uint64)).view(np.float64),
+        rng.integers(0, 1 << 52, size=n, dtype=np.uint64).view(np.float64),
+        rng.choice(np.array([0.0, -0.0, 5e-324]), size=n),
+        rng.random(n) * base,
+    ]
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))) + 1e-9
+    pick = rng.choice(len(families), size=n, p=weights / weights.sum())
+    times = np.choose(pick, families)
+    if n and draw(st.integers(0, 9)) == 0:
+        # NaNs of three payloads: argsort puts them all last, in index order
+        nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123], np.uint64)
+        times[rng.integers(0, n, size=2)] = rng.choice(nans.view(np.float64), size=2)
+    return times
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(times=time_arrays())
+def test_time_order_is_the_stable_argsort(times):
+    index = np.arange(len(times))
+    labels = (index % 7).astype(np.uint8)
+    ordered, got_index, got_labels = _time_order(times, index, labels)
+    want = np.argsort(times, kind="stable")
+    # bit patterns, so -0.0 against +0.0 and NaN count as written
+    assert np.array_equal(ordered.view(np.uint64), times[want].view(np.uint64))
+    assert np.array_equal(got_index, want)
+    assert np.array_equal(got_labels, labels[want])
 
 
 @st.composite
@@ -342,6 +388,7 @@ def test_plant_check_gives_the_extreme_pump_verdict(quantum_nm, pumps):
         "coefficients": list(NARROW_PROFILE.coefficients),
     }
     raw["channels"]["quantum_center_nm"] = quantum_nm
+    raw["channels"]["rx_filter"]["center_nm"] = quantum_nm  # the filter follows the channel
     raw["channels"]["classical"] = [
         {"center_nm": nm, "launch_power_dbm": 2.5, "direction": "upstream"} for nm in pumps
     ]

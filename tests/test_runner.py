@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ponqkd import runner
+from ponqkd.cli import EXIT_CONFIG, main
 from ponqkd.errors import CalibrationError, ConfigError
 from ponqkd.runner import (
     CALIBRATION_PARAMETERS,
@@ -65,6 +66,43 @@ def test_duration_override_must_be_finite_and_positive(duration_s):
     # only None means "use the config's duration"
     with pytest.raises(ConfigError, match="run.duration_s"):
         run_scenario(scenario("pon-baseline"), mode="monte_carlo", duration_s=duration_s)
+
+
+def test_monte_carlo_draw_is_bounded_by_physical_memory(monkeypatch, capsys):
+    # the run's peak bytes are estimated before anything is drawn; here the
+    # machine's memory is patched down to that estimate and just below it
+    class Drawn(Exception):
+        pass
+
+    calls = []
+
+    def simulate(*args, **kwargs):
+        calls.append(args)
+        raise Drawn
+
+    monkeypatch.setattr(runner, "simulate_timetags", simulate)
+    scn = scenario("pon-baseline")
+    oracle = run_scenario(scn)
+    need = runner.MC_BYTES_PER_EVENT * runner.expected_events(
+        scn.transmitter,
+        scn.quantum_path_loss_db,
+        scn.detector,
+        oracle.raman.total_at_receiver,
+        30.0,
+        oracle.link_rates.afterpulse_probability_effective,
+    )
+    assert 2e6 < need < 2e7  # about 1.6e5 events of 64 bytes
+    monkeypatch.setattr(runner, "_physical_memory_bytes", lambda: need * (1.0 - 1e-9))
+    with pytest.raises(ConfigError, match=r"run.duration_s: 30.0 s of Monte Carlo needs about"):
+        run_scenario(scn, mode="monte_carlo", duration_s=30.0)
+    argv = ["run", "--config", "pon-baseline", "--mode", "monte_carlo", "--duration", "30"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: run.duration_s: 30.0 s")
+    assert calls == []
+    monkeypatch.setattr(runner, "_physical_memory_bytes", lambda: need)
+    with pytest.raises(Drawn):
+        run_scenario(scn, mode="monte_carlo", duration_s=30.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

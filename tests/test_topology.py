@@ -122,6 +122,21 @@ def test_filter_table_must_cover_center():
         FilterProfile(center_nm=1310.0, fwhm_nm=1.0, transmission_db=table)
 
 
+def test_filter_passband_edges():
+    flat = FilterProfile(center_nm=1310.0, fwhm_nm=1.0)
+    assert flat.in_passband(1310.5) and flat.in_passband(1309.5)
+    assert not flat.in_passband(1310.5 + 1e-9) and not flat.in_passband(1309.5 - 1e-9)
+    # a table passes down to 3 dB below its peak, here +1 dB, and nothing past its ends
+    table = ((1309.0, -5.0), (1310.0, 1.0), (1311.0, -2.0), (1312.0, -2.0))
+    tabulated = FilterProfile(center_nm=1310.0, fwhm_nm=1.0, transmission_db=table)
+    assert tabulated.in_passband(1309.5)  # -2 dB interpolated, 3 below the peak
+    assert not tabulated.in_passband(1309.5 - 1e-9) and tabulated.in_passband(1312.0)
+    assert not tabulated.in_passband(1308.999) and not tabulated.in_passband(1312.001)
+    # the gaussian's half-power points sit 3.01 dB down, a hair outside
+    gaussian = FilterProfile(1310.0, 1.0, transmission_db=gaussian_transmission_table(1310.0, 1.0))
+    assert gaussian.in_passband(1310.49) and not gaussian.in_passband(1310.5)
+
+
 def test_filter_table_needs_three_points():
     with pytest.raises(ValueError):
         FilterProfile(1310.0, 1.0, transmission_db=((1309.0, -3.0), (1311.0, -3.0)))
