@@ -1,7 +1,6 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration problem, 3 calibration failure,
-4 malformed data encountered while scoring.
+Exit codes: 0 success, 2 configuration problem, 3 calibration failure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import CalibrationError, ConfigError, DataError
+from .errors import CalibrationError, ConfigError
 from .runner import (
     OBSERVABLES,
     CALIBRATION_PARAMETERS,
@@ -28,7 +27,6 @@ from .scenarios import DESCRIPTIONS, bundled_names, bundled_scenario
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
-EXIT_DATA = 4
 
 
 def _load_config(ref: str) -> dict:
@@ -179,9 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         sys.stderr.write(f"calibration error: {exc}\n")
         return EXIT_CALIBRATION
-    except DataError as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -26,7 +26,3 @@ class ConfigError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Root finding for a calibration anchor failed; message carries bracket diagnostics."""
-
-
-class DataError(ValueError):
-    """Input data (tag streams, truth patterns) violates a precondition."""

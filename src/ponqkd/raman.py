@@ -273,6 +273,33 @@ def _transmission(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
+def plan_lookups(
+    plan: ChannelPlan, topology: OdnTopology, profile: RamanProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled scattering coefficient and pump attenuation (dB/km) per channel.
+
+    Both are arrays in plan order, each looked up with one ``np.interp``
+    over the whole plan.  A channel outside either table's hull raises the
+    error :func:`raman_coefficient` or :func:`attenuation_at` would raise
+    for it, the first such channel in plan order deciding.  With the
+    quantum channel's attenuation, which the path loss reads too, these
+    are all of the Raman sum that can fail, so the parser checks a plan
+    with them alone.
+    """
+    quantum_nm = plan.quantum_center_nm
+    pumps = np.array([channel.center_nm for channel in plan.channels])
+    shifts = C_NM_THZ / pumps - frequency_thz(quantum_nm)
+    wavelengths, values = zip(*topology.attenuation_db_per_km)
+    inside = (profile.shifts_thz[0] <= shifts) & (shifts <= profile.shifts_thz[-1])
+    inside &= (wavelengths[0] <= pumps) & (pumps <= wavelengths[-1])
+    if not inside.all():  # raise what the lookups of the first such channel raise
+        pump_nm = float(pumps[inside.argmin()])
+        raman_coefficient(profile, pump_nm, quantum_nm)
+        attenuation_at(topology, pump_nm)
+    coeffs = np.interp(shifts, profile.shifts_thz, profile.coefficients) * profile.scale
+    return coeffs, np.interp(pumps, wavelengths, values)
+
+
 def odn_noise_at_bob(
     plan: ChannelPlan,
     topology: OdnTopology,
@@ -284,11 +311,8 @@ def odn_noise_at_bob(
     Upstream channels flagged ``tdma_member`` share the medium in time, so
     the group contributes the average of its members' individual rates
     (at most one member transmits at any instant) instead of the sum.
-    The pump attenuations and scattering coefficients of the whole plan
-    are looked up with one ``np.interp`` each; a channel outside either
-    table's hull raises the error :func:`raman_coefficient` or
-    :func:`attenuation_at` would raise for it, the first such channel in
-    plan order deciding.
+    The per-channel values come from :func:`plan_lookups`, which raises
+    for a channel outside either table's hull.
     """
     bandwidth = equivalent_noise_bandwidth_nm(rx_filter)
     rx_t = _transmission(rx_filter.insertion_loss_db)
@@ -301,17 +325,7 @@ def odn_noise_at_bob(
     leak_t = _transmission(topology.splitter.directivity_db)
     per_mw = 1e-3 / (_H_J_S * _C_M_PER_S / (quantum_nm * 1e-9))  # photon rate of 1 mW, 1/s
 
-    pumps = np.array([channel.center_nm for channel in plan.channels])
-    shifts = C_NM_THZ / pumps - frequency_thz(quantum_nm)
-    wavelengths, values = zip(*topology.attenuation_db_per_km)
-    inside = (profile.shifts_thz[0] <= shifts) & (shifts <= profile.shifts_thz[-1])
-    inside &= (wavelengths[0] <= pumps) & (pumps <= wavelengths[-1])
-    if not inside.all():  # raise what the lookups of the first such channel raise
-        pump_nm = float(pumps[inside.argmin()])
-        raman_coefficient(profile, pump_nm, quantum_nm)
-        attenuation_at(topology, pump_nm)
-    coeffs = np.interp(shifts, profile.shifts_thz, profile.coefficients) * profile.scale
-    pump_dbs = np.interp(pumps, wavelengths, values)
+    coeffs, pump_dbs = plan_lookups(plan, topology, profile)
 
     upstream = 0.0
     drops = 0.0

@@ -75,12 +75,6 @@ class RunResult:
         return config_hash(self.raw)
 
 
-def _noise_contribution(scn: Scenario) -> RamanContribution:
-    if scn.topology is None or not scn.plan.channels:
-        return RamanContribution(0.0, 0.0, 0.0)
-    return odn_noise_at_bob(scn.plan, scn.topology, scn.rx_filter, scn.profile)
-
-
 def run_scenario(
     scn: Scenario,
     seed: int | np.random.SeedSequence | None = None,
@@ -107,7 +101,10 @@ def run_scenario(
     duration_s = scn.run.duration_s if duration_s is None else duration_s
     if not (_finite(duration_s) and duration_s > 0.0):
         raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
-    raman = _noise_contribution(scn)
+    if scn.topology is None or not scn.plan.channels:
+        raman = RamanContribution(0.0, 0.0, 0.0)
+    else:  # the run's one Raman sum; the parser only checked its lookups
+        raman = odn_noise_at_bob(scn.plan, scn.topology, scn.rx_filter, scn.profile)
     budget = scn.quantum_path_loss_db
     try:
         rates = click_rate_oracle(

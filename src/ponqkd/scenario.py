@@ -30,7 +30,7 @@ from .raman import (
     RamanProfile,
     WavelengthChannel,
     default_raman_profile,
-    odn_noise_at_bob,
+    plan_lookups,
 )
 from .sifting import GateConfig
 from .topology import (
@@ -317,8 +317,8 @@ def parse_scenario(raw: dict) -> Scenario:
     if plan is not None and topology is not None:
         try:  # the plant and Raman lookups a run makes
             path_loss_db(topology, plan.quantum_center_nm)
-            if plan.channels and rx_filter is not None and profile is not None:
-                odn_noise_at_bob(plan, topology, rx_filter, profile)
+            if plan.channels and profile is not None:
+                plan_lookups(plan, topology, profile)
         except (ShiftRangeError, WavelengthRangeError) as exc:
             col.fail(f"channels: {exc}")
 

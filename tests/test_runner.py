@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ponqkd import runner
 from ponqkd.cli import EXIT_CONFIG, main
 from ponqkd.errors import CalibrationError, ConfigError
+from ponqkd.raman import odn_noise_at_bob
 from ponqkd.runner import (
     CALIBRATION_PARAMETERS,
     SWEEP_COLUMNS,
@@ -255,6 +257,25 @@ def test_config_hash_is_computed_only_for_reports(monkeypatch):
     assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
     assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
     assert len(calls) == 1  # kept after the first read
+
+
+def test_parse_checks_the_plan_and_a_run_sums_it_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return odn_noise_at_bob(*args)
+
+    # every module global that names the sum, wherever it was imported to
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ponqkd"]:
+        for attr, value in list(vars(module).items()):
+            if value is odn_noise_at_bob:
+                monkeypatch.setattr(module, attr, counting)
+    scn = scenario("pon-us-20")
+    assert calls == []
+    res = run_scenario(scn)
+    assert len(calls) == 1
+    assert res.raman == odn_noise_at_bob(scn.plan, scn.topology, scn.rx_filter, scn.profile)
 
 
 @pytest.mark.parametrize(
