@@ -105,6 +105,10 @@ class DetectorModel:
         if self.monitored_ports not in ("one", "both"):
             raise ValueError("monitored_ports: must be 'one' or 'both'")
 
+    @property
+    def detector_count(self) -> int:  # one detector per monitored port
+        return 2 if self.monitored_ports == "both" else 1
+
 
 @dataclass(frozen=True)
 class LinkRates:
@@ -238,7 +242,7 @@ def click_rate_oracle(
     signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
     live, reg, ap_in, surv, p_eff = _saturation_fixed_point(signal_in + background_in, det)
     retention = _signal_retention(tx, gate_fraction, slot_phase_s)
-    n_det = 2 if det.monitored_ports == "both" else 1
+    n_det = det.detector_count
     return LinkRates(
         signal_rate=n_det * signal_in * live * retention,
         background_rate=n_det * background_in * live * gate_fraction,
@@ -503,9 +507,8 @@ def expected_events(
     Raman clicks on the monitored ports; each primary sends an afterpulse
     candidate with probability ``p_eff``.
     """
-    ports = 1 if det.monitored_ports == "one" else 2
     signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
-    return duration_s * (2.0 * signal_in + ports * background_in) * (1.0 + p_eff)
+    return duration_s * (2.0 * signal_in + det.detector_count * background_in) * (1.0 + p_eff)
 
 
 def simulate_timetags(
@@ -567,9 +570,9 @@ def simulate_timetags(
     del slots, u, jitter
 
     rng_bg = np.random.default_rng(ss_background)
-    n_det_ports = 1 if one_port else 2  # dark/noise rates are per detector
-    n_dark = rng_bg.poisson(n_det_ports * det.dark_rate_hz * duration_s)
-    n_raman = rng_bg.poisson(n_det_ports * noise_rate * duration_s)
+    n_det = det.detector_count  # dark/noise rates are per detector
+    n_dark = rng_bg.poisson(n_det * det.dark_rate_hz * duration_s)
+    n_raman = rng_bg.poisson(n_det * noise_rate * duration_s)
     bg_times = rng_bg.random(n_dark + n_raman) * duration_s
 
     times = np.concatenate([sig_times, bg_times])

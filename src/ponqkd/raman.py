@@ -41,6 +41,7 @@ from .topology import (
     OdnTopology,
     attenuation_at,
     equivalent_noise_bandwidth_nm,
+    finite_floats,
 )
 
 _C_M_PER_S = 299792458.0  # exact SI values of c, h and k
@@ -166,18 +167,16 @@ class RamanProfile:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        shifts = tuple(float(s) for s in self.shifts_thz)
-        coeffs = tuple(float(v) for v in self.coefficients)
+        shifts = finite_floats(self.shifts_thz, "shifts_thz")
+        coeffs = finite_floats(self.coefficients, "coefficients")
         if len(shifts) < 2:
             raise ValueError("shifts_thz: needs at least 2 points")
-        if not all(math.isfinite(v) for v in shifts):
-            raise ValueError("shifts_thz: must be finite")
         if list(shifts) != sorted(shifts):
             raise ValueError("shifts_thz: must be sorted ascending")
         if len(coeffs) != len(shifts):
             raise ValueError(f"coefficients: needs one value per shift, got {len(coeffs)}")
-        if not all(math.isfinite(v) and v >= 0.0 for v in coeffs):
-            raise ValueError("coefficients: must be finite and >= 0")
+        if min(coeffs) < 0.0:
+            raise ValueError("coefficients: must be >= 0")
         if self.scale < 0.0:
             raise ValueError(f"scale: must be >= 0, got {self.scale}")
         object.__setattr__(self, "shifts_thz", shifts)

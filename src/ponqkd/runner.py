@@ -19,9 +19,10 @@ from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
 from .roots import RootError, brentq
-from .scenario import RUN_MODES, Scenario, _finite, config_hash, parse_scenario
+from .scenario import RUN_MODES, Scenario, config_hash, parse_scenario
 from .scenario import reread, sweep_points
 from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
+from .topology import finite
 
 VERSION = "0.1.0"
 
@@ -99,7 +100,7 @@ def run_scenario(
     ):
         raise ConfigError([f"run.seed: expected an integer >= 0, got {seed!r}"])
     duration_s = scn.run.duration_s if duration_s is None else duration_s
-    if not (_finite(duration_s) and duration_s > 0.0):
+    if not (finite(duration_s) and duration_s > 0.0):
         raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
     if scn.topology is None or not scn.plan.channels:
         raman = RamanContribution(0.0, 0.0, 0.0)
@@ -139,8 +140,8 @@ def run_scenario(
         if duration_s * scn.transmitter.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
             raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
         # at most one signal primary per symbol; dark and Raman ones on each monitored port
-        ports = 1 if scn.detector.monitored_ports == "one" else 2
-        background = ports * (scn.detector.dark_rate_hz + raman.total_at_receiver)
+        det = scn.detector
+        background = det.detector_count * (det.dark_rate_hz + raman.total_at_receiver)
         primaries = duration_s * (scn.transmitter.symbol_rate_hz + background)
         if not primaries < 2.0**62:  # numpy draws each Poisson count in int64, then adds them
             raise ConfigError(

@@ -5,10 +5,16 @@ Schema version 1.  Sections: ``topology``, ``channels``, ``transmitter``,
 and ``sweep``.  Validation collects the failures of every section before
 raising, so one round trip reports the whole damage.  The plant, the
 classical channels, the quantum channel, the receiver filter, the Raman
-scale, source, detector, gate and run are read straight into their
+profile, source, detector, gate and run are read straight into their
 dataclasses, which hold each field's default and range rule; every wrongly
 typed field is reported, but a section whose fields all type-check reports
 only the first range rule it breaks.
+
+Every number follows :func:`topology.finite`.  The fibre, filter and Raman
+tables reach their dataclasses as the JSON holds them, and the dataclass
+applies the rule to each entry, however it is built.  A bad table thus counts
+as one of its section's range rules: an inline profile whose two lists are
+both bad names only ``shifts_thz``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 
 from .dpslink import DetectorModel, TransmitterConfig
@@ -37,6 +42,7 @@ from .topology import (
     FilterProfile,
     OdnTopology,
     Splitter,
+    finite,
     gaussian_transmission_table,
     path_loss_db,
 )
@@ -101,32 +107,12 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _finite(value) -> bool:
-    """A real number that is neither a bool, NaN nor infinite."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _number(value) -> float:
-    """A table entry, which follows the number rule of a scalar."""
-    if not _finite(value):
-        raise ValueError(value)
-    return float(value)
-
-
-def _pair(item) -> tuple[float, float]:
-    x, y = item
-    return _number(x), _number(y)
-
-
 # JSON type a dataclass field takes, by the type of its default
 _JSON_KINDS = {
     bool: ("true or false", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
     int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
-    float: ("a finite number", _finite),
+    float: ("a finite number", finite),
 }
 
 
@@ -153,7 +139,7 @@ class _Collector:
 
     def number(self, section: dict, key: str, default, where: str, minimum=None):
         value = section.get(key, default)
-        if not _finite(value):
+        if not finite(value):
             self.fail(f"{where}.{key}: expected a finite number, got {value!r}")
             return default
         if minimum is not None and value < minimum:
@@ -168,15 +154,6 @@ class _Collector:
             return default
         return value
 
-    def floats(self, section: dict, key: str, where: str, item=_number, default=None):
-        """``section[key]`` as a tuple of ``item(entry)``, or None if it is no such list."""
-        try:
-            return tuple(item(entry) for entry in section.get(key, default))
-        except (TypeError, ValueError, OverflowError):
-            kind = "[nm, value] pairs of finite numbers" if item is _pair else "finite numbers"
-            self.fail(f"{where}.{key}: expected a list of {kind}")
-            return None
-
     def build(self, cls, section: dict, where: str, given_at: str | None = None, **given):
         """``cls`` read from one config section, or None if it fails.
 
@@ -184,9 +161,10 @@ class _Collector:
         section key of the same name, or its own default when the key is
         missing; other fields come from ``given`` or their default.  Only the
         JSON type is checked here: the range rules are the dataclass's own,
-        and each of its messages starts with the field name, which is
-        reported under ``where``, or under ``given_at`` for a field in
-        ``given`` that came from elsewhere.
+        the number rule of a table's entries among them, and each of its
+        messages starts with the field name, which is reported under
+        ``where``, or under ``given_at`` for a field in ``given`` that came
+        from elsewhere.
         """
         values, typed = dict(given), True
         for name, kind, expected, fits in _json_fields(cls):
@@ -209,9 +187,8 @@ class _Collector:
 
 def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile | None:
     shape = col.choice(section, "shape", "gaussian", where, ("gaussian", "flat"))
-    if section.get("transmission_db") is not None:  # an explicit table wins over the shape
-        table = col.floats(section, "transmission_db", where, _pair)
-    else:
+    table = section.get("transmission_db")  # an explicit table wins over the shape
+    if table is None:
         flat = col.build(FilterProfile, section, where)
         if flat is None or shape == "flat":
             return flat
@@ -220,9 +197,7 @@ def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile |
         except ValueError as exc:
             col.fail(f"{where}.{exc}")
             return None
-    # built whatever the table, so the filter's own fields are checked
-    profile = col.build(FilterProfile, section, where, transmission_db=table)
-    return None if table is None else profile
+    return col.build(FilterProfile, section, where, transmission_db=table)
 
 
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
@@ -230,18 +205,11 @@ def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, flo
     kind = col.choice(section, "kind", "odn", "topology", ("odn", "attenuator"))
     if kind == "attenuator":
         return None, col.number(section, "budget_db", 18.0, "topology", minimum=0.0)
-    table = col.floats(
-        section, "attenuation_db_per_km", "topology", _pair, OdnTopology.attenuation_db_per_km
-    )
+    key = "attenuation_db_per_km"  # absent, the plant keeps its own default
+    given = {key: section[key]} if key in section else {}
     splitter = col.build(Splitter, section, "topology")
-    topology = col.build(  # built whatever the table, so the plant's own fields are checked
-        OdnTopology,
-        section,
-        "topology",
-        splitter=splitter,
-        attenuation_db_per_km=OdnTopology.attenuation_db_per_km if table is None else table,
-    )
-    return (None if splitter is None or table is None else topology), None
+    topology = col.build(OdnTopology, section, "topology", splitter=splitter, **given)
+    return (None if splitter is None else topology), None
 
 
 def _parse_channels(raw: dict, col: _Collector) -> tuple[ChannelPlan | None, FilterProfile | None]:
@@ -280,17 +248,12 @@ def _parse_raman(raw: dict, col: _Collector) -> RamanProfile | None:
         except OverflowError:  # the phonon occupation overflows below ~3 K
             col.fail(f"raman.profile: the default profile overflows at {temperature} K")
             return None
-        shifts, coeffs = default.shifts_thz, default.coefficients
+        table = {"shifts_thz": default.shifts_thz, "coefficients": default.coefficients}
     elif isinstance(spec, dict):
-        shifts, coeffs = (
-            col.floats(spec, key, "raman.profile") for key in ("shifts_thz", "coefficients")
-        )
-        if shifts is None or coeffs is None:
-            return None
+        table = {key: spec.get(key) for key in ("shifts_thz", "coefficients")}
     else:
         col.fail(f"raman.profile: expected 'default' or a table, got {spec!r}")
         return None
-    table = {"shifts_thz": shifts, "coefficients": coeffs}
     return col.build(RamanProfile, section, "raman", given_at="raman.profile", **table)
 
 
@@ -330,7 +293,7 @@ def parse_scenario(raw: dict) -> Scenario:
     slot_phase = gate_raw.get("slot_phase_s", GateConfig.slot_phase_s)
     if slot_phase == "auto":
         slot_phase = None
-    elif slot_phase is not None and not _finite(slot_phase):
+    elif slot_phase is not None and not finite(slot_phase):
         col.fail(f"gate.slot_phase_s: expected a finite number, 'auto' or null, got {slot_phase!r}")
     gate = col.build(GateConfig, gate_raw, "gate", slot_phase_s=slot_phase)
     f_ec = col.number(key_raw, "f_ec", DEFAULT_F_EC, "keyrate", minimum=1.0)
@@ -347,7 +310,7 @@ def parse_scenario(raw: dict) -> Scenario:
                 col.fail(f"sweep.axis: {axis!r} not one of {list(SWEEP_AXES)}")
             if not isinstance(values, list) or not values:
                 col.fail("sweep.values: expected a non-empty list")
-            elif not all(_finite(v) for v in values):
+            elif not all(map(finite, values)):
                 col.fail(f"sweep.values: expected finite numbers, got {values!r}")
 
     if col.errors:
@@ -380,7 +343,7 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
     """
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep.axis: {axis!r} not one of {list(SWEEP_AXES)}"])
-    if not _finite(value):
+    if not finite(value):
         raise ConfigError([f"sweep.values: {value!r} is not a finite number"])
     out = dict(raw)
     topo = out.setdefault("topology", {})

@@ -40,6 +40,41 @@ DEFAULT_ATTENUATION_DB_PER_KM: tuple[tuple[float, float], ...] = (
 UPSTREAM_QUANTUM_PATH: tuple[str, ...] = ("drop", "splitter", "feeder_up")
 
 
+def finite(value) -> bool:
+    """A real number that is neither a bool, NaN nor infinite: every config number's rule."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def finite_floats(values, name: str, kind: str = "finite numbers") -> tuple[float, ...]:
+    """``values`` as floats, or ValueError naming ``name`` unless each is :func:`finite`.
+
+    C-level passes over the whole list, not a call per entry; a tuple of
+    floats comes back as it is.
+    """
+    try:
+        values = tuple(values)
+        types = set(map(type, values))
+        if bool not in types and all(map(math.isfinite, values)):
+            return values if types <= {float} else tuple(map(float, values))
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name}: expected a list of {kind}")
+
+
+def finite_pairs(pairs, name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The nm column and the value column of a table of pairs, as :func:`finite_floats`."""
+    try:
+        pairs = tuple(pairs)
+        xs, ys = zip(*pairs, strict=True) if pairs else ((), ())
+    except (TypeError, ValueError):
+        xs = ys = None
+    kind = "[nm, value] pairs of finite numbers"
+    return finite_floats(xs, name, kind), finite_floats(ys, name, kind)
+
+
 @functools.lru_cache(maxsize=256)
 def attenuation_at(topology: OdnTopology, wavelength_nm: float) -> float:
     """Interpolated fibre attenuation of the plant at ``wavelength_nm`` in dB/km.
@@ -75,6 +110,10 @@ class Splitter:
         n = self.port_count
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"port_count: must be a power of two >= 1, got {n}")
+        try:
+            float(n)  # the Raman sum scales with it
+        except OverflowError:
+            raise ValueError("port_count: must fit in a float")
         for name in ("excess_loss_db", "directivity_db"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name}: must be >= 0")
@@ -109,21 +148,18 @@ class FilterProfile:
         if self.insertion_loss_db < 0.0:
             raise ValueError(f"insertion_loss_db: must be >= 0, got {self.insertion_loss_db}")
         if self.transmission_db is not None:
-            table = tuple((float(w), float(t)) for w, t in self.transmission_db)
-            if len(table) < 3:
+            wavelengths, levels = finite_pairs(self.transmission_db, "transmission_db")
+            if len(wavelengths) < 3:
                 raise ValueError("transmission_db: needs at least 3 points")
-            if not all(math.isfinite(w) and math.isfinite(t) for w, t in table):
-                raise ValueError("transmission_db: must hold finite numbers")
-            wavelengths = [w for w, _ in table]
-            if sorted(wavelengths) != wavelengths:
+            if sorted(wavelengths) != list(wavelengths):
                 raise ValueError("transmission_db: must be sorted by wavelength")
             if not (wavelengths[0] <= self.center_nm <= wavelengths[-1]):
                 raise ValueError("transmission_db: must contain center_nm")
             with np.errstate(over="ignore"):
-                peak = np.power(10.0, max(t for _, t in table) / 10.0)
+                peak = np.power(10.0, max(levels) / 10.0)
             if not 0.0 < peak < math.inf:  # the noise bandwidth divides by the peak
                 raise ValueError("transmission_db: has no passband")
-            object.__setattr__(self, "transmission_db", table)
+            object.__setattr__(self, "transmission_db", tuple(zip(wavelengths, levels)))
 
     def in_passband(self, wavelength_nm: float) -> bool:
         """Whether ``wavelength_nm`` lies in the filter's 3 dB passband.
@@ -134,8 +170,7 @@ class FilterProfile:
         """
         if self.transmission_db is None:
             return abs(wavelength_nm - self.center_nm) <= self.fwhm_nm / 2.0
-        wavelengths = [w for w, _ in self.transmission_db]
-        levels = [t for _, t in self.transmission_db]
+        wavelengths, levels = zip(*self.transmission_db)
         if not wavelengths[0] <= wavelength_nm <= wavelengths[-1]:
             return False
         return float(np.interp(wavelength_nm, wavelengths, levels)) >= max(levels) - 3.0
@@ -197,17 +232,14 @@ class OdnTopology:
             length = getattr(self, name)
             if not math.isfinite(length) or length < 0.0:
                 raise ValueError(f"{name}: must be finite and >= 0, got {length}")
-        table = tuple((float(w), float(a)) for w, a in self.attenuation_db_per_km)
-        if not table:
+        wavelengths, values = finite_pairs(self.attenuation_db_per_km, "attenuation_db_per_km")
+        if not wavelengths:
             raise ValueError("attenuation_db_per_km: must not be empty")
-        if not all(math.isfinite(w) and math.isfinite(a) for w, a in table):
-            raise ValueError("attenuation_db_per_km: must hold finite numbers")
-        wavelengths = [w for w, _ in table]
-        if sorted(wavelengths) != wavelengths or len(set(wavelengths)) != len(wavelengths):
+        if sorted(wavelengths) != list(wavelengths) or len(set(wavelengths)) != len(wavelengths):
             raise ValueError("attenuation_db_per_km: must be sorted, with no repeated wavelength")
-        if any(a <= 0.0 for _, a in table):
+        if min(values) <= 0.0:
             raise ValueError("attenuation_db_per_km: values must be positive")
-        object.__setattr__(self, "attenuation_db_per_km", table)
+        object.__setattr__(self, "attenuation_db_per_km", tuple(zip(wavelengths, values)))
 
     def element_loss_db(self, name: str, wavelength_nm: float) -> float:
         if name in ("feeder_down", "feeder_up", "drop"):

@@ -149,6 +149,7 @@ MALFORMED = [
     (("raman", "temperature_k"), 2.5, "raman.profile"),
     (("topology", "drop_km"), -1, "topology.drop_km"),
     (("topology", "port_count"), 12, "topology.port_count"),
+    (("topology", "port_count"), 2**1100, "topology.port_count"),
     (("transmitter", "symbol_rate_hz"), 0.5, "transmitter.symbol_rate_hz"),
     (("detector", "dark_rate_hz"), -1, "detector.dark_rate_hz"),
     (("detector", "monitored_ports"), "three", "detector.monitored_ports"),

@@ -16,6 +16,7 @@ from ponqkd.topology import (
     gaussian_transmission_table,
     path_loss_db,
 )
+from ponqkd.raman import RamanProfile
 from ponqkd.runner import run_scenario, run_sweep
 from ponqkd.scenario import parse_scenario
 from ponqkd.scenarios import bundled_scenario
@@ -60,6 +61,33 @@ def test_span_validation():
         OdnTopology(attenuation_db_per_km=((1550.0, 0.21), (1310.0, 0.37)))
     with pytest.raises(ValueError):
         OdnTopology(attenuation_db_per_km=((1310.0, 0.0),))
+
+
+# each builds a valid table with ``entry`` in one place; a number there would pass
+TABLE_BUILDS = {
+    "attenuation_db_per_km": lambda entry: OdnTopology(
+        attenuation_db_per_km=((1260.0, entry), (1625.0, 0.24))
+    ),
+    "transmission_db": lambda entry: FilterProfile(
+        transmission_db=((1309.0, -3.0), (1310.0, entry), (1311.0, -3.0))
+    ),
+    "shifts_thz": lambda entry: RamanProfile((-1.0, entry), (0.1, 0.1)),
+    "coefficients": lambda entry: RamanProfile((-1.0, 1.0), (entry, 0.1)),
+}
+
+
+@pytest.mark.parametrize("entry", [True, "0.42"])
+@pytest.mark.parametrize("field", list(TABLE_BUILDS))
+def test_table_entries_follow_the_number_rule_when_built_directly(field, entry):
+    TABLE_BUILDS[field](0.42)
+    with pytest.raises(ValueError, match=f"^{field}: expected a list of"):
+        TABLE_BUILDS[field](entry)
+
+
+def test_splitter_port_count_must_fit_in_a_float():
+    assert Splitter(port_count=2**1023).loss_db == pytest.approx(1023 * 10.0 * math.log10(2.0))
+    with pytest.raises(ValueError, match="^port_count: must fit in a float"):
+        Splitter(port_count=2**1024)
 
 
 def test_splitter_loss():
