@@ -33,13 +33,17 @@ def _load_config(ref: str) -> dict:
     if ref in bundled_names():
         return bundled_scenario(ref)
     try:
-        with open(ref) as handle:
+        with open(ref, encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError:
+    except OSError:  # no such file, a directory, no permission
         raise ConfigError(
             [f"--config: {ref!r} is neither a bundled scenario nor a readable file"]
         )
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"--config: {ref}: not UTF-8 text ({exc})"])
+    except RecursionError:
+        raise ConfigError([f"--config: {ref}: invalid JSON (nested too deeply)"])
+    except ValueError as exc:  # json.JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError([f"--config: {ref}: invalid JSON ({exc})"])
 
 

@@ -165,7 +165,7 @@ def run_scenario(
                 [
                     f"run.duration_s: {duration_s!r} s of Monte Carlo needs about "
                     f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
-                    "of physical memory"
+                    "of memory this process may use"
                 ]
             )
         stream = simulate_timetags(
@@ -194,11 +194,50 @@ def run_scenario(
 
 
 def _physical_memory_bytes() -> float:
-    """The machine's physical memory; infinite where the OS does not say."""
+    """The machine's physical memory or this process's cgroup memory limit,
+    whichever is smaller; infinite where neither is known."""
     try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+        memory = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        memory = math.inf
+    return min(memory, _cgroup_memory_limit_bytes())
+
+
+_CGROUP_FILE = "/proc/self/cgroup"
+_CGROUP_MOUNT = "/sys/fs/cgroup"
+
+
+def _cgroup_memory_limit_bytes() -> float:
+    """The memory limit of this process's own cgroup, infinite if none.
+
+    ``/proc/self/cgroup`` names the cgroup: a v2 line ``0::/path`` gives
+    ``<mount>/path/memory.max``, a v1 line with the ``memory`` controller
+    ``<mount>/memory/path/memory.limit_in_bytes``.  ``max``, or a file that
+    cannot be read or parsed, is no limit; v1's "unlimited" is a number
+    above any machine's memory.
+    """
+    try:
+        with open(_CGROUP_FILE) as handle:
+            lines = handle.read().splitlines()
+    except OSError:
         return math.inf
+    limit = math.inf
+    for line in lines:
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        path = path.lstrip("/")
+        if hierarchy == "0" and not controllers:
+            name = os.path.join(_CGROUP_MOUNT, path, "memory.max")
+        elif "memory" in controllers.split(","):
+            name = os.path.join(_CGROUP_MOUNT, "memory", path, "memory.limit_in_bytes")
+        else:
+            continue
+        try:
+            with open(name) as handle:
+                limit = min(limit, float(int(handle.read())))
+        except (OSError, ValueError):  # unreadable, or "max"
+            pass
+    return limit
 
 
 def _usable_cpus() -> int:

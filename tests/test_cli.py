@@ -424,6 +424,36 @@ def test_invalid_json_exits_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+UNREADABLE = [
+    # json.load raises ValueError for an integer literal of over 4300 digits
+    ("long-integer", "integer", "invalid JSON"),
+    ("utf-16-bytes", "bytes", "not UTF-8 text"),
+    ("directory", "directory", "neither a bundled scenario nor a readable file"),
+    ("deep-nesting", "nesting", "invalid JSON (nested too deeply)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, message", [row[1:] for row in UNREADABLE], ids=[row[0] for row in UNREADABLE]
+)
+@pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+def test_unreadable_config_file_exits_config_from_every_verb(tmp_path, capsys, verb, kind, message):
+    path = tmp_path / "config.json"
+    if kind == "integer":
+        text = json.dumps(bundled_scenario("odn-split-sweep"))
+        path.write_text(text.replace('"port_count": 16', '"port_count": 1' + "0" * 5000))
+        assert "0" * 5000 in path.read_text()
+    elif kind == "bytes":
+        path.write_bytes(json.dumps(bundled_scenario("odn-split-sweep")).encode("utf-16"))
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([verb, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --config:") and message in err
+
+
 def test_sweep_explicit_axis_and_values(capsys):
     rc = main(
         [

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -105,6 +106,46 @@ def test_monte_carlo_draw_is_bounded_by_physical_memory(monkeypatch, capsys):
     with pytest.raises(Drawn):
         run_scenario(scn, mode="monte_carlo", duration_s=30.0)
     assert len(calls) == 1
+
+
+GIB = 2**30
+UNLIMITED_V1 = "9223372036854771712\n"  # what cgroup v1 reads without a limit
+
+
+@pytest.mark.parametrize(
+    "cgroup, files, limit",
+    [
+        ("0::/jobs/a\n", {"jobs/a/memory.max": "1073741824\n"}, GIB),
+        ("0::/jobs/a\n", {"jobs/a/memory.max": "max\n"}, math.inf),
+        ("0::/\n", {}, math.inf),  # the root has no memory.max
+        (
+            "5:cpu,cpuacct:/c\n4:memory:/docker/c\n0::/\n",
+            {"memory/docker/c/memory.limit_in_bytes": "536870912\n"},
+            GIB / 2,
+        ),
+        ("4:memory:/docker/c\n", {"memory/docker/c/memory.limit_in_bytes": UNLIMITED_V1}, None),
+        ("4:memory:/docker/c\n", {"memory/other/memory.limit_in_bytes": "536870912\n"}, math.inf),
+        (None, {"memory.max": "1073741824\n"}, math.inf),  # no /proc/self/cgroup
+    ],
+    ids=["v2", "v2-max", "v2-root", "v1-hybrid", "v1-unlimited", "v1-elsewhere", "no-cgroup-file"],
+)
+def test_memory_bound_respects_the_cgroup_limit(tmp_path, monkeypatch, cgroup, files, limit):
+    physical = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    mount = tmp_path / "sys" / "fs" / "cgroup"
+    for name, text in files.items():
+        (mount / name).parent.mkdir(parents=True, exist_ok=True)
+        (mount / name).write_text(text)
+    own = tmp_path / "proc" / "self" / "cgroup"
+    own.parent.mkdir(parents=True)
+    if cgroup is not None:
+        own.write_text(cgroup)
+    monkeypatch.setattr(runner, "_CGROUP_FILE", str(own))
+    monkeypatch.setattr(runner, "_CGROUP_MOUNT", str(mount))
+    if limit is None:  # v1's "unlimited" is a number larger than any memory
+        assert runner._cgroup_memory_limit_bytes() > 2.0**62
+    else:
+        assert runner._cgroup_memory_limit_bytes() == limit
+    assert runner._physical_memory_bytes() == min(physical, runner._cgroup_memory_limit_bytes())
 
 
 @pytest.mark.parametrize(

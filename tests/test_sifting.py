@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ponqkd.dpslink import DetectorModel, TimeTagStream, TransmitterConfig, simulate_timetags
 from ponqkd.runner import run_scenario
@@ -183,6 +184,52 @@ def test_gate_equals_the_boolean_mask_reference(mc_streams, gate):
         assert_same_stream(once, reference_apply_gate(stream, gate))
         # a second pass adds to the rejected count the first one left
         assert_same_stream(apply_gate(once, gate), reference_apply_gate(once, gate))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.sampled_from([1e9, 1.25e9, 1.0]),
+    phase_slots=st.floats(-0.5, 0.5, exclude_max=True),
+    gate_fraction=st.sampled_from([0.01, 0.3, 0.5, 0.75, 0.999]),
+    span_s=st.sampled_from([1e-6, 1.0, 30.0, 1e7, 1e15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gate_equals_the_reference_within_ulps_of_every_edge(
+    rate, phase_slots, gate_fraction, span_s, seed
+):
+    # tags a few ulps either side of both edges of random slots up to span_s;
+    # at 1e15 s the fraction t/T has no bits left below the slot
+    period = 1.0 / rate
+    phase = phase_slots * period
+    rng = np.random.default_rng(seed)
+    slots = np.floor(rng.random(16) * (span_s / period))
+    edges = np.concatenate(
+        [(slots + 0.5 + side * gate_fraction / 2.0) * period + phase for side in (-1.0, 1.0)]
+    )
+    times = [edges]
+    for _ in range(3):
+        times = [np.nextafter(times[0], -np.inf), *times, np.nextafter(times[-1], np.inf)]
+    stream = make_stream(np.concatenate(times + [[span_s]]), rate=rate, duration=span_s)
+    gate = GateConfig(gate_fraction=gate_fraction, slot_phase_s=phase)
+    assert_same_stream(apply_gate(stream, gate), reference_apply_gate(stream, gate))
+
+
+def test_auto_phase_gate_at_bench_scale_equals_the_reference():
+    # 30 s of auto-phase pon-us-20, as the mc-run benchmark workload runs it
+    raw = bundled_scenario("pon-us-20")
+    raw["gate"]["slot_phase_s"] = "auto"
+    scn = parse_scenario(raw)
+    noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
+    stream = simulate_timetags(
+        scn.transmitter, scn.quantum_path_loss_db, scn.detector, noise, 30.0, scn.run.seed
+    )
+    gate = scn.gate
+    assert gate.slot_phase_s is None
+    assert stream.times_s.max() * stream.symbol_rate_hz > 2.9e10
+    period = 1.0 / stream.symbol_rate_hz
+    got = estimate_slot_phase(stream.times_s, period)
+    assert abs(got - reference_estimate_slot_phase(stream.times_s, period)) <= 1e-7 * period
+    assert_same_stream(apply_gate(stream, gate), reference_apply_gate(stream, gate))
 
 
 @pytest.mark.parametrize(
