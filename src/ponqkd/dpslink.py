@@ -267,10 +267,13 @@ def _truth_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
     For two values numpy's bounded uint8 draw keeps the top bit of each
     byte of the generator's 64-bit outputs, low byte first, and never
     rejects one; reading those bits is several times faster and gives the
-    same pattern.
+    same pattern.  The bytes are shifted in place, so the pattern is a view
+    of the raw draw.
     """
     raw = rng.bit_generator.random_raw((n + 7) // 8).astype("<u8", copy=False)
-    return raw.view(np.uint8)[:n] >> 7
+    bits = raw.view(np.uint8)[:n]
+    bits >>= 7
+    return bits
 
 
 @dataclass
@@ -336,6 +339,62 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
 # event than the sequential rule, so the rest finish one cluster at a time
 _SERIAL_CLUSTERS = 64
 
+# a one-port pass merges its afterpulse candidates into the sorted primaries
+# while they number at most this share of the primaries.  The merge is faster
+# at every share while candidates land a step or two past their parents; on
+# a saturated detector, where they land many primaries later, the two routes
+# cross at about this share and one sort of the whole timeline wins above it
+_MERGE_SHARE = 0.5
+
+# forward steps a candidate takes from its parent before a binary search
+# places it among the primaries
+_MERGE_STEPS = 2
+
+
+def _merged_timeline(
+    times: np.ndarray,
+    origins: np.ndarray,
+    ap_times: np.ndarray,
+    parent: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One port's timeline: the candidates merged into the sorted primaries.
+
+    The timeline is the stable sort of the primaries followed by the
+    candidates, so at equal times the primaries come first and candidates
+    keep their input order.  Only the candidates are sorted; each is placed
+    after the primaries at or before it, found a few steps forward from its
+    parent (always one of them) or by a binary search.  Returns the times
+    and origins on the timeline and each candidate's place and its parent's.
+    """
+    n, m = len(times), len(ap_times)
+    order = np.argsort(ap_times, kind="stable")
+    ap_times, parent = ap_times[order], parent[order]
+    del order
+    # ``before[k]``: the primaries at or before candidate k, counted up from
+    # its parent's; a candidate still walking after the steps (always one
+    # past the last primary) is searched
+    before = parent + 1
+    walk = np.flatnonzero(times[np.minimum(before, n - 1)] <= ap_times)
+    for _ in range(_MERGE_STEPS - 1):
+        before[walk] += 1
+        at = before[walk]
+        walk = walk[times[np.minimum(at, n - 1)] <= ap_times[walk]]
+    before[walk] = np.searchsorted(times, ap_times[walk], side="right")
+    ap_at = before + np.arange(m)
+    del before
+    primary = np.ones(n + m, dtype=bool)
+    primary[ap_at] = False
+    prim_at = np.flatnonzero(primary)
+    del primary
+    parent_at = prim_at[parent]
+    del parent
+    ts = np.empty(n + m)
+    ts[ap_at] = ap_times
+    ts[prim_at] = times
+    origin = np.full(n + m, ORIGIN_AFTERPULSE, dtype=np.uint8)
+    origin[prim_at] = origins
+    return ts, origin, ap_at, parent_at
+
 
 def _dead_time_pass(
     times: np.ndarray,
@@ -359,16 +418,20 @@ def _dead_time_pass(
     registered (times, ports, origins) in time order; at equal times the
     primaries come first in input order, then afterpulses by port.
 
-    One stable sort of primaries followed by candidates lays out one
-    timeline per port with primaries first at equal times.  An event with
-    no other event within the dead time on either side is lone: a lone
-    primary registers, a lone candidate exactly when its parent does.  The
-    rest form clusters, runs of events closer together than the dead time.
-    Each lockstep round decides the next event of every open cluster at
-    once; a candidate whose parent (always earlier) is still undecided
-    waits a round.  Once fewer than ``_SERIAL_CLUSTERS`` clusters are open,
-    they finish one at a time in timeline order, jumping from each
-    registered click straight past the events its dead time blocks.
+    The primaries and candidates are laid out on one timeline per port,
+    primaries first at equal times.  On one port, when the candidates number
+    at most ``_MERGE_SHARE`` of the primaries, they are sorted alone and
+    merged into the primaries (:func:`_merged_timeline`); otherwise, and on
+    two ports, one stable sort of all events lays the timeline out and its
+    inverse gives each event's place.  An event with no other event within
+    the dead time on either side is lone: a lone primary registers, a lone
+    candidate exactly when its parent does.  The rest form clusters, runs
+    of events closer together than the dead time.  Each lockstep round
+    decides the next event of every open cluster at once; a candidate whose
+    parent (always earlier) is still undecided waits a round.  Once fewer
+    than ``_SERIAL_CLUSTERS`` clusters are open, they finish one at a time
+    in timeline order, jumping from each registered click straight past the
+    events its dead time blocks.
     """
     n = len(times)
     parent = np.flatnonzero(fires)
@@ -377,33 +440,40 @@ def _dead_time_pass(
     parent, ap_times = parent[inside], ap_times[inside]
     del inside
     n_ap = len(ap_times)
-    two_ports = n > 0 and ports.min() != ports.max()
-    if two_ports:
-        # the output order at equal times; on one port such candidates are
-        # interchangeable, so they need no order there
-        ap_ports = ports[parent]
-        order = np.lexsort((ap_ports, ap_times))
-        parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
-        port = np.concatenate([ports, ap_ports])
-        del ap_ports
-
-    t = np.concatenate([times, ap_times])
-    del ap_times
-    size = len(t)
+    size = n + n_ap
     index = np.int32 if size < 2**31 else np.int64
-    if two_ports:
-        order = np.lexsort((t, port)).astype(index)
+    two_ports = n > 0 and ports.min() != ports.max()
+    if not two_ports and n_ap <= _MERGE_SHARE * n:
+        ts, origin, ap_at, parent_at = _merged_timeline(times, origins, ap_times, parent)
+        del ap_times, parent
     else:
-        order = np.argsort(t, kind="stable").astype(index)
-    inv = np.empty(size, dtype=index)
-    inv[order] = np.arange(size, dtype=index)
-    ap_at = inv[n:]  # timeline place of each candidate, and of its parent
-    parent_at = inv[parent]
-    del inv, parent
+        if two_ports:
+            # the output order at equal times; on one port such candidates
+            # are interchangeable, so they need no order there
+            ap_ports = ports[parent]
+            order = np.lexsort((ap_ports, ap_times))
+            parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
+            port = np.concatenate([ports, ap_ports])
+            del ap_ports
+        t = np.concatenate([times, ap_times])
+        del ap_times
+        if two_ports:
+            order = np.lexsort((t, port)).astype(index)
+        else:
+            order = np.argsort(t, kind="stable").astype(index)
+        inv = np.empty(size, dtype=index)
+        inv[order] = np.arange(size, dtype=index)
+        ap_at = inv[n:]  # timeline place of each candidate, and of its parent
+        parent_at = inv[parent]
+        del parent
+        ts = t[order]
+        if not two_ports:
+            # the one-port output is read from the timeline itself
+            origin = np.full(size, ORIGIN_AFTERPULSE, dtype=np.uint8)
+            origin[inv[:n]] = origins
+            del t, order
+        del inv
 
-    ts = t[order]
-    if not two_ports:
-        del t  # the one-port output is read from the timeline itself
     # event k + 1 arrives inside the dead time event k would start (the
     # comparison the sequential rule makes, so rounding agrees)
     close = ts[1:] < ts[:-1] + dead_time_s
@@ -474,21 +544,23 @@ def _dead_time_pass(
 
     keep = np.flatnonzero(registered)
     del registered
-    sel = order[keep]
-    del order
-    origin = np.concatenate([origins, np.full(n_ap, ORIGIN_AFTERPULSE, dtype=np.uint8)])
     if two_ports:
+        sel = order[keep]
+        del order
+        origin = np.concatenate([origins, np.full(n_ap, ORIGIN_AFTERPULSE, dtype=np.uint8)])
         sel.sort()
         sel = sel[np.argsort(t[sel], kind="stable")]
         return t[sel], port[sel], origin[sel]
     same_port = np.full(len(keep), ports[0] if n else 0, dtype=ports.dtype)
-    return ts[keep], same_port, origin[sel]
+    return ts[keep], same_port, origin[keep]
 
 
 # peak bytes simulate_timetags holds per event of expected_events(): the
-# largest tracemalloc peak over 2 s runs on one and both ports, 6-20 dB,
-# afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 61 bytes
-# per event (runs of 1.4e5-9.7e5 events, the 2 MiB truth pattern included)
+# largest tracemalloc peak over 2 s and 6 s runs on one and both ports, 6-20
+# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 63.3
+# bytes per event among runs of 1e5 events or more (both ports, 20 dB, 1.6e6
+# events; one port at most 59.5).  Smaller runs exceed it through the fixed
+# 1 MiB truth pattern, by well under 1 MiB (111 bytes per event at 1.3e4)
 MC_BYTES_PER_EVENT = 64
 
 
@@ -556,42 +628,50 @@ def simulate_timetags(
     slots = rng_sig.integers(0, n_symbols, size=n_detected, dtype=np.int64)
     # constructive port for bit 0, destructive for bit 1; wrong port with
     # probability (1 - V)/2
-    wrong = rng_sig.random(n_detected) < tx.intrinsic_error
-    sig_ports = (truth_bits[pattern_index(slots, pattern_period)] ^ wrong).astype(np.uint8)
-    del wrong
     u = rng_sig.random(n_detected)
+    sig_ports = truth_bits[pattern_index(slots, pattern_period)]
+    sig_ports ^= u < tx.intrinsic_error
+    rng_sig.random(out=u)  # the carve-window jitter, drawn into the same buffer
     if one_port:
         # the destructive port's detections are drawn, then dropped unused
         keep = np.flatnonzero(sig_ports == PORT_CONSTRUCTIVE)
         slots, u = slots[keep], u[keep]
-        del keep
-    jitter = (u - 0.5) * tx.carve_duty * period_s
-    sig_times = (slots.astype(np.float64) + 0.5) * period_s + jitter
-    del slots, u, jitter
+        del keep, sig_ports
+    n_sig = len(slots)
 
     rng_bg = np.random.default_rng(ss_background)
     n_det = det.detector_count  # dark/noise rates are per detector
     n_dark = rng_bg.poisson(n_det * det.dark_rate_hz * duration_s)
     n_raman = rng_bg.poisson(n_det * noise_rate * duration_s)
-    bg_times = rng_bg.random(n_dark + n_raman) * duration_s
 
-    times = np.concatenate([sig_times, bg_times])
-    origins = np.concatenate(
-        [
-            np.full(len(sig_times), ORIGIN_SIGNAL, dtype=np.uint8),
-            np.full(n_dark, ORIGIN_DARK, dtype=np.uint8),
-            np.full(n_raman, ORIGIN_RAMAN, dtype=np.uint8),
-        ]
-    )
-    del sig_times, bg_times
+    # signal times (slot centre plus jitter), then the background's uniform
+    # ones, computed in place in the order of (slot + 0.5) * T + (u - 0.5) * d * T
+    times = np.empty(n_sig + n_dark + n_raman)
+    sig_times = times[:n_sig]
+    sig_times[:] = slots
+    del slots
+    sig_times += 0.5
+    sig_times *= period_s
+    u -= 0.5
+    u *= tx.carve_duty
+    u *= period_s
+    sig_times += u
+    del sig_times, u
+    bg_times = times[n_sig:]
+    rng_bg.random(out=bg_times)
+    bg_times *= duration_s
+    del bg_times
+    origins = np.empty(len(times), dtype=np.uint8)
+    origins[:n_sig] = ORIGIN_SIGNAL
+    origins[n_sig : n_sig + n_dark] = ORIGIN_DARK
+    origins[n_sig + n_dark :] = ORIGIN_RAMAN
     if one_port:
         times, origins = _time_order(times, origins)
         ports = np.zeros(len(times), dtype=np.uint8)
     else:
         bg_ports = rng_bg.integers(0, 2, size=n_dark + n_raman, dtype=np.uint8)
         times, ports, origins = _time_order(times, np.concatenate([sig_ports, bg_ports]), origins)
-        del bg_ports
-    del sig_ports
+        del sig_ports, bg_ports
 
     signal_in, background_in = _arrival_rates(tx, loss_budget_db, det, noise_rate)
     p_eff = _saturation_fixed_point(signal_in + background_in, det)[4]

@@ -208,13 +208,14 @@ _CGROUP_MOUNT = "/sys/fs/cgroup"
 
 
 def _cgroup_memory_limit_bytes() -> float:
-    """The memory limit of this process's own cgroup, infinite if none.
+    """The memory limit of this process's cgroup, infinite if none.
 
     ``/proc/self/cgroup`` names the cgroup: a v2 line ``0::/path`` gives
     ``<mount>/path/memory.max``, a v1 line with the ``memory`` controller
-    ``<mount>/memory/path/memory.limit_in_bytes``.  ``max``, or a file that
-    cannot be read or parsed, is no limit; v1's "unlimited" is a number
-    above any machine's memory.
+    ``<mount>/memory/path/memory.limit_in_bytes``.  Every ancestor's limit
+    holds too, so the smallest one from the cgroup up to the mount counts.
+    ``max``, or a file that cannot be read or parsed, is no limit; v1's
+    "unlimited" is a number above any machine's memory.
     """
     try:
         with open(_CGROUP_FILE) as handle:
@@ -225,18 +226,19 @@ def _cgroup_memory_limit_bytes() -> float:
     for line in lines:
         hierarchy, _, rest = line.partition(":")
         controllers, _, path = rest.partition(":")
-        path = path.lstrip("/")
         if hierarchy == "0" and not controllers:
-            name = os.path.join(_CGROUP_MOUNT, path, "memory.max")
+            root, leaf = _CGROUP_MOUNT, "memory.max"
         elif "memory" in controllers.split(","):
-            name = os.path.join(_CGROUP_MOUNT, "memory", path, "memory.limit_in_bytes")
+            root, leaf = os.path.join(_CGROUP_MOUNT, "memory"), "memory.limit_in_bytes"
         else:
             continue
-        try:
-            with open(name) as handle:
-                limit = min(limit, float(int(handle.read())))
-        except (OSError, ValueError):  # unreadable, or "max"
-            pass
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(root, *parts[:depth], leaf)) as handle:
+                    limit = min(limit, float(int(handle.read())))
+            except (OSError, ValueError):  # unreadable, or "max"
+                pass
     return limit
 
 

@@ -149,11 +149,11 @@ def sift_and_score(stream: TimeTagStream) -> QberReport:
     times = stream.times_s
     slots = np.floor(times * stream.symbol_rate_hz).astype(np.int64)
     truth_at_tag = stream.truth_bits[pattern_index(slots, stream.pattern_period)]
-    if stream.monitored_ports == "one":
-        decoded = np.zeros(len(times), dtype=np.uint8)
+    if stream.monitored_ports == "one":  # every click decodes bit 0
+        errors = int(np.count_nonzero(truth_at_tag))
     else:
         decoded = (stream.ports != PORT_CONSTRUCTIVE).astype(np.uint8)
-    errors = int(np.count_nonzero(decoded != truth_at_tag))
+        errors = int(np.count_nonzero(decoded != truth_at_tag))
     sifted = len(times)
     return QberReport(
         qber=errors / sifted if sifted else 0.0,

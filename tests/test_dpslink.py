@@ -452,11 +452,80 @@ def test_dead_time_pass_around_the_serial_threshold(n_clusters, two_ports):
     assert_pass_matches_reference(*case)
 
 
+def count_merges(monkeypatch):
+    """Calls of the one-port merge route, counted as the pass makes them."""
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return merged_timeline(*args)
+
+    merged_timeline = dpslink._merged_timeline
+    monkeypatch.setattr(dpslink, "_merged_timeline", spy)
+    return calls
+
+
+def share_case(n_ap):
+    """2000 one-port primaries at about two per dead time, ``n_ap`` of them
+    firing candidates that all land inside the run.
+
+    Times lie on the binary grid of ``tie_case``, so candidates land exactly
+    on primaries one, two or more places past their parents.
+    """
+    rng = np.random.default_rng(n_ap)
+    tick, n, span = 2.0**-20, 2000, 8000
+    times = np.sort(rng.integers(0, span, size=n)) * tick
+    fires = np.zeros(n, dtype=bool)
+    fires[rng.choice(np.flatnonzero(times < (span - 64) * tick), size=n_ap, replace=False)] = True
+    delays = rng.integers(0, 4, size=n_ap) * tick
+    origins = rng.integers(0, 3, size=n, dtype=np.uint8)
+    return times, np.zeros(n, dtype=np.uint8), origins, fires, delays, 8 * tick, span * tick
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_dead_time_pass_around_the_merge_share(monkeypatch, offset):
+    # up to _MERGE_SHARE of the primaries, the candidates are merged into
+    # them; one more takes the sort of the whole timeline
+    n_ap = int(dpslink._MERGE_SHARE * 2000) + offset
+    case = share_case(n_ap)
+    times, fires, delays, tau = case[0], case[3], case[4], case[5]
+    assert count_clusters(*case[:2], *case[3:]) > 100
+    assert np.count_nonzero(np.isin(times[fires] + tau + delays, times)) > 100
+    calls = count_merges(monkeypatch)
+    assert_pass_matches_reference(*case)
+    assert calls == ([] if offset > 0 else [n_ap])
+
+
+def test_dead_time_pass_merges_candidates_far_past_their_parents(monkeypatch):
+    # a long afterpulse delay at a high primary rate: most candidates land
+    # _MERGE_STEPS or more primaries after their parent, so the binary
+    # search places them; the rest are placed by the forward steps
+    captured = []
+
+    def spy(*args):
+        captured.append(args)
+        return _dead_time_pass(*args)
+
+    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    det = DetectorModel(afterpulse_probability=1e-3, afterpulse_decay_s=1e-4)
+    simulate_timetags(TransmitterConfig(), 6.0, det, 2500.0, 0.3, seed=17)
+    ((times, ports, origins, fires, delays, tau, duration),) = captured
+    parent = np.flatnonzero(fires)
+    ap_times = times[parent] + tau + delays
+    inside = ap_times < duration
+    steps = np.searchsorted(times, ap_times[inside], side="right") - parent[inside] - 1
+    assert 1000 < np.count_nonzero(steps >= dpslink._MERGE_STEPS) < len(steps)
+    calls = count_merges(monkeypatch)
+    assert_pass_matches_reference(times, ports, origins, fires, delays, tau, duration)
+    assert calls == [len(steps)]
+
+
 # sha256 over the bytes of times_s, ports and origins; a change to the draw
 # order, the afterpulse law or the dead-time rules moves these
 STREAM_PINS = {
     "pon-us-20": "bcdaead098a0bef7e39f10a3c12eaa47fce51e485b0154008914f3ab2926e520",
     "both-ports-10dB-ap1": "9f9091f4c13ade521bf98bd0820b6ed678a607a64074b8c4cc05d7f74872b87d",
+    "both-ports-10dB-v0.9": "ff7d298cd69c40d822521943758b7d5fe780f50223d099ddfff80efc6ffa2d3e",
     "one-port-10dB": "908010b6638225a5d733e9e2a34e7c1b831a3705ebb45c601de3b40a673be69f",
 }
 
@@ -476,6 +545,10 @@ def pinned_stream(name):
     if name == "both-ports-10dB-ap1":
         det = DetectorModel(monitored_ports="both", afterpulse_probability=1.0)
         return simulate_timetags(TransmitterConfig(), 10.0, det, 2500.0, 0.2, seed=11)
+    if name == "both-ports-10dB-v0.9":
+        # wrong-port draws come true only below visibility 1
+        det = DetectorModel(monitored_ports="both")
+        return simulate_timetags(TransmitterConfig(visibility=0.9), 10.0, det, 2500.0, 0.2, seed=19)
     return simulate_timetags(TransmitterConfig(), 10.0, DetectorModel(), 2500.0, 0.2, seed=13)
 
 

@@ -126,8 +126,34 @@ UNLIMITED_V1 = "9223372036854771712\n"  # what cgroup v1 reads without a limit
         ("4:memory:/docker/c\n", {"memory/docker/c/memory.limit_in_bytes": UNLIMITED_V1}, None),
         ("4:memory:/docker/c\n", {"memory/other/memory.limit_in_bytes": "536870912\n"}, math.inf),
         (None, {"memory.max": "1073741824\n"}, math.inf),  # no /proc/self/cgroup
+        # every ancestor's limit holds too: the smallest one on the way up counts
+        ("0::/jobs/a\n", {"jobs/memory.max": "1073741824\n", "jobs/a/memory.max": "max\n"}, GIB),
+        (
+            "0::/jobs/a/b\n",
+            {"jobs/memory.max": "1073741824\n", "jobs/a/b/memory.max": "2147483648\n"},
+            GIB,
+        ),
+        (
+            "4:memory:/docker/c\n",
+            {
+                "memory/docker/memory.limit_in_bytes": "536870912\n",
+                "memory/docker/c/memory.limit_in_bytes": UNLIMITED_V1,
+            },
+            GIB / 2,
+        ),
     ],
-    ids=["v2", "v2-max", "v2-root", "v1-hybrid", "v1-unlimited", "v1-elsewhere", "no-cgroup-file"],
+    ids=[
+        "v2",
+        "v2-max",
+        "v2-root",
+        "v1-hybrid",
+        "v1-unlimited",
+        "v1-elsewhere",
+        "no-cgroup-file",
+        "v2-ancestor",
+        "v2-ancestor-below-leaf",
+        "v1-ancestor",
+    ],
 )
 def test_memory_bound_respects_the_cgroup_limit(tmp_path, monkeypatch, cgroup, files, limit):
     physical = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
