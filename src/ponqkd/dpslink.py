@@ -339,18 +339,6 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
 # event than the sequential rule, so the rest finish one cluster at a time
 _SERIAL_CLUSTERS = 64
 
-# a one-port pass merges its afterpulse candidates into the sorted primaries
-# while they number at most this share of the primaries.  The merge is faster
-# at every share while candidates land a step or two past their parents; on
-# a saturated detector, where they land many primaries later, the two routes
-# cross at about this share and one sort of the whole timeline wins above it
-_MERGE_SHARE = 0.5
-
-# forward steps a candidate takes from its parent before a binary search
-# places it among the primaries
-_MERGE_STEPS = 2
-
-
 def _merged_timeline(
     times: np.ndarray,
     origins: np.ndarray,
@@ -371,14 +359,13 @@ def _merged_timeline(
     ap_times, parent = ap_times[order], parent[order]
     del order
     # ``before[k]``: the primaries at or before candidate k, counted up from
-    # its parent's; a candidate still walking after the steps (always one
-    # past the last primary) is searched
+    # its parent's by two steps; a candidate still walking after them (always
+    # one past the last primary) is searched.  Most candidates of an
+    # unsaturated run stop within the steps, which cost less than the search
     before = parent + 1
     walk = np.flatnonzero(times[np.minimum(before, n - 1)] <= ap_times)
-    for _ in range(_MERGE_STEPS - 1):
-        before[walk] += 1
-        at = before[walk]
-        walk = walk[times[np.minimum(at, n - 1)] <= ap_times[walk]]
+    before[walk] += 1
+    walk = walk[times[np.minimum(before[walk], n - 1)] <= ap_times[walk]]
     before[walk] = np.searchsorted(times, ap_times[walk], side="right")
     ap_at = before + np.arange(m)
     del before
@@ -419,10 +406,9 @@ def _dead_time_pass(
     primaries come first in input order, then afterpulses by port.
 
     The primaries and candidates are laid out on one timeline per port,
-    primaries first at equal times.  On one port, when the candidates number
-    at most ``_MERGE_SHARE`` of the primaries, they are sorted alone and
-    merged into the primaries (:func:`_merged_timeline`); otherwise, and on
-    two ports, one stable sort of all events lays the timeline out and its
+    primaries first at equal times.  On one port the candidates are sorted
+    alone and merged into the primaries (:func:`_merged_timeline`); on two
+    ports one stable sort of all events lays the timeline out and its
     inverse gives each event's place.  An event with no other event within
     the dead time on either side is lone: a lone primary registers, a lone
     candidate exactly when its parent does.  The rest form clusters, runs
@@ -443,36 +429,25 @@ def _dead_time_pass(
     size = n + n_ap
     index = np.int32 if size < 2**31 else np.int64
     two_ports = n > 0 and ports.min() != ports.max()
-    if not two_ports and n_ap <= _MERGE_SHARE * n:
+    if not two_ports:
         ts, origin, ap_at, parent_at = _merged_timeline(times, origins, ap_times, parent)
         del ap_times, parent
     else:
-        if two_ports:
-            # the output order at equal times; on one port such candidates
-            # are interchangeable, so they need no order there
-            ap_ports = ports[parent]
-            order = np.lexsort((ap_ports, ap_times))
-            parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
-            port = np.concatenate([ports, ap_ports])
-            del ap_ports
+        # the output order at equal times: afterpulses by port
+        ap_ports = ports[parent]
+        order = np.lexsort((ap_ports, ap_times))
+        parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
+        port = np.concatenate([ports, ap_ports])
+        del ap_ports
         t = np.concatenate([times, ap_times])
         del ap_times
-        if two_ports:
-            order = np.lexsort((t, port)).astype(index)
-        else:
-            order = np.argsort(t, kind="stable").astype(index)
+        order = np.lexsort((t, port)).astype(index)
         inv = np.empty(size, dtype=index)
         inv[order] = np.arange(size, dtype=index)
         ap_at = inv[n:]  # timeline place of each candidate, and of its parent
         parent_at = inv[parent]
-        del parent
+        del parent, inv
         ts = t[order]
-        if not two_ports:
-            # the one-port output is read from the timeline itself
-            origin = np.full(size, ORIGIN_AFTERPULSE, dtype=np.uint8)
-            origin[inv[:n]] = origins
-            del t, order
-        del inv
 
     # event k + 1 arrives inside the dead time event k would start (the
     # comparison the sequential rule makes, so rounding agrees)
