@@ -339,49 +339,6 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
 # event than the sequential rule, so the rest finish one cluster at a time
 _SERIAL_CLUSTERS = 64
 
-def _merged_timeline(
-    times: np.ndarray,
-    origins: np.ndarray,
-    ap_times: np.ndarray,
-    parent: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One port's timeline: the candidates merged into the sorted primaries.
-
-    The timeline is the stable sort of the primaries followed by the
-    candidates, so at equal times the primaries come first and candidates
-    keep their input order.  Only the candidates are sorted; each is placed
-    after the primaries at or before it, found a few steps forward from its
-    parent (always one of them) or by a binary search.  Returns the times
-    and origins on the timeline and each candidate's place and its parent's.
-    """
-    n, m = len(times), len(ap_times)
-    order = np.argsort(ap_times, kind="stable")
-    ap_times, parent = ap_times[order], parent[order]
-    del order
-    # ``before[k]``: the primaries at or before candidate k, counted up from
-    # its parent's by two steps; a candidate still walking after them (always
-    # one past the last primary) is searched.  Most candidates of an
-    # unsaturated run stop within the steps, which cost less than the search
-    before = parent + 1
-    walk = np.flatnonzero(times[np.minimum(before, n - 1)] <= ap_times)
-    before[walk] += 1
-    walk = walk[times[np.minimum(before[walk], n - 1)] <= ap_times[walk]]
-    before[walk] = np.searchsorted(times, ap_times[walk], side="right")
-    ap_at = before + np.arange(m)
-    del before
-    primary = np.ones(n + m, dtype=bool)
-    primary[ap_at] = False
-    prim_at = np.flatnonzero(primary)
-    del primary
-    parent_at = prim_at[parent]
-    del parent
-    ts = np.empty(n + m)
-    ts[ap_at] = ap_times
-    ts[prim_at] = times
-    origin = np.full(n + m, ORIGIN_AFTERPULSE, dtype=np.uint8)
-    origin[prim_at] = origins
-    return ts, origin, ap_at, parent_at
-
 
 def _dead_time_pass(
     times: np.ndarray,
@@ -406,10 +363,12 @@ def _dead_time_pass(
     primaries come first in input order, then afterpulses by port.
 
     The primaries and candidates are laid out on one timeline per port,
-    primaries first at equal times.  On one port the candidates are sorted
-    alone and merged into the primaries (:func:`_merged_timeline`); on two
-    ports one stable sort of all events lays the timeline out and its
-    inverse gives each event's place.  An event with no other event within
+    primaries first at equal times and candidates in input order among
+    themselves.  On one port only the candidates are sorted, and each is
+    placed after the primaries at or before it, found a step or two forward
+    from its parent (always one of them) or by a binary search; on two ports
+    one stable sort of all events lays the timeline out and its inverse
+    gives each event's place.  An event with no other event within
     the dead time on either side is lone: a lone primary registers, a lone
     candidate exactly when its parent does.  The rest form clusters, runs
     of events closer together than the dead time.  Each lockstep round
@@ -430,8 +389,37 @@ def _dead_time_pass(
     index = np.int32 if size < 2**31 else np.int64
     two_ports = n > 0 and ports.min() != ports.max()
     if not two_ports:
-        ts, origin, ap_at, parent_at = _merged_timeline(times, origins, ap_times, parent)
-        del ap_times, parent
+        # only the candidates are sorted, then merged into the primaries; the
+        # stable sort is the faster one on their nearly sorted times
+        order = np.argsort(ap_times, kind="stable")
+        ap_times, parent = ap_times[order], parent[order]
+        del order
+        # ``ap_at[k]`` first counts the primaries at or before candidate k,
+        # up from its parent's by two steps; a candidate still walking after
+        # them (always one past the last primary) is searched.  Most
+        # candidates of an unsaturated run stop within the steps, which cost
+        # less than the search.  Then it counts the candidates before k
+        ap_at = parent + 1
+        walk = np.flatnonzero(times.take(ap_at, mode="clip") <= ap_times)
+        ap_at[walk] += 1
+        walk = walk[times.take(ap_at[walk], mode="clip") <= ap_times[walk]]
+        ap_at[walk] = np.searchsorted(times, ap_times[walk], side="right")
+        del walk
+        ap_at += np.arange(n_ap)
+        primary = np.ones(size, dtype=bool)
+        primary[ap_at] = False
+        prim_at = np.flatnonzero(primary)
+        del primary
+        parent_at = prim_at[parent]
+        del parent
+        ts = np.empty(size)
+        ts[ap_at] = ap_times
+        del ap_times
+        ts[prim_at] = times
+        # the one-port output is read from the timeline itself
+        origin = np.full(size, ORIGIN_AFTERPULSE, dtype=np.uint8)
+        origin[prim_at] = origins
+        del prim_at
     else:
         # the output order at equal times: afterpulses by port
         ap_ports = ports[parent]
@@ -459,9 +447,6 @@ def _dead_time_pass(
     clustered[:-1] |= close
     pos = np.flatnonzero(clustered).astype(index)
     n_clustered = len(pos)
-    tc = ts[pos]
-    if two_ports:
-        del ts
     head = np.ones(n_clustered, dtype=bool)
     head[1:] = ~close[pos[1:] - 1]
     del close
@@ -480,10 +465,12 @@ def _dead_time_pass(
     par = np.full(n_clustered + 1, n_clustered, dtype=index)  # parent's slot
     inner = np.flatnonzero(clustered[ap_at])
     inner_parent = parent_at[inner]
-    par[slot[ap_at[inner]]] = np.where(
-        clustered[inner_parent], slot[inner_parent], index(n_clustered)
-    )
+    inner = slot[ap_at[inner]]  # the slot of each clustered candidate
+    par[inner] = np.where(clustered[inner_parent], slot[inner_parent], index(n_clustered))
     del slot, inner, inner_parent
+    tc = ts[pos]
+    if two_ports:
+        del ts
 
     free_at = np.full(len(cur), -math.inf)
     while len(cur) >= _SERIAL_CLUSTERS:
@@ -532,9 +519,9 @@ def _dead_time_pass(
 
 # peak bytes simulate_timetags holds per event of expected_events(): the
 # largest tracemalloc peak over 2 s and 6 s runs on one and both ports, 6-20
-# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 63.3
-# bytes per event among runs of 1e5 events or more (both ports, 20 dB, 1.6e6
-# events; one port at most 59.5).  Smaller runs exceed it through the fixed
+# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 61.8
+# bytes per event among runs of 1e5 events or more (both ports, 6 dB, 4.9e5
+# events; one port at most 55.4).  Smaller runs exceed it through the fixed
 # 1 MiB truth pattern, by well under 1 MiB (111 bytes per event at 1.3e4)
 MC_BYTES_PER_EVENT = 64
 
