@@ -362,21 +362,80 @@ def _dead_time_pass(
     registered (times, ports, origins) in time order; at equal times the
     primaries come first in input order, then afterpulses by port.
 
-    The primaries and candidates are laid out on one timeline per port,
-    primaries first at equal times and candidates in input order among
-    themselves.  On one port only the candidates are sorted, and each is
-    placed after the primaries at or before it, found a step or two forward
-    from its parent (always one of them) or by a binary search; on two ports
-    one stable sort of all events lays the timeline out and its inverse
-    gives each event's place.  An event with no other event within
-    the dead time on either side is lone: a lone primary registers, a lone
-    candidate exactly when its parent does.  The rest form clusters, runs
-    of events closer together than the dead time.  Each lockstep round
-    decides the next event of every open cluster at once; a candidate whose
-    parent (always earlier) is still undecided waits a round.  Once fewer
-    than ``_SERIAL_CLUSTERS`` clusters are open, they finish one at a time
-    in timeline order, jumping from each registered click straight past the
-    events its dead time blocks.
+    The two detectors never interact, so there is one route: the pass of
+    ``_port_pass`` on each detector.  On one port it carries the origins as
+    labels.  On two, each port's primaries, split off in input order with
+    their share of ``delays``, carry their input index, and the afterpulses
+    carry ``n``.  One stable sort of the two time-sorted outputs merges them
+    (it finds two sorted runs and merges them in linear time); the runs of
+    exactly equal times, rare on drawn times, are then put into the order
+    above by one small sort of those places by (time, label).  A click's
+    port is read off the merge order, its origin off its label.
+    """
+    n = len(times)
+    if n == 0 or ports.min() == ports.max():
+        out_t, out_origin = _port_pass(
+            times, origins, ORIGIN_AFTERPULSE, fires, delays, dead_time_s, duration_s
+        )
+        return out_t, np.full(len(out_t), ports[0] if n else 0, dtype=ports.dtype), out_origin
+    # a primary's label is its input index, an afterpulse's n, which orders
+    # it after every primary at its time
+    label = np.int32 if n < 2**31 else np.int64
+    fired_ports = ports[fires]
+    runs = []
+    for port in (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE):
+        at = np.flatnonzero(ports == port)
+        args = times[at], at.astype(label), n, fires[at], delays[fired_ports == port]
+        runs.append(_port_pass(*args, dead_time_s, duration_s))
+    del fired_ports, at, args
+    (t_0, label_0), (t_1, label_1) = runs
+    del runs
+    n_0 = len(t_0)
+    out_t = np.concatenate((t_0, t_1))
+    out_label = np.concatenate((label_0, label_1))
+    del t_0, t_1, label_0, label_1
+    order = np.argsort(out_t, kind="stable")
+    out_t = out_t[order]
+    tied = np.flatnonzero(out_t[1:] == out_t[:-1])
+    if len(tied):
+        # every place in a run of equal times, re-sorted by label: within a
+        # port the ties are in order already, and across ports the merge put
+        # port 0's first, which the stable sort keeps for the afterpulses
+        last = np.append(tied[1:] != tied[:-1] + 1, True)
+        members = np.sort(np.concatenate((tied, tied[last] + 1)))
+        sub = order[members]
+        order[members] = sub[np.lexsort((out_label[sub], out_t[members]))]
+    # the merge order gives each click's port: places below n_0 hold port
+    # 0's clicks (PORT_CONSTRUCTIVE), the rest port 1's (PORT_DESTRUCTIVE)
+    origin = np.append(origins, origins.dtype.type(ORIGIN_AFTERPULSE))
+    return out_t, (order >= n_0).astype(ports.dtype), origin.take(out_label.take(order))
+
+
+def _port_pass(
+    times: np.ndarray,
+    labels: np.ndarray,
+    ap_label: int,
+    fires: np.ndarray,
+    delays: np.ndarray,
+    dead_time_s: float,
+    duration_s: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_dead_time_pass`` on one detector: the registered times and labels.
+
+    ``labels`` belong to the primaries; a registered afterpulse carries
+    ``ap_label``.  The primaries and candidates are laid out on one
+    timeline, primaries first at equal times and candidates in input order
+    among themselves.  Only the candidates are sorted, and each is placed
+    after the primaries at or before it, found a step or two forward from
+    its parent (always one of them) or by a binary search.  An event with
+    no other event within the dead time on either side is lone: a lone
+    primary registers, a lone candidate exactly when its parent does.  The
+    rest form clusters, runs of events closer together than the dead time.
+    Each lockstep round decides the next event of every open cluster at
+    once; a candidate whose parent (always earlier) is still undecided
+    waits a round.  Once fewer than ``_SERIAL_CLUSTERS`` clusters are open,
+    they finish one at a time in timeline order, jumping from each
+    registered click straight past the events its dead time blocks.
     """
     n = len(times)
     parent = np.flatnonzero(fires)
@@ -387,61 +446,41 @@ def _dead_time_pass(
     n_ap = len(ap_times)
     size = n + n_ap
     index = np.int32 if size < 2**31 else np.int64
-    two_ports = n > 0 and ports.min() != ports.max()
-    if not two_ports:
-        # only the candidates are sorted, then merged into the primaries; the
-        # stable sort is the faster one on their nearly sorted times
-        order = np.argsort(ap_times, kind="stable")
-        ap_times, parent = ap_times[order], parent[order]
-        del order
-        # ``ap_at[k]`` first counts the primaries at or before candidate k,
-        # up from its parent's by two steps; a candidate still walking after
-        # them (always one past the last primary) is searched.  Most
-        # candidates of an unsaturated run stop within the steps, which cost
-        # less than the search.  Then it counts the candidates before k
-        ap_at = parent + 1
-        walk = np.flatnonzero(times.take(ap_at, mode="clip") <= ap_times)
-        ap_at[walk] += 1
-        walk = walk[times.take(ap_at[walk], mode="clip") <= ap_times[walk]]
-        ap_at[walk] = np.searchsorted(times, ap_times[walk], side="right")
-        del walk
-        ap_at += np.arange(n_ap)
-        primary = np.ones(size, dtype=bool)
-        primary[ap_at] = False
-        prim_at = np.flatnonzero(primary)
-        del primary
-        parent_at = prim_at[parent]
-        del parent
-        ts = np.empty(size)
-        ts[ap_at] = ap_times
-        del ap_times
-        ts[prim_at] = times
-        # the one-port output is read from the timeline itself
-        origin = np.full(size, ORIGIN_AFTERPULSE, dtype=np.uint8)
-        origin[prim_at] = origins
-        del prim_at
-    else:
-        # the output order at equal times: afterpulses by port
-        ap_ports = ports[parent]
-        order = np.lexsort((ap_ports, ap_times))
-        parent, ap_times, ap_ports = parent[order], ap_times[order], ap_ports[order]
-        port = np.concatenate([ports, ap_ports])
-        del ap_ports
-        t = np.concatenate([times, ap_times])
-        del ap_times
-        order = np.lexsort((t, port)).astype(index)
-        inv = np.empty(size, dtype=index)
-        inv[order] = np.arange(size, dtype=index)
-        ap_at = inv[n:]  # timeline place of each candidate, and of its parent
-        parent_at = inv[parent]
-        del parent, inv
-        ts = t[order]
+    # only the candidates are sorted, then merged into the primaries; the
+    # stable sort is the faster one on their nearly sorted times
+    order = np.argsort(ap_times, kind="stable")
+    ap_times, parent = ap_times[order], parent[order]
+    del order
+    # ``ap_at[k]`` first counts the primaries at or before candidate k, up
+    # from its parent's by two steps; a candidate still walking after them
+    # (always one past the last primary) is searched.  Most candidates of an
+    # unsaturated run stop within the steps, which cost less than the
+    # search.  Then it counts the candidates before k
+    ap_at = parent + 1
+    walk = np.flatnonzero(times.take(ap_at, mode="clip") <= ap_times)
+    ap_at[walk] += 1
+    walk = walk[times.take(ap_at[walk], mode="clip") <= ap_times[walk]]
+    ap_at[walk] = np.searchsorted(times, ap_times[walk], side="right")
+    del walk
+    ap_at += np.arange(n_ap)
+    primary = np.ones(size, dtype=bool)
+    primary[ap_at] = False
+    prim_at = np.flatnonzero(primary)
+    del primary
+    parent_at = prim_at[parent]
+    del parent
+    ts = np.empty(size)
+    ts[ap_at] = ap_times
+    del ap_times
+    ts[prim_at] = times
+    # the output labels are read from the timeline itself
+    label = np.full(size, ap_label, dtype=labels.dtype)
+    label[prim_at] = labels
+    del prim_at
 
     # event k + 1 arrives inside the dead time event k would start (the
     # comparison the sequential rule makes, so rounding agrees)
     close = ts[1:] < ts[:-1] + dead_time_s
-    if two_ports:
-        close[np.count_nonzero(port == PORT_CONSTRUCTIVE) - 1] = False
     clustered = np.zeros(size, dtype=bool)
     clustered[1:] = close
     clustered[:-1] |= close
@@ -469,8 +508,6 @@ def _dead_time_pass(
     par[inner] = np.where(clustered[inner_parent], slot[inner_parent], index(n_clustered))
     del slot, inner, inner_parent
     tc = ts[pos]
-    if two_ports:
-        del ts
 
     free_at = np.full(len(cur), -math.inf)
     while len(cur) >= _SERIAL_CLUSTERS:
@@ -506,23 +543,16 @@ def _dead_time_pass(
 
     keep = np.flatnonzero(registered)
     del registered
-    if two_ports:
-        sel = order[keep]
-        del order
-        origin = np.concatenate([origins, np.full(n_ap, ORIGIN_AFTERPULSE, dtype=np.uint8)])
-        sel.sort()
-        sel = sel[np.argsort(t[sel], kind="stable")]
-        return t[sel], port[sel], origin[sel]
-    same_port = np.full(len(keep), ports[0] if n else 0, dtype=ports.dtype)
-    return ts[keep], same_port, origin[keep]
+    return ts[keep], label[keep]
 
 
 # peak bytes simulate_timetags holds per event of expected_events(): the
 # largest tracemalloc peak over 2 s and 6 s runs on one and both ports, 6-20
-# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 61.8
-# bytes per event among runs of 1e5 events or more (both ports, 6 dB, 4.9e5
-# events; one port at most 55.4).  Smaller runs exceed it through the fixed
-# 1 MiB truth pattern, by well under 1 MiB (111 bytes per event at 1.3e4)
+# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 55.4
+# bytes per event among runs of 1e5 events or more (one port, 2 s at 20 dB,
+# 2e5 counts/s, 8.2e5 events; both ports at most 52.8).  Smaller runs exceed
+# it through the fixed 1 MiB truth pattern, by well under 1 MiB (111 bytes
+# per event at 1.3e4)
 MC_BYTES_PER_EVENT = 64
 
 

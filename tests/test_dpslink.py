@@ -3,12 +3,14 @@
 import hashlib
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ponqkd import dpslink
 from ponqkd.dpslink import (
+    MC_BYTES_PER_EVENT,
     ORIGIN_AFTERPULSE,
     ORIGIN_DARK,
     ORIGIN_RAMAN,
@@ -18,6 +20,7 @@ from ponqkd.dpslink import (
     _dead_time_pass,
     _time_order,
     click_rate_oracle,
+    expected_events,
     simulate_timetags,
 )
 from ponqkd.raman import odn_noise_at_bob
@@ -320,6 +323,32 @@ def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap)
     assert_pass_matches_reference(*args)
 
 
+def test_dead_time_pass_matches_reference_loop_when_saturated(monkeypatch):
+    # 3 dB at efficiency 0.5 on both ports: every primary fires, and clusters
+    # thousands of events long cover both detectors; more of them than the
+    # lockstep threshold over both ports, fewer on each
+    captured = []
+
+    def spy(*args):
+        captured.append(args)
+        return _dead_time_pass(*args)
+
+    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    det = DetectorModel(monitored_ports="both", efficiency=0.5)
+    simulate_timetags(TransmitterConfig(), 3.0, det, 2500.0, 0.2, seed=17)
+    (args,) = captured
+    times, ports, fires = args[0], args[1], args[3]
+    assert fires.all()
+    assert np.bincount(ports, minlength=2).min() > len(times) // 3
+    assert clustered_share(*args[:2], *args[3:]) > 0.99
+    n_clusters = count_clusters(*args[:2], *args[3:])
+    assert dpslink._SERIAL_CLUSTERS < n_clusters < len(times) / 1000
+    for close in close_flags(*args[:2], *args[3:]):
+        starts = np.count_nonzero(close[:1]) + np.count_nonzero(close[1:] & ~close[:-1])
+        assert starts < dpslink._SERIAL_CLUSTERS
+    assert_pass_matches_reference(*args)
+
+
 def test_dead_time_pass_without_primaries():
     empty, none = np.empty(0), np.empty(0, dtype=np.uint8)
     assert_pass_matches_reference(empty, none, none, np.empty(0, dtype=bool), empty, 1e-5, 1.0)
@@ -500,6 +529,25 @@ def test_dead_time_pass_merges_candidates_far_past_their_parents(monkeypatch):
     steps = np.searchsorted(times, ap_times[inside], side="right") - parent[inside] - 1
     assert 1000 < np.count_nonzero(steps >= 2) < len(steps)
     assert_pass_matches_reference(times, ports, origins, fires, delays, tau, duration)
+
+
+def test_monte_carlo_peak_memory_within_estimate():
+    # the worst one-port and two-port points of the memory grid behind
+    # MC_BYTES_PER_EVENT (2 s runs of 1e5 events or more): the peak the run
+    # allocates stays within the estimate the runner refuses long runs by
+    tx = TransmitterConfig()
+    for ports, budget, p_ap, noise in (("one", 20.0, 0.02, 2e5), ("both", 14.0, 0.0, 2e4)):
+        det = DetectorModel(monitored_ports=ports, afterpulse_probability=p_ap)
+        p_eff = click_rate_oracle(tx, budget, det, noise_rate=noise).afterpulse_probability_effective
+        events = expected_events(tx, budget, det, noise, 2.0, p_eff)
+        assert events >= 1e5
+        tracemalloc.start()
+        try:
+            simulate_timetags(tx, budget, det, noise, 2.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= MC_BYTES_PER_EVENT * events, (ports, peak / events)
 
 
 # sha256 over the bytes of times_s, ports and origins; a change to the draw
