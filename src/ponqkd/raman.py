@@ -121,7 +121,6 @@ class WavelengthChannel:
     launch_power_dbm: float = 0.0
     direction: str = "downstream"  # CO -> subscribers, or "upstream"
     band_tag: str = ""
-    tdma_member: bool = False
 
     def __post_init__(self) -> None:
         if not (1260.0 <= self.center_nm <= 1625.0):
@@ -307,9 +306,6 @@ def odn_noise_at_bob(
 ) -> RamanContribution:
     """Total Raman crosstalk reaching the quantum receiver.
 
-    Upstream channels flagged ``tdma_member`` share the medium in time, so
-    the group contributes the average of its members' individual rates
-    (at most one member transmits at any instant) instead of the sum.
     The per-channel values come from :func:`plan_lookups`, which raises
     for a channel outside either table's hull.
     """
@@ -329,7 +325,6 @@ def odn_noise_at_bob(
     upstream = 0.0
     drops = 0.0
     leakage = 0.0
-    tdma_rates: list[float] = []
     for channel, coeff, pump_db in zip(plan.channels, coeffs.tolist(), pump_dbs.tolist()):
         power = channel.launch_power_mw
         a = pump_db * NEPER_PER_DB
@@ -341,11 +336,7 @@ def odn_noise_at_bob(
             # scatters there alongside the quantum signal
             pump_at_feeder = power * _transmission(drop_km * pump_db) * split_t
             feeder_part = pump_at_feeder * coeff * bandwidth * forward_conversion_km(a, q, up_km)
-            rate = drop_part * per_mw * (split_t * feeder_up_t) + feeder_part * per_mw
-            if channel.tdma_member:
-                tdma_rates.append(rate)
-            else:
-                upstream += rate
+            upstream += drop_part * per_mw * (split_t * feeder_up_t) + feeder_part * per_mw
         else:
             # backscatter of each drop, pumped through one feeder and one
             # splitter pass; the N identical drops cancel one ideal pass
@@ -358,8 +349,6 @@ def odn_noise_at_bob(
             # through the splitter's same-side leakage
             leak = power * coeff * bandwidth * forward_conversion_km(a, q, down_km)
             leakage += leak * per_mw * leak_t * feeder_up_t
-    if tdma_rates:
-        upstream += sum(tdma_rates) / len(tdma_rates)
 
     return RamanContribution(
         upstream_copropagating=upstream * rx_t,

@@ -109,7 +109,6 @@ def config_hash(raw: dict) -> str:
 
 # JSON type a dataclass field takes, by the type of its default
 _JSON_KINDS = {
-    bool: ("true or false", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
     int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
     float: ("a finite number", finite),
@@ -137,12 +136,12 @@ class _Collector:
             return {}
         return value
 
-    def number(self, section: dict, key: str, default, where: str, minimum=None):
+    def number(self, section: dict, key: str, default, where: str, minimum):
         value = section.get(key, default)
         if not finite(value):
             self.fail(f"{where}.{key}: expected a finite number, got {value!r}")
             return default
-        if minimum is not None and value < minimum:
+        if value < minimum:
             self.fail(f"{where}.{key}: {value} below minimum {minimum}")
             return default
         return float(value)
@@ -157,7 +156,7 @@ class _Collector:
     def build(self, cls, section: dict, where: str, given_at: str | None = None, **given):
         """``cls`` read from one config section, or None if it fails.
 
-        Every bool, string, integer or float field not in ``given`` takes the
+        Every string, integer or float field not in ``given`` takes the
         section key of the same name, or its own default when the key is
         missing; other fields come from ``given`` or their default.  Only the
         JSON type is checked here: the range rules are the dataclass's own,

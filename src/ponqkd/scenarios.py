@@ -28,8 +28,9 @@ CWDM_POWER_DBM = -0.7
 CWDM_GRID_NM = (1431.0, 1451.0, 1471.0, 1491.0, 1511.0)
 
 
-def _grid_thz(start_thz: float, count: int, step_thz: float = 0.1) -> list[float]:
-    return [start_thz - i * step_thz for i in range(count)]
+def _grid_thz(start_thz: float, count: int) -> list[float]:
+    """``count`` frequencies down from ``start_thz`` on the 100 GHz grid."""
+    return [start_thz - i * 0.1 for i in range(count)]
 
 
 def _channel(center_nm: float, power_dbm: float, direction: str, tag: str) -> dict:
@@ -41,7 +42,7 @@ def _channel(center_nm: float, power_dbm: float, direction: str, tag: str) -> di
     }
 
 
-def upstream_c_channels(count: int = 20) -> list[dict]:
+def upstream_c_channels(count: int) -> list[dict]:
     """Upstream block, red side of the C band, 100 GHz spacing.
 
     The first entry (193.9 THz) is the single-transmitter anchor used for

@@ -195,19 +195,25 @@ def equivalent_noise_bandwidth_nm(profile: FilterProfile) -> float:
     return profile.noise_bandwidth_nm
 
 
+_GAUSSIAN_POINTS = 81  # samples in a gaussian transmission table
+_GAUSSIAN_SPAN_FWHM = 4.0  # the table's width, in FWHMs
+
+
 def gaussian_transmission_table(
-    center_nm: float, fwhm_nm: float, points: int = 81, span_fwhm: float = 4.0
+    center_nm: float, fwhm_nm: float
 ) -> tuple[tuple[float, float], ...]:
     """Sampled Gaussian passband, in dB relative to peak.
 
-    Utility for building bundled filter profiles.  Scaling ``fwhm_nm`` at a
-    fixed ``points``/``span_fwhm`` scales the sampled equivalent noise
-    bandwidth exactly proportionally, which the bundled wide/narrow filter
-    pair relies on.  A span too wide for a float raises ValueError.
+    Utility for building bundled filter profiles.  The table always has
+    ``_GAUSSIAN_POINTS`` samples over ``_GAUSSIAN_SPAN_FWHM`` widths, so
+    scaling ``fwhm_nm`` scales the sampled equivalent noise bandwidth
+    exactly proportionally, which the bundled wide/narrow filter pair
+    relies on.  A span too wide for a float raises ValueError.
     """
-    if not math.isfinite(span_fwhm * fwhm_nm):
+    span_nm = _GAUSSIAN_SPAN_FWHM * fwhm_nm
+    if not math.isfinite(span_nm):
         raise ValueError(f"fwhm_nm: {fwhm_nm} nm too wide to sample a gaussian passband")
-    offsets = np.linspace(-span_fwhm * fwhm_nm / 2.0, span_fwhm * fwhm_nm / 2.0, points)
+    offsets = np.linspace(-span_nm / 2.0, span_nm / 2.0, _GAUSSIAN_POINTS)
     rel_db = -10.0 * math.log10(2.0) * (2.0 * offsets / fwhm_nm) ** 2
     return tuple((float(center_nm + o), float(t)) for o, t in zip(offsets, rel_db))
 

@@ -154,8 +154,6 @@ MALFORMED = [
     (("detector", "dark_rate_hz"), -1, "detector.dark_rate_hz"),
     (("detector", "monitored_ports"), "three", "detector.monitored_ports"),
     (("run", "mode"), "sideways", "run.mode"),
-    (("channels", "classical", 0, "tdma_member"), "false",
-     "channels.classical[0].tdma_member: expected true or false"),
     (("channels", "classical", 0, "band_tag"), [1, 2], "channels.classical[0].band_tag: expected a string"),
     # one rule, one message, whatever side of zero the width falls
     (("channels", "rx_filter", "fwhm_nm"), 0, "channels.rx_filter.fwhm_nm: must be > 0, got"),
@@ -183,6 +181,18 @@ MALFORMED = [
     (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [0.1]},
      "raman.profile.coefficients: needs one value per shift"),
     (("raman", "scale"), -1, "raman.scale: must be >= 0"),
+    (("gate", "gate_fraction"), 0, "gate.gate_fraction: must be in (0, 1]"),
+    (("gate", "gate_fraction"), 1.5, "gate.gate_fraction: must be in (0, 1]"),
+    (("topology", "excess_loss_db"), -1, "topology.excess_loss_db: must be >= 0"),
+    (("topology", "directivity_db"), -1, "topology.directivity_db: must be >= 0"),
+    (("channels", "rx_filter", "center_nm"), 0.5, "channels.rx_filter.center_nm: must be >= 1"),
+    (("channels", "rx_filter", "transmission_db"), [[1311.0, -3.0], [1310.0, 0.0], [1309.0, -3.0]],
+     "channels.rx_filter.transmission_db: must be sorted"),
+    (("topology", "attenuation_db_per_km"), [], "topology.attenuation_db_per_km: must not be empty"),
+    (("raman", "profile"), {"shifts_thz": [1.0], "coefficients": [0.1]},
+     "raman.profile.shifts_thz: needs at least 2 points"),
+    (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": [-0.1, 0.1]},
+     "raman.profile.coefficients: must be >= 0"),
     # a table entry follows the number rule of a scalar: no strings, no bools
     (("topology", "attenuation_db_per_km"), [["1260", "0.42"], ["1625", "0.24"]],
      "topology.attenuation_db_per_km: expected a list"),

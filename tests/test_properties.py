@@ -313,7 +313,6 @@ classical_channels = st.builds(
     center_nm=st.floats(min_value=1260.0, max_value=1625.0),
     launch_power_dbm=st.floats(min_value=-30.0, max_value=20.0),
     direction=st.sampled_from(["upstream", "downstream"]),
-    tdma_member=st.booleans(),
 )
 
 

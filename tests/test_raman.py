@@ -64,7 +64,6 @@ def reference_odn_noise_at_bob(plan, topology, rx_filter, profile):
     upstream = 0.0
     drops = 0.0
     leakage = 0.0
-    tdma_rates = []
     for channel in plan.channels:
         pump_nm = channel.center_nm
         coeff = raman_coefficient(profile, pump_nm, quantum_nm)
@@ -75,11 +74,7 @@ def reference_odn_noise_at_bob(plan, topology, rx_filter, profile):
             drop_part = power * coeff * bandwidth * forward_conversion_km(a, q, drop_km)
             pump_at_feeder = power * transmission(drop_km * pump_db) * split_t
             feeder_part = pump_at_feeder * coeff * bandwidth * forward_conversion_km(a, q, up_km)
-            rate = drop_part * per_mw * (split_t * feeder_up_t) + feeder_part * per_mw
-            if channel.tdma_member:
-                tdma_rates.append(rate)
-            else:
-                upstream += rate
+            upstream += drop_part * per_mw * (split_t * feeder_up_t) + feeder_part * per_mw
         else:
             pump_at_drop = power * transmission(down_km * pump_db) * split_t
             per_drop = (
@@ -88,8 +83,6 @@ def reference_odn_noise_at_bob(plan, topology, rx_filter, profile):
             drops += topology.splitter.port_count * per_drop * (split_t * feeder_up_t)
             leak = power * coeff * bandwidth * forward_conversion_km(a, q, down_km)
             leakage += leak * per_mw * leak_t * feeder_up_t
-    if tdma_rates:
-        upstream += sum(tdma_rates) / len(tdma_rates)
     return RamanContribution(upstream * rx_t, drops * rx_t, leakage * rx_t)
 
 
@@ -262,27 +255,6 @@ def test_feeder_leakage_follows_directivity():
         plan, OdnTopology(splitter=Splitter(directivity_db=40.0)), flat, prof
     ).feeder_leakage
     assert weak / strong == pytest.approx(10.0, rel=1e-12)
-
-
-def test_tdma_group_counts_once():
-    topo = OdnTopology()
-    flat = FilterProfile(1310.0, 1.22)
-    prof = default_raman_profile()
-    single = odn_noise_at_bob(
-        ChannelPlan((WavelengthChannel(ANCHOR_NM, 2.5, "upstream"),)), topo, flat, prof
-    )
-    shared = odn_noise_at_bob(
-        ChannelPlan(
-            tuple(
-                WavelengthChannel(ANCHOR_NM, 2.5, "upstream", tdma_member=True)
-                for _ in range(8)
-            )
-        ),
-        topo,
-        flat,
-        prof,
-    )
-    assert shared.total_at_receiver == pytest.approx(single.total_at_receiver, rel=1e-12)
 
 
 WITH_CHANNELS = [n for n in bundled_names() if bundled_scenario(n)["channels"].get("classical")]
