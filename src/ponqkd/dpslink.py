@@ -339,6 +339,9 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
 # event than the sequential rule, so the rest finish one cluster at a time
 _SERIAL_CLUSTERS = 64
 
+# events per block of the cluster flags' float sums
+_BLOCK = 1 << 15
+
 
 def _dead_time_pass(
     times: np.ndarray,
@@ -385,9 +388,10 @@ def _dead_time_pass(
     runs = []
     for port in (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE):
         at = np.flatnonzero(ports == port)
-        args = times[at], at.astype(label), n, fires[at], delays[fired_ports == port]
+        share = delays[np.flatnonzero(fired_ports == port)]
+        args = times[at], at.astype(label), n, fires[at], share
         runs.append(_port_pass(*args, dead_time_s, duration_s))
-    del fired_ports, at, args
+    del fired_ports, at, share, args
     (t_0, label_0), (t_1, label_1) = runs
     del runs
     n_0 = len(t_0)
@@ -439,18 +443,20 @@ def _port_pass(
     """
     n = len(times)
     parent = np.flatnonzero(fires)
-    ap_times = times[parent] + dead_time_s + delays
-    inside = np.flatnonzero(ap_times < duration_s)
-    parent, ap_times = parent[inside], ap_times[inside]
-    del inside
-    n_ap = len(ap_times)
+    # (time + dead time) + delay, summed in place in that order
+    ap_times = times[parent]
+    ap_times += dead_time_s
+    ap_times += delays
+    # only the candidates are sorted, then merged into the primaries; the
+    # stable sort is the faster one on their nearly sorted times.  Those at
+    # or after ``duration_s`` end the sorted order and are cut off
+    order = np.argsort(ap_times, kind="stable")
+    ap_times = ap_times[order]
+    n_ap = int(np.searchsorted(ap_times, duration_s))
+    ap_times, parent = ap_times[:n_ap], parent[order[:n_ap]]
+    del order
     size = n + n_ap
     index = np.int32 if size < 2**31 else np.int64
-    # only the candidates are sorted, then merged into the primaries; the
-    # stable sort is the faster one on their nearly sorted times
-    order = np.argsort(ap_times, kind="stable")
-    ap_times, parent = ap_times[order], parent[order]
-    del order
     # ``ap_at[k]`` first counts the primaries at or before candidate k, up
     # from its parent's by two steps; a candidate still walking after them
     # (always one past the last primary) is searched.  Most candidates of an
@@ -459,7 +465,7 @@ def _port_pass(
     ap_at = parent + 1
     walk = np.flatnonzero(times.take(ap_at, mode="clip") <= ap_times)
     ap_at[walk] += 1
-    walk = walk[times.take(ap_at[walk], mode="clip") <= ap_times[walk]]
+    walk = walk[np.flatnonzero(times.take(ap_at[walk], mode="clip") <= ap_times[walk])]
     ap_at[walk] = np.searchsorted(times, ap_times[walk], side="right")
     del walk
     ap_at += np.arange(n_ap)
@@ -479,8 +485,15 @@ def _port_pass(
     del prim_at
 
     # event k + 1 arrives inside the dead time event k would start (the
-    # comparison the sequential rule makes, so rounding agrees)
-    close = ts[1:] < ts[:-1] + dead_time_s
+    # comparison the sequential rule makes, so rounding agrees); the sums
+    # are taken a block at a time, into one small buffer
+    close = np.empty(max(size - 1, 0), dtype=bool)
+    block = np.empty(min(size, _BLOCK))
+    for a in range(0, size - 1, _BLOCK):
+        b = min(a + _BLOCK, size - 1)
+        np.add(ts[a:b], dead_time_s, out=block[: b - a])
+        np.less(ts[a + 1 : b + 1], block[: b - a], out=close[a:b])
+    del block
     clustered = np.zeros(size, dtype=bool)
     clustered[1:] = close
     clustered[:-1] |= close
@@ -489,36 +502,41 @@ def _port_pass(
     head = np.ones(n_clustered, dtype=bool)
     head[1:] = ~close[pos[1:] - 1]
     del close
-    cur = np.flatnonzero(head).astype(index)  # next undecided slot per open cluster
-    del head
-    end = np.append(cur[1:], index(n_clustered))
 
-    # each clustered event's slot among the clustered ones (a lone event's
-    # slot is never read); ``par`` holds the slot of each clustered
-    # candidate's parent, and the extra slot ``n_clustered``, which stands
-    # for "registered", for a lone parent and for every primary
-    slot = np.empty(size, dtype=index)
+    # each clustered event's slot among the clustered ones; a lone event's
+    # is the extra slot ``n_clustered``, which stands for "registered".
+    # ``par`` holds the slot of each clustered candidate's parent, and the
+    # extra slot for every primary
+    slot = np.full(size, n_clustered, dtype=index)
     slot[pos] = np.arange(n_clustered, dtype=index)
+    par = np.full(n_clustered + 1, n_clustered, dtype=index)
+    inner = np.flatnonzero(clustered[ap_at])
+    par[slot[ap_at[inner]]] = slot[parent_at[inner]]
+    del slot, inner
     hit = np.full(n_clustered + 1, -1, dtype=np.int8)  # -1 while undecided
     hit[n_clustered] = 1
-    par = np.full(n_clustered + 1, n_clustered, dtype=index)  # parent's slot
-    inner = np.flatnonzero(clustered[ap_at])
-    inner_parent = parent_at[inner]
-    inner = slot[ap_at[inner]]  # the slot of each clustered candidate
-    par[inner] = np.where(clustered[inner_parent], slot[inner_parent], index(n_clustered))
-    del slot, inner, inner_parent
     tc = ts[pos]
+    # the open clusters' arrays are intp, the dtype numpy indexes with
+    cur = np.flatnonzero(head)  # next undecided slot per open cluster
+    del head
+    end = np.append(cur[1:], n_clustered)
 
     free_at = np.full(len(cur), -math.inf)
     while len(cur) >= _SERIAL_CLUSTERS:
-        parent_hit = hit[par[cur]]
+        parent_hit = hit.take(par.take(cur))
         t_cur = tc[cur]
-        ok = (parent_hit == 1) & (t_cur >= free_at)
+        ok = t_cur >= free_at
+        ok &= parent_hit == 1
         hit[cur] = np.minimum(parent_hit, ok)  # a waiting event stays -1
-        free_at = np.where(ok, t_cur + dead_time_s, free_at)
         cur += parent_hit >= 0
-        open_ = cur < end
-        cur, end, free_at = cur[open_], end[open_], free_at[open_]
+        t_cur += dead_time_s
+        reg = np.flatnonzero(ok)
+        free_at[reg] = t_cur[reg]
+        del parent_hit, t_cur, ok, reg  # before the compaction allocates
+        # a round in which no cluster closed keeps the arrays as they are
+        open_ = np.flatnonzero(cur < end)
+        if len(open_) < len(cur):
+            cur, end, free_at = cur[open_], end[open_], free_at[open_]
     for a, b, f in zip(cur.tolist(), end.tolist(), free_at.tolist()):
         # every event before free_at is blocked, whatever its parent did
         hit[a:b] = 0
@@ -534,7 +552,7 @@ def _port_pass(
 
     # lone events register, clustered ones as decided, and a lone candidate
     # exactly when its parent does
-    registered = ~clustered
+    registered = np.logical_not(clustered, out=clustered)
     del clustered
     registered[pos] = hit[:n_clustered] == 1
     del hit, pos
@@ -548,7 +566,7 @@ def _port_pass(
 
 # peak bytes simulate_timetags holds per event of expected_events(): the
 # largest tracemalloc peak over 2 s and 6 s runs on one and both ports, 6-20
-# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 55.4
+# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 53.3
 # bytes per event among runs of 1e5 events or more (one port, 2 s at 20 dB,
 # 2e5 counts/s, 8.2e5 events; both ports at most 52.8).  Smaller runs exceed
 # it through the fixed 1 MiB truth pattern, by well under 1 MiB (111 bytes

@@ -370,6 +370,30 @@ def test_dead_time_pass_drops_afterpulses_past_duration():
     assert_pass_matches_reference(*args)
 
 
+@pytest.mark.parametrize("past_end", [False, True], ids=["alone", "with-one-past-end"])
+@pytest.mark.parametrize("lands", ["at-end", "below-end"])
+def test_dead_time_pass_candidate_at_the_end_of_the_run(lands, past_end):
+    # one port, run of 1 s: every time lies on the 2**-53 grid of [0.5, 1),
+    # so each candidate lands exactly where it is aimed: on duration_s
+    # (dropped) or one ulp below it (kept), its parent long registered and
+    # nothing else within the dead time; optionally a second candidate
+    # lands past the end
+    duration, tau = 1.0, 2.0**-17
+    target = duration if lands == "at-end" else np.nextafter(duration, 0.0)
+    times = 0.5 + np.arange(200) * 2.0**-10
+    fires = np.zeros(len(times), dtype=bool)
+    fires[100], fires[150] = True, past_end
+    aims = [target, duration + 2.0**-20] if past_end else [target]
+    delays = np.array([aim - t - tau for aim, t in zip(aims, times[fires])])
+    assert np.array_equal(times[fires] + tau + delays, aims)
+    origins = np.zeros(len(times), dtype=np.uint8)
+    args = (times, origins, origins, fires, delays, tau, duration)
+    out_t, _, out_origin = reference_dead_time_loop(*args)
+    assert np.count_nonzero(out_origin == ORIGIN_AFTERPULSE) == (lands == "below-end")
+    assert out_t[-1] == (target if lands == "below-end" else times[-1])
+    assert_pass_matches_reference(*args)
+
+
 def tie_case(seed, n, span, max_delay, paired):
     """Primaries and delays on a binary grid, so every sum is exact.
 
