@@ -605,7 +605,10 @@ def simulate_timetags(
 
     Draw order (fixed, which makes runs bit-identical for a given seed):
     the master seed spawns four child streams in the order truth pattern,
-    signal photons, background events, afterpulsing.  Signal detections
+    signal photons, background events, afterpulsing.  They are the children
+    ``spawn(4)`` would give a fresh sequence, derived without spawning, so a
+    :class:`numpy.random.SeedSequence` seed gives the same stream each time
+    it is passed.  Signal detections
     are binomial over symbols; their symbol indices, interferometer port
     draws and carve-window jitter come from the signal stream.  Dark and
     Raman events are Poisson-uniform.  The primaries (signal, dark, Raman)
@@ -622,7 +625,12 @@ def simulate_timetags(
     if noise_rate < 0.0:
         raise ValueError("noise_rate must be >= 0")
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ss_pattern, ss_signal, ss_background, ss_afterpulse = master.spawn(4)
+    ss_pattern, ss_signal, ss_background, ss_afterpulse = (
+        np.random.SeedSequence(
+            master.entropy, spawn_key=(*master.spawn_key, k), pool_size=master.pool_size
+        )
+        for k in range(4)
+    )
 
     period_s = tx.symbol_period_s
     n_symbols = max(2, int(round(duration_s * tx.symbol_rate_hz)))

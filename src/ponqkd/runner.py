@@ -8,7 +8,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -215,10 +215,17 @@ def _cgroup_memory_limit_bytes() -> float:
     ``<mount>/memory/path/memory.limit_in_bytes``.  Every ancestor's limit
     holds too, so the smallest one from the cgroup up to the mount counts.
     ``max``, or a file that cannot be read or parsed, is no limit; v1's
-    "unlimited" is a number above any machine's memory.
+    "unlimited" is a number above any machine's memory.  The files are read
+    once per process for each pair of ``_CGROUP_FILE`` and ``_CGROUP_MOUNT``,
+    so a limit changed while the process runs is not seen.
     """
+    return _cgroup_limit_at(_CGROUP_FILE, _CGROUP_MOUNT)
+
+
+@functools.cache
+def _cgroup_limit_at(cgroup_file: str, mount: str) -> float:
     try:
-        with open(_CGROUP_FILE) as handle:
+        with open(cgroup_file) as handle:
             lines = handle.read().splitlines()
     except OSError:
         return math.inf
@@ -227,9 +234,9 @@ def _cgroup_memory_limit_bytes() -> float:
         hierarchy, _, rest = line.partition(":")
         controllers, _, path = rest.partition(":")
         if hierarchy == "0" and not controllers:
-            root, leaf = _CGROUP_MOUNT, "memory.max"
+            root, leaf = mount, "memory.max"
         elif "memory" in controllers.split(","):
-            root, leaf = os.path.join(_CGROUP_MOUNT, "memory"), "memory.limit_in_bytes"
+            root, leaf = os.path.join(mount, "memory"), "memory.limit_in_bytes"
         else:
             continue
         parts = [part for part in path.split("/") if part]
@@ -255,7 +262,8 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
     :func:`~ponqkd.scenario.sweep_points` builds every point from the parsed
     ``scn`` before any runs, so a value no point takes is refused first.
     Every Monte Carlo point draws from its own child of the master seed, so
-    results do not depend on scheduling.  The run mode picks the schedule.
+    results do not depend on scheduling; an oracle sweep reads no seed and
+    spawns none.  The run mode picks the schedule.
     Monte Carlo points run on a thread pool of one thread per usable CPU, at
     most one per point: the draws and the dead-time pass run in numpy
     without the interpreter lock, and a 20 s budget sweep runs about 2x
@@ -266,9 +274,9 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
     if scn.sweep is None:
         raise ConfigError(["sweep: provide --axis and --values or a config with a sweep section"])
     points = sweep_points(scn)
-    seeds = np.random.SeedSequence(scn.run.seed).spawn(len(points))
     if scn.run.mode == "oracle":
-        return list(map(run_scenario, points, seeds))
+        return list(map(run_scenario, points))
+    seeds = np.random.SeedSequence(scn.run.seed).spawn(len(points))
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(points))) as pool:
         return list(pool.map(run_scenario, points, seeds))
 
@@ -306,7 +314,11 @@ def _format_number(value) -> str:
 
 
 def report_dict(res: RunResult) -> dict:
-    """Plain-dict view of a result with stable content."""
+    """Plain-dict view of a result with stable content.
+
+    The four records hold only numbers, so a shallow copy of each one's
+    fields is a full copy.
+    """
     return {
         "toolkit_version": VERSION,
         "config_hash": res.config_hash,
@@ -314,10 +326,10 @@ def report_dict(res: RunResult) -> dict:
         "mode": res.mode,
         "seed": res.seed,
         "path_loss_db": res.path_loss_db,
-        "raman": asdict(res.raman) | {"total_at_receiver": res.raman.total_at_receiver},
-        "link": asdict(res.link_rates) | {"total_rate": res.link_rates.total_rate},
-        "qber": asdict(res.qber_report),
-        "keyrate": asdict(res.keyrate_report),
+        "raman": vars(res.raman) | {"total_at_receiver": res.raman.total_at_receiver},
+        "link": vars(res.link_rates) | {"total_rate": res.link_rates.total_rate},
+        "qber": dict(vars(res.qber_report)),
+        "keyrate": dict(vars(res.keyrate_report)),
     }
 
 
@@ -385,7 +397,10 @@ def calibrate(
     raises :class:`CalibrationError` carrying the bracket diagnostics.  The
     config is parsed once, with the parameter at the bracket's low end; each
     objective call then has :func:`~ponqkd.scenario.reread` read the one
-    section that holds the parameter.  A non-finite ``target`` raises
+    section that holds the parameter.  Each parameter value is evaluated
+    once per call: the bracket ends, which Brent's start asks for again, and
+    the root, whose residual is reported, come from a memo that ends with
+    the call.  A non-finite ``target`` raises
     :class:`ConfigError`.  Returns the result plus the calibrated config
     dict for persistence, which shares every section but the fitted one with
     ``raw``; ``raw`` itself is left as it was.
@@ -403,9 +418,13 @@ def calibrate(
     section = parameter.split(".")[0]
     base = parse_scenario(_set_parameter(raw, parameter, lo))
 
+    seen: dict[float, float] = {}
+
     def objective(p: float) -> float:
-        point = reread(base, _set_parameter(base.raw, parameter, p), section)
-        return _observe(point, observable) - target
+        if p not in seen:
+            point = reread(base, _set_parameter(base.raw, parameter, p), section)
+            seen[p] = _observe(point, observable) - target
+        return seen[p]
 
     f_lo, f_hi = objective(lo), objective(hi)
     while limit is not None and f_lo * f_hi > 0.0 and hi < limit:

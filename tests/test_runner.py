@@ -254,6 +254,38 @@ def test_run_sweep_scheduling_independent():
     assert pooled == serial
 
 
+def test_oracle_sweeps_spawn_no_seeds(monkeypatch):
+    # an oracle point reads no seed, so no sweep point gets a child of it
+    made = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner.np.random, "SeedSequence", Counting)
+    sweeps = [name for name in bundled_names() if "sweep" in bundled_scenario(name)]
+    assert len(sweeps) == 4
+    for name in sweeps:
+        scn = scenario(name)
+        assert scn.run.mode == "oracle"
+        assert len(run_sweep(scn)) == len(scn.sweep["values"])
+    assert made == []
+
+
+def test_a_seed_sequence_seed_is_not_used_up():
+    # two runs from the same SeedSequence draw the same stream, and the
+    # sequence spawns no children; its streams are those of a fresh spawn(4)
+    scn = scenario("pon-baseline")
+    seed = np.random.SeedSequence(5)
+    first = run_scenario(scn, seed=seed, mode="monte_carlo", duration_s=0.5)
+    second = run_scenario(scn, seed=seed, mode="monte_carlo", duration_s=0.5)
+    assert first.qber_report == second.qber_report
+    assert seed.n_children_spawned == 0
+    fresh = run_scenario(scn, seed=5, mode="monte_carlo", duration_s=0.5)
+    assert first.qber_report == fresh.qber_report
+
+
 def test_run_sweep_without_sweep_section():
     scn = scenario("pon-baseline")
     with pytest.raises(ConfigError):
@@ -455,6 +487,26 @@ def test_calibrate_expands_the_raman_scale_bracket(monkeypatch):
     assert all(parse_scenario(point.raw) == point for point in points)
     with pytest.raises(CalibrationError, match=r"no sign change on \[0\.0, 1000000000000\.0\]"):
         calibrate(bundled_scenario("pon-us-1"), "raman.scale", "raman_total", 1e24)
+
+
+def test_calibration_chain_evaluates_each_value_once(monkeypatch):
+    # the three anchors in order, each fit starting from the one before; the
+    # bracket ends and the root are asked for twice, and evaluated once
+    calls = []
+    observe = runner._observe
+
+    def keep(scn, observable):
+        calls.append((observable, json.dumps(scn.raw, sort_keys=True)))
+        return observe(scn, observable)
+
+    monkeypatch.setattr(runner, "_observe", keep)
+    scale, _ = calibrate(bundled_scenario("pon-us-1"), "raman.scale", "raman_total", 360.0)
+    base = bundled_scenario("pon-baseline")
+    base["raman"]["scale"] = scale.value
+    loss, fitted = calibrate(base, "detector.excess_loss_db", "raw_rate", 2700.0)
+    visibility, _ = calibrate(fitted, "transmitter.visibility", "qber", 0.0377)
+    assert len(calls) == len(set(calls)) == 26
+    assert [fit.iterations for fit in (scale, loss, visibility)] == [3, 17, 3]
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
