@@ -1,12 +1,13 @@
 """Command line interface: verbs, overrides, output files, exit codes."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
 from ponqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_OK, main
-from ponqkd.scenarios import CAL_RAMAN_SCALE, bundled_scenario
+from ponqkd.scenarios import CAL_RAMAN_SCALE, bundled_names, bundled_scenario
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -563,3 +564,31 @@ def test_calibrate_malformed_config_exits_config(tmp_path, capsys, raw, field):
     assert main(["calibrate", "--config", write_config(tmp_path, raw), *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+# sha256 over what the command line prints for `run --format csv` on every
+# bundled scenario, `sweep --format json` right after each bundled sweep's
+# row, a 0.2 s Monte Carlo `run --format csv` of pon-baseline, and the
+# pon-us-1 Raman calibration: its summary, then the bytes of its --out file;
+# with BUNDLED_OUTPUT_PIN in test_runner, every output format is pinned
+CLI_FORMAT_PIN = "d67607118521d14460b3ec6468afd9e4cb56cbd885b54ec71673d76c3d2c579e"
+
+
+def test_cli_output_formats_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+
+    def printed(*argv):
+        assert main(list(argv)) == EXIT_OK
+        digest.update(capsys.readouterr().out.encode())
+
+    for name in bundled_names():
+        printed("run", "--config", name, "--format", "csv")
+        if "sweep" in bundled_scenario(name):
+            printed("sweep", "--config", name, "--format", "json")
+    printed("run", "--config", "pon-baseline", "--mode", "monte_carlo", "--duration", "0.2",
+            "--format", "csv")
+    fitted = tmp_path / "fitted.json"
+    printed("calibrate", "--config", "pon-us-1", "--param", "raman.scale", "--observable",
+            "raman_total", "--target", "360", "--out", str(fitted))
+    digest.update(fitted.read_bytes())
+    assert digest.hexdigest() == CLI_FORMAT_PIN
