@@ -8,12 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .errors import CalibrationError, ConfigError
 from .runner import (
     OBSERVABLES,
     CALIBRATION_PARAMETERS,
+    _json,
     calibrate,
     emit_report,
     run_scenario,
@@ -95,7 +95,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = run_sweep(scn)
     values = scn.sweep["values"]
     if args.format == "json":
-        text = json.dumps(sweep_rows(values, results), indent=2, sort_keys=True) + "\n"
+        text = _json(sweep_rows(values, results))
     else:
         text = sweep_csv(values, results)
     _write(text, args.out)
@@ -105,11 +105,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     result, fitted = calibrate(raw, args.param, args.observable, args.target)
-    sys.stdout.write(json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
+    _write(_json(vars(result)), None)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(fitted, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write(_json(fitted), args.out)
     return EXIT_OK
 
 

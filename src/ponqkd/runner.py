@@ -9,7 +9,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
 from .topology import finite
 
 VERSION = "0.1.0"
+
+RUN_COLUMNS = ("scenario", "mode", "path_loss_db", "raw_rate_bs", "qber", "secure_rate_bs")
 
 SWEEP_COLUMNS = (
     "axis_value",
@@ -281,36 +283,44 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
         return list(pool.map(run_scenario, points, seeds))
 
 
+def _figures(res: RunResult) -> dict:
+    """One run's numbers by column name, the source of each run CSV and sweep row."""
+    return {
+        "path_loss_db": res.path_loss_db,
+        "raman_counts_s": res.raman.total_at_receiver,
+        "dark_counts_s": res.dark_rate_hz,
+        "raw_rate_bs": res.qber_report.raw_rate,
+        "qber": res.qber_report.qber,
+        "secure_rate_bs": res.keyrate_report.secure_rate,
+        "secure_bits_per_pulse": res.keyrate_report.secure_bits_per_pulse,
+    }
+
+
 def sweep_rows(values: Sequence, results: Sequence[RunResult]) -> list[dict]:
-    rows = []
-    for value, res in zip(values, results):
-        rows.append(
-            {
-                "axis_value": value,
-                "path_loss_db": res.path_loss_db,
-                "raman_counts_s": res.raman.total_at_receiver,
-                "dark_counts_s": res.dark_rate_hz,
-                "raw_rate_bs": res.qber_report.raw_rate,
-                "qber": res.qber_report.qber,
-                "secure_rate_bs": res.keyrate_report.secure_rate,
-                "secure_bits_per_pulse": res.keyrate_report.secure_bits_per_pulse,
-            }
-        )
-    return rows
+    """One ``SWEEP_COLUMNS`` dict per sweep point: its axis value, then its run's numbers."""
+    return [{"axis_value": value} | _figures(res) for value, res in zip(values, results)]
 
 
 def sweep_csv(values: Sequence, results: Sequence[RunResult]) -> str:
     """Render the fixed-column sweep table."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in sweep_rows(values, results):
-        lines.append(",".join(_format_number(row[col]) for col in SWEEP_COLUMNS))
+    return _csv(SWEEP_COLUMNS, sweep_rows(values, results))
+
+
+def _csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """A header of ``columns``, then each row's values in that order: text as
+    it is, an integer in decimal, any other number as its float ``repr``."""
+
+    def cell(value) -> str:
+        return str(value) if isinstance(value, (str, int)) else repr(float(value))
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(cell(row[col]) for col in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _format_number(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def _json(payload) -> str:
+    """``payload`` as printed: sorted keys, a two-space indent, a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def report_dict(res: RunResult) -> dict:
@@ -341,24 +351,10 @@ def emit_report(results: RunResult | Sequence[RunResult], fmt: str = "json") -> 
         raise ValueError("no results to emit")
     if fmt == "json":
         payload = [report_dict(r) for r in results]
-        return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True) + "\n"
+        return _json(payload[0] if len(payload) == 1 else payload)
     if fmt == "csv":
-        keys = ("scenario", "mode", "path_loss_db", "raw_rate_bs", "qber", "secure_rate_bs")
-        lines = [",".join(keys)]
-        for r in results:
-            lines.append(
-                ",".join(
-                    [
-                        r.scenario_name,
-                        r.mode,
-                        repr(r.path_loss_db),
-                        repr(r.qber_report.raw_rate),
-                        repr(r.qber_report.qber),
-                        repr(r.keyrate_report.secure_rate),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = ({"scenario": r.scenario_name, "mode": r.mode} | _figures(r) for r in results)
+        return _csv(RUN_COLUMNS, rows)
     raise ValueError(f"unknown report format {fmt!r}")
 
 
