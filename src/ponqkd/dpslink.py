@@ -142,11 +142,10 @@ def _saturation_fixed_point(
     p_eff = min(1, p_ap * (R * memory)^2), and the afterpulse survival
     S = 1/(1 + (primary_rate + A) * decay) (an afterpulse fires right
     after its parent's dead time and is lost if any other arrival beats
-    it).  Returns (U, R, A, S, p_eff).
+    it).  Returns (U, R, A, S, p_eff), which is (1, 0, 0, 1, 0) at a
+    primary rate of 0, where ``excess(0)`` is 0 and the solve ends at once.
     """
     p = primary_rate
-    if p <= 0.0:
-        return 1.0, 0.0, 0.0, 1.0, 0.0
     a, b = p * det.afterpulse_decay_s, p * det.dead_time_s
     kappa = det.afterpulse_probability * det.afterpulse_memory_s**2
 
@@ -319,20 +318,24 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
     key |= np.arange(n, dtype=np.uint64)
     key.sort()
     signed = n > 0 and bool(key[-1] >> np.uint64(63))
-    tied = np.flatnonzero((key[1:] ^ key[:-1]) <= low)  # equal high bits
+    members = _tie_runs((key[1:] ^ key[:-1]) <= low)  # equal high bits
     key &= low
     order = key.view(np.int64)  # the key array, reused in place
-    if len(tied):
-        # every place in a run of tied neighbours; one stable sort of them all
-        # by time keeps the runs apart, since their high bits differ, and
-        # within a run they are already in index order
-        last = np.append(tied[1:] != tied[:-1] + 1, True)
-        members = np.sort(np.concatenate((tied, tied[last] + 1)))
+    if len(members):
+        # one stable sort of every tied place by time keeps the runs apart,
+        # since their high bits differ, and within a run they are already in
+        # index order
         sub = order[members]
         order[members] = sub[np.argsort(times[sub], kind="stable")]
     if signed or (n > 0 and np.isnan(times[order[-1]])):
         order = np.argsort(times, kind="stable")
     return (times[order], *(a[order] for a in labels))
+
+
+def _tie_runs(tied: np.ndarray) -> np.ndarray:
+    """Every place in a run of ties: i and i + 1 for each i that ``tied`` marks, ascending."""
+    at = np.flatnonzero(tied)
+    return np.union1d(at, at + 1)
 
 
 # below this many open clusters a lockstep round costs more per decided
@@ -400,13 +403,11 @@ def _dead_time_pass(
     del t_0, t_1, label_0, label_1
     order = np.argsort(out_t, kind="stable")
     out_t = out_t[order]
-    tied = np.flatnonzero(out_t[1:] == out_t[:-1])
-    if len(tied):
+    members = _tie_runs(out_t[1:] == out_t[:-1])
+    if len(members):
         # every place in a run of equal times, re-sorted by label: within a
         # port the ties are in order already, and across ports the merge put
         # port 0's first, which the stable sort keeps for the afterpulses
-        last = np.append(tied[1:] != tied[:-1] + 1, True)
-        members = np.sort(np.concatenate((tied, tied[last] + 1)))
         sub = order[members]
         order[members] = sub[np.lexsort((out_label[sub], out_t[members]))]
     # the merge order gives each click's port: places below n_0 hold port
