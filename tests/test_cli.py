@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ponqkd
 from ponqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_OK, main
 from ponqkd.scenarios import CAL_RAMAN_SCALE, bundled_names, bundled_scenario
 
@@ -21,6 +25,22 @@ def test_scenarios_verb_lists_library(capsys):
     out = capsys.readouterr().out
     for name in ("pon-baseline", "b2b-budget-sweep", "odn-reach-sweep"):
         assert name in out
+
+
+def test_module_entry_point_lists_the_library(capsys):
+    # python -m ponqkd.cli, the module run as a script, exits with main()'s code
+    src = os.path.dirname(os.path.dirname(ponqkd.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-m", "ponqkd.cli", "scenarios"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == EXIT_OK, child.stderr
+    assert main(["scenarios"]) == EXIT_OK
+    assert child.stdout == capsys.readouterr().out
 
 
 def test_run_bundled_scenario_json(capsys):
@@ -240,6 +260,12 @@ def test_malformed_config_exits_config_from_every_verb(tmp_path, capsys, verb, p
     assert main([verb, "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+def test_config_not_an_object_exits_config_from_every_verb(tmp_path, capsys, verb):
+    assert main([verb, "--config", write_config(tmp_path, [])]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: configuration must be a JSON object\n"
 
 
 @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])

@@ -224,6 +224,16 @@ def test_simulation_counts_match_oracle_three_sigma():
     assert abs(len(stream) - expected) <= 3.0 * math.sqrt(expected)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"duration_s": 0.0}, "duration_s must be > 0"), ({"noise_rate": -1.0}, "noise_rate must be >= 0")],
+)
+def test_simulate_timetags_input_validation(kwargs, message):
+    args = {"noise_rate": 0.0, "duration_s": 1e-3, "seed": 1} | kwargs
+    with pytest.raises(ValueError, match=message):
+        simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), **args)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TransmitterConfig(visibility=1.2)

@@ -58,6 +58,11 @@ def test_collision_probability_at_zero_error():
     assert collision_probability(0.0) == 0.5
 
 
+def test_collision_probability_domain():
+    with pytest.raises(ValueError, match="outside"):
+        collision_probability(1.5)
+
+
 def test_shrink_factor_exact_at_zero():
     assert abs(dps_shrink_factor(0.0) - 1.0) <= 1e-12
 

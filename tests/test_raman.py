@@ -130,6 +130,11 @@ def test_thermal_occupation_frozen():
     assert thermal_occupation(13.2, 295.0) == pytest.approx(0.13222156689623124, rel=1e-12)
 
 
+def test_thermal_occupation_needs_a_positive_shift():
+    with pytest.raises(ValueError, match="positive shifts"):
+        thermal_occupation(0.0)
+
+
 def test_thermal_occupation_decreases_with_shift():
     values = [thermal_occupation(s) for s in (1.0, 5.0, 13.2, 25.0, 40.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -186,6 +191,11 @@ def test_forward_conversion_degenerate_limit():
     assert forward_conversion_km(alpha, alpha, 12.0) == pytest.approx(
         12.0 * math.exp(-alpha * 12.0), rel=1e-12
     )
+
+
+def test_backward_conversion_lossless_limit():
+    # with no attenuation every kilometre counts in full
+    assert backward_conversion_km(0.0, 0.0, 16.0) == 16.0
 
 
 def test_backward_conversion_saturates():

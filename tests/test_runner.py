@@ -172,6 +172,17 @@ def test_memory_bound_respects_the_cgroup_limit(tmp_path, monkeypatch, cgroup, f
     else:
         assert runner._cgroup_memory_limit_bytes() == limit
     assert runner._physical_memory_bytes() == min(physical, runner._cgroup_memory_limit_bytes())
+    # where sysconf is missing the machine's memory is unknown: the cgroup's limit stands alone
+    monkeypatch.delattr(os, "sysconf")
+    assert runner._physical_memory_bytes() == runner._cgroup_memory_limit_bytes()
+
+
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, count, usable):
+    # platforms without CPU affinity count every CPU, and one if that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert runner._usable_cpus() == usable
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import re
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -247,6 +248,17 @@ def test_reread_equals_a_parse_of_its_config(section, content):
 def test_apply_axis_unknown_axis():
     with pytest.raises(ConfigError):
         apply_axis(bundled_scenario("pon-baseline"), "detector.efficiency", 0.2)
+
+
+def test_apply_axis_refuses_a_non_finite_value():
+    with pytest.raises(ConfigError, match="^sweep.values: nan is not a finite number$"):
+        apply_axis(bundled_scenario("pon-baseline"), "topology.reach_km", math.nan)
+
+
+@pytest.mark.parametrize("count", [0, 21])
+def test_upstream_block_holds_one_to_twenty_channels(count):
+    with pytest.raises(ValueError, match="between 1 and 20"):
+        upstream_c_channels(count)
 
 
 def test_sweep_block_validation():
