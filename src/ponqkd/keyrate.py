@@ -6,10 +6,16 @@ with the eavesdropper collision probability
     p_c = 1 - e^2 - (1 - 6 e)^2 / 2
 
 as a function of the QBER e.  At e = 0 this gives p_c = 1/2 and tau = 1
-bit per bit; p_c reaches zero near e = 0.384, beyond which no key
-survives.  Error correction leaks f_ec * h(e) bits per bit, so
+bit per bit.  Error correction leaks f_ec * h(e) bits per bit, so below
+e = 6/38
 
     secure_rate = max(0, raw_rate * (tau - f_ec * h(e))).
+
+p_c peaks at e = 6/38, so tau - f_ec * h(e) falls on [0, 6/38] and is
+negative there for every f_ec >= 1; beyond it tau grows again, as p_c falls
+toward its zero near e = 0.384, but the bound claims no key.  The rate is 0
+from 6/38 on, which is the same as clamping it at
+:func:`positivity_threshold`.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .roots import brentq
 from .sifting import QberReport
 
 DEFAULT_F_EC = 1.45
+E_TAU_MIN = 6.0 / 38.0  # where p_c peaks and tau is smallest
 
 
 def binary_entropy(e: float) -> float:
@@ -50,7 +57,7 @@ def dps_shrink_factor(e: float) -> float:
 class KeyRateReport:
     secure_rate: float  # bits/s
     secure_bits_per_pulse: float
-    shrink_factor: float  # tau, bits/bit; 0 when the bound yields nothing
+    shrink_factor: float  # tau = -log2(p_c), bits/bit; 0 where p_c <= 0
     h_e: float
     ec_leakage: float  # f_ec * h(e), bits/bit
     f_ec: float
@@ -62,8 +69,9 @@ def secure_rate(
     """Secure bits/s and bits/pulse from a sifted-key report.
 
     Clamped at zero whenever the shrink factor does not exceed the error
-    correction leakage, including QBER beyond the collision bound's
-    validity where no key can be claimed at all.
+    correction leakage, and from e = 6/38 on, where no key can be claimed.
+    ``shrink_factor`` still reports tau = -log2(p_c) for every QBER with
+    0 < p_c < 1, past 6/38 too, and 0 beyond the zero of p_c.
     """
     if f_ec < 1.0:
         raise ValueError("f_ec must be >= 1")
@@ -73,7 +81,7 @@ def secure_rate(
     h_e = binary_entropy(e)
     p_c = collision_probability(e)
     tau = -math.log2(p_c) if 0.0 < p_c < 1.0 else 0.0
-    rate = max(0.0, report.raw_rate * (tau - f_ec * h_e))
+    rate = max(0.0, report.raw_rate * (tau - f_ec * h_e)) if e < E_TAU_MIN else 0.0
     if report.raw_rate == 0.0:
         rate, tau, h_e = 0.0, 0.0, 0.0
     return KeyRateReport(
@@ -93,6 +101,5 @@ def positivity_threshold(f_ec: float = DEFAULT_F_EC) -> float:
     is smallest; the physical threshold is the first zero of
     tau - f_ec * h(e), so the bracket stops there.
     """
-    e_tau_min = 6.0 / 38.0
     f = lambda e: dps_shrink_factor(e) - f_ec * binary_entropy(e)
-    return brentq(f, 1e-9, e_tau_min)[0]
+    return brentq(f, 1e-9, E_TAU_MIN)[0]

@@ -597,7 +597,7 @@ def test_calibrate_malformed_config_exits_config(tmp_path, capsys, raw, field):
 # row, a 0.2 s Monte Carlo `run --format csv` of pon-baseline, and the
 # pon-us-1 Raman calibration: its summary, then the bytes of its --out file;
 # with BUNDLED_OUTPUT_PIN in test_runner, every output format is pinned
-CLI_FORMAT_PIN = "d67607118521d14460b3ec6468afd9e4cb56cbd885b54ec71673d76c3d2c579e"
+CLI_FORMAT_PIN = "f0561223893cb6947c8382f7588cabeaaabc9508192a9b18ef38e9a7a1555ce3"
 
 
 def test_cli_output_formats_are_pinned(tmp_path, capsys):

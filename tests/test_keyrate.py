@@ -8,6 +8,7 @@ outside the package.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ponqkd.keyrate import (
     DEFAULT_F_EC,
@@ -152,3 +153,29 @@ def test_positivity_threshold_brackets_sign_change():
 def test_positivity_threshold_decreases_with_f_ec():
     thresholds = [positivity_threshold(f) for f in (1.0, 1.2, 1.45, 1.8)]
     assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
+
+
+# the Brent root lands within about 1e-12 of the zero of tau - f_ec * h(e),
+# and the rounded margin may take either sign that close to it, so the
+# property leaves out a band of 1e-9 on each side of the threshold
+THRESHOLD_BAND = 1e-9
+# two QBERs one ulp apart may round tau - f_ec * h(e) the wrong way round,
+# by a few ulps of 1; the rate may rise by this share of the raw rate
+ROUNDING = 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    f_ec=st.floats(min_value=1.0, max_value=2.0),
+    raw_rate=st.floats(min_value=1e-6, max_value=1e9),
+    qbers=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
+)
+def test_secure_rate_is_positive_exactly_below_the_threshold(f_ec, raw_rate, qbers):
+    low, high = sorted(qbers)
+    threshold = positivity_threshold(f_ec)
+    rates = [secure_rate(make_report(e, raw_rate), f_ec=f_ec).secure_rate for e in (low, high)]
+    for e, rate in zip((low, high), rates):
+        if abs(e - threshold) > THRESHOLD_BAND:
+            assert (rate > 0.0) == (e < threshold)
+        assert 0.0 <= rate <= raw_rate
+    assert rates[1] <= rates[0] + ROUNDING * raw_rate

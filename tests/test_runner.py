@@ -537,7 +537,7 @@ def test_calibrate_rejects_unknown_names():
 # sha256 over every bundled oracle report, each bundled sweep table right
 # after its scenario's report, then 2 s Monte Carlo reports of pon-baseline
 # and pon-us-20 (seed 5); any change to a user-visible number moves it
-BUNDLED_OUTPUT_PIN = "d53fb39b12061c901a64fc003bf2debb5032b9855325d9678e6f2797a7d629e7"
+BUNDLED_OUTPUT_PIN = "d3069aed1dc82251fe7a7e7c3c77e987bc600345ef0f1ebd82f484c1bdac2c4f"
 
 
 def test_bundled_outputs_are_pinned():
