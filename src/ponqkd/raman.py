@@ -41,7 +41,6 @@ from .topology import (
     OdnTopology,
     attenuation_at,
     equivalent_noise_bandwidth_nm,
-    finite_floats,
 )
 
 _C_M_PER_S = 299792458.0  # exact SI values of c, h and k
@@ -158,7 +157,9 @@ class RamanProfile:
     branch (scattered light red of the pump), negative shifts anti-Stokes.
     ``coefficients`` are relative values >= 0; ``scale`` converts the
     relative shape into detected counts/s per (mW pump x nm bandwidth x km
-    geometry factor) and is the calibration target.
+    geometry factor) and is the calibration target.  A config sets
+    ``scale`` and the temperature of :func:`default_raman_profile`, which
+    builds the table; a table built in Python is taken as it is.
     """
 
     shifts_thz: tuple[float, ...]
@@ -166,20 +167,8 @@ class RamanProfile:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        shifts = finite_floats(self.shifts_thz, "shifts_thz")
-        coeffs = finite_floats(self.coefficients, "coefficients")
-        if len(shifts) < 2:
-            raise ValueError("shifts_thz: needs at least 2 points")
-        if list(shifts) != sorted(shifts):
-            raise ValueError("shifts_thz: must be sorted ascending")
-        if len(coeffs) != len(shifts):
-            raise ValueError(f"coefficients: needs one value per shift, got {len(coeffs)}")
-        if min(coeffs) < 0.0:
-            raise ValueError("coefficients: must be >= 0")
         if self.scale < 0.0:
             raise ValueError(f"scale: must be >= 0, got {self.scale}")
-        object.__setattr__(self, "shifts_thz", shifts)
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 @functools.lru_cache(maxsize=16)

@@ -10,11 +10,13 @@ dataclasses, which hold each field's default and range rule; every wrongly
 typed field is reported, but a section whose fields all type-check reports
 only the first range rule it breaks.
 
-Every number follows :func:`topology.finite`.  The fibre, filter and Raman
-tables reach their dataclasses as the JSON holds them, and the dataclass
-applies the rule to each entry, however it is built.  A bad table thus counts
-as one of its section's range rules: an inline profile whose two lists are
-both bad names only ``shifts_thz``.
+Every number follows :func:`topology.finite`.  The one table a config sets,
+the fibre attenuation table, reaches :class:`~topology.OdnTopology` as the
+JSON holds it, and the dataclass applies the rule to each entry, however it
+is built; a bad table thus counts as one of the topology section's range
+rules.  The receiver filter's gaussian table and the Raman profile's table
+are built here, from ``center_nm`` and ``fwhm_nm`` and from
+``temperature_k``, so each config input has one format.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ class _Collector:
             return default
         return value
 
-    def build(self, cls, section: dict, where: str, given_at: str | None = None, **given):
+    def build(self, cls, section: dict, where: str, **given):
         """``cls`` read from one config section, or None if it fails.
 
         Every string, integer or float field not in ``given`` takes the
@@ -162,8 +164,7 @@ class _Collector:
         JSON type is checked here: the range rules are the dataclass's own,
         the number rule of a table's entries among them, and each of its
         messages starts with the field name, which is reported under
-        ``where``, or under ``given_at`` for a field in ``given`` that came
-        from elsewhere.
+        ``where``.
         """
         values, typed = dict(given), True
         for name, kind, expected, fits in _json_fields(cls):
@@ -179,24 +180,24 @@ class _Collector:
         try:
             return cls(**values)
         except ValueError as exc:
-            name = str(exc).partition(":")[0]
-            self.fail(f"{given_at if given_at and name in given else where}.{exc}")
+            self.fail(f"{where}.{exc}")
             return None
 
 
 def _parse_filter(section: dict, col: _Collector, where: str) -> FilterProfile | None:
     shape = col.choice(section, "shape", "gaussian", where, ("gaussian", "flat"))
-    table = section.get("transmission_db")  # an explicit table wins over the shape
-    if table is None:
-        flat = col.build(FilterProfile, section, where)
-        if flat is None or shape == "flat":
-            return flat
-        try:
-            table = gaussian_transmission_table(flat.center_nm, flat.fwhm_nm)
-        except ValueError as exc:
-            col.fail(f"{where}.{exc}")
-            return None
-    return col.build(FilterProfile, section, where, transmission_db=table)
+    if "transmission_db" in section:  # refused, not ignored: it would change the filter
+        col.fail(f"{where}.transmission_db: not a setting; set shape, center_nm and fwhm_nm")
+        return None
+    flat = col.build(FilterProfile, section, where)
+    if flat is None or shape == "flat":
+        return flat
+    try:
+        table = gaussian_transmission_table(flat.center_nm, flat.fwhm_nm)
+    except ValueError as exc:
+        col.fail(f"{where}.{exc}")
+        return None
+    return replace(flat, transmission_db=table)
 
 
 def _parse_topology(raw: dict, col: _Collector) -> tuple[OdnTopology | None, float | None]:
@@ -241,19 +242,16 @@ def _parse_raman(raw: dict, col: _Collector) -> RamanProfile | None:
     section = col.section(raw, "raman")
     temperature = col.number(section, "temperature_k", ROOM_TEMPERATURE_K, "raman", minimum=1.0)
     spec = section.get("profile", "default")
-    if spec == "default":
-        try:
-            default = default_raman_profile(temperature)
-        except OverflowError:  # the phonon occupation overflows below ~3 K
-            col.fail(f"raman.profile: the default profile overflows at {temperature} K")
-            return None
-        table = {"shifts_thz": default.shifts_thz, "coefficients": default.coefficients}
-    elif isinstance(spec, dict):
-        table = {key: spec.get(key) for key in ("shifts_thz", "coefficients")}
-    else:
-        col.fail(f"raman.profile: expected 'default' or a table, got {spec!r}")
+    if spec != "default":
+        col.fail(f"raman.profile: expected 'default', got {spec!r}")
         return None
-    return col.build(RamanProfile, section, "raman", given_at="raman.profile", **table)
+    try:
+        default = default_raman_profile(temperature)
+    except OverflowError:  # the phonon occupation overflows below ~3 K
+        col.fail(f"raman.profile: the default profile overflows at {temperature} K")
+        return None
+    table = {"shifts_thz": default.shifts_thz, "coefficients": default.coefficients}
+    return col.build(RamanProfile, section, "raman", **table)
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -292,8 +290,8 @@ def parse_scenario(raw: dict) -> Scenario:
     slot_phase = gate_raw.get("slot_phase_s", GateConfig.slot_phase_s)
     if slot_phase == "auto":
         slot_phase = None
-    elif slot_phase is not None and not finite(slot_phase):
-        col.fail(f"gate.slot_phase_s: expected a finite number, 'auto' or null, got {slot_phase!r}")
+    elif not finite(slot_phase):
+        col.fail(f"gate.slot_phase_s: expected a finite number or 'auto', got {slot_phase!r}")
     gate = col.build(GateConfig, gate_raw, "gate", slot_phase_s=slot_phase)
     f_ec = col.number(key_raw, "f_ec", DEFAULT_F_EC, "keyrate", minimum=1.0)
     run = col.build(RunSettings, run_raw, "run")
@@ -385,8 +383,9 @@ def reread(scn: Scenario, raw: dict, section: str) -> Scenario:
     shared with ``scn``, and a broken rule of the section raises
     :class:`ConfigError` with the parser's message.  The rules that tie the
     plant and the Raman profile to the channel plan do not run again, so
-    ``raw`` keeps the plant kind, the fibre table and the Raman table of
-    ``scn.raw``; no sweep axis or calibration parameter changes them.
+    ``raw`` keeps the plant kind and the fibre table of ``scn.raw``; no sweep
+    axis or calibration parameter changes them, and the default Raman
+    profile spans the same shifts at every temperature.
     """
     col = _Collector()
     if section == "topology":

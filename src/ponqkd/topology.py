@@ -48,31 +48,20 @@ def finite(value) -> bool:
         return False
 
 
-def finite_floats(values, name: str, kind: str = "finite numbers") -> tuple[float, ...]:
-    """``values`` as floats, or ValueError naming ``name`` unless each is :func:`finite`.
-
-    C-level passes over the whole list, not a call per entry; a tuple of
-    floats comes back as it is.
-    """
-    try:
-        values = tuple(values)
-        types = set(map(type, values))
-        if bool not in types and all(map(math.isfinite, values)):
-            return values if types <= {float} else tuple(map(float, values))
-    except (TypeError, OverflowError):
-        pass
-    raise ValueError(f"{name}: expected a list of {kind}")
-
-
 def finite_pairs(pairs, name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The nm column and the value column of a table of pairs, as :func:`finite_floats`."""
+    """The nm column and the value column of a table of pairs, as floats.
+
+    ValueError naming ``name`` unless every row is a pair and every entry
+    :func:`finite`.
+    """
     try:
         pairs = tuple(pairs)
         xs, ys = zip(*pairs, strict=True) if pairs else ((), ())
+        if all(map(finite, xs + ys)):
+            return tuple(map(float, xs)), tuple(map(float, ys))
     except (TypeError, ValueError):
-        xs = ys = None
-    kind = "[nm, value] pairs of finite numbers"
-    return finite_floats(xs, name, kind), finite_floats(ys, name, kind)
+        pass
+    raise ValueError(f"{name}: expected a list of [nm, value] pairs of finite numbers")
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,11 +117,14 @@ class FilterProfile:
     """Bandpass filter seen by the quantum receiver or a classical channel.
 
     A filter is either an idealised flat top described by ``fwhm_nm`` alone,
-    or carries a measured transmission table ``transmission_db`` of
-    ``((nm, dB), ...)`` points relative to the passband peak.  The
-    equivalent noise bandwidth used for broadband-noise integration follows
-    from whichever description is present; it is computed on first use
-    and kept, since the filter never changes.
+    or carries a transmission table ``transmission_db`` of ``((nm, dB), ...)``
+    points relative to the passband peak.  A config sets ``shape``,
+    ``center_nm``, ``fwhm_nm`` and ``insertion_loss_db`` only: the parser
+    builds a gaussian filter's table with :func:`gaussian_transmission_table`,
+    and a table built in Python is taken as it is.  The equivalent noise
+    bandwidth used for broadband-noise integration follows from whichever
+    description is present; it is computed on first use and kept, since the
+    filter never changes.
     """
 
     center_nm: float = 1310.0  # the default quantum channel
@@ -147,19 +139,6 @@ class FilterProfile:
             raise ValueError(f"fwhm_nm: must be > 0, got {self.fwhm_nm}")
         if self.insertion_loss_db < 0.0:
             raise ValueError(f"insertion_loss_db: must be >= 0, got {self.insertion_loss_db}")
-        if self.transmission_db is not None:
-            wavelengths, levels = finite_pairs(self.transmission_db, "transmission_db")
-            if len(wavelengths) < 3:
-                raise ValueError("transmission_db: needs at least 3 points")
-            if sorted(wavelengths) != list(wavelengths):
-                raise ValueError("transmission_db: must be sorted by wavelength")
-            if not (wavelengths[0] <= self.center_nm <= wavelengths[-1]):
-                raise ValueError("transmission_db: must contain center_nm")
-            with np.errstate(over="ignore"):
-                peak = np.power(10.0, max(levels) / 10.0)
-            if not 0.0 < peak < math.inf:  # the noise bandwidth divides by the peak
-                raise ValueError("transmission_db: has no passband")
-            object.__setattr__(self, "transmission_db", tuple(zip(wavelengths, levels)))
 
     def in_passband(self, wavelength_nm: float) -> bool:
         """Whether ``wavelength_nm`` lies in the filter's 3 dB passband.
@@ -204,15 +183,21 @@ def gaussian_transmission_table(
 ) -> tuple[tuple[float, float], ...]:
     """Sampled Gaussian passband, in dB relative to peak.
 
-    Utility for building bundled filter profiles.  The table always has
+    The table of every gaussian filter a config sets.  It always has
     ``_GAUSSIAN_POINTS`` samples over ``_GAUSSIAN_SPAN_FWHM`` widths, so
     scaling ``fwhm_nm`` scales the sampled equivalent noise bandwidth
     exactly proportionally, which the bundled wide/narrow filter pair
-    relies on.  A span too wide for a float raises ValueError.
+    relies on.  A span, or a table end, too large for a float raises
+    ValueError.
     """
     span_nm = _GAUSSIAN_SPAN_FWHM * fwhm_nm
     if not math.isfinite(span_nm):
         raise ValueError(f"fwhm_nm: {fwhm_nm} nm too wide to sample a gaussian passband")
+    if not (math.isfinite(center_nm - span_nm / 2.0) and math.isfinite(center_nm + span_nm / 2.0)):
+        raise ValueError(
+            f"center_nm: {center_nm} nm with fwhm_nm {fwhm_nm} nm puts an end of the "
+            "gaussian passband past the largest float"
+        )
     offsets = np.linspace(-span_nm / 2.0, span_nm / 2.0, _GAUSSIAN_POINTS)
     rel_db = -10.0 * math.log10(2.0) * (2.0 * offsets / fwhm_nm) ** 2
     return tuple((float(center_nm + o), float(t)) for o, t in zip(offsets, rel_db))

@@ -73,8 +73,7 @@ def plant_configs(draw):
 
     Each number now and then leaves its accepted range or is not finite.
     The fibre table has one to six points and usually spans the 1260-1625
-    nm window the bundled channels need; the filter is flat, gaussian or a
-    table of a few points around its centre, some with no passband.
+    nm window the bundled channels need; the filter is flat or gaussian.
     """
 
     def number(good):
@@ -103,11 +102,6 @@ def plant_configs(draw):
         "fwhm_nm": number(st.floats(0.01, 20.0)),
         "insertion_loss_db": number(st.floats(0.0, 30.0)),
     }
-    if draw(st.booleans()):
-        offsets = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6)) + [0.0])
-        floor = draw(st.sampled_from([0.0, 0.0, 0.0, -4000.0]))  # -4000 dB: no passband
-        levels = [floor + number(st.floats(-60.0, 3.0)) for _ in offsets]
-        rx_filter["transmission_db"] = [[center + o, t] for o, t in zip(offsets, levels)]
     raw["channels"]["rx_filter"] = rx_filter
     return raw
 
@@ -356,7 +350,8 @@ def test_raman_sum_raises_what_the_per_channel_loop_raises(channels, data):
 
 
 def extreme_pump_rule(quantum_nm, pumps):
-    """Whether a plan passes on the narrow tables by the shortest and longest pump.
+    """Whether a plan passes on the narrow plant table and the default Raman
+    profile by the shortest and longest pump.
 
     Both tables span one interval and the shift falls as the pump
     wavelength grows, so those two pumps stand for all of them.
@@ -366,13 +361,15 @@ def extreme_pump_rule(quantum_nm, pumps):
         for nm in (quantum_nm, *ends):
             attenuation_at(NARROW_TOPOLOGY, nm)
         for nm in ends:
-            raman_coefficient(NARROW_PROFILE, nm, quantum_nm)
+            raman_coefficient(default_raman_profile(), nm, quantum_nm)
     except (ShiftRangeError, WavelengthRangeError):
         return False
     return True
 
 
-# the channel window, and a little past the narrow plant table at each end
+# the channel window, and a little past the narrow plant table at each end;
+# the default profile's ±45 THz hull leaves out a pump far enough from the
+# quantum channel at either end of the window
 window_nm = st.floats(1260.0, 1625.0) | st.sampled_from([1260.0, 1269.9, 1270.0, 1615.0, 1615.1])
 
 
@@ -382,10 +379,6 @@ def test_plant_check_gives_the_extreme_pump_verdict(quantum_nm, pumps):
     raw = bundled_scenario("pon-us-1")
     table = NARROW_TOPOLOGY.attenuation_db_per_km
     raw["topology"]["attenuation_db_per_km"] = [list(row) for row in table]
-    raw["raman"]["profile"] = {
-        "shifts_thz": list(NARROW_PROFILE.shifts_thz),
-        "coefficients": list(NARROW_PROFILE.coefficients),
-    }
     raw["channels"]["quantum_center_nm"] = quantum_nm
     raw["channels"]["rx_filter"]["center_nm"] = quantum_nm  # the filter follows the channel
     raw["channels"]["classical"] = [

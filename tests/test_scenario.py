@@ -95,8 +95,9 @@ def test_slot_phase_auto_and_null():
     raw = bundled_scenario("pon-baseline")
     raw["gate"]["slot_phase_s"] = "auto"
     assert parse_scenario(raw).gate.slot_phase_s is None
-    raw["gate"]["slot_phase_s"] = None
-    assert parse_scenario(raw).gate.slot_phase_s is None
+    raw["gate"]["slot_phase_s"] = None  # "auto" is the one spelling of the automatic phase
+    with pytest.raises(ConfigError, match="gate.slot_phase_s: expected a finite number or 'auto'"):
+        parse_scenario(raw)
     raw["gate"]["slot_phase_s"] = 2.5e-10
     assert parse_scenario(raw).gate.slot_phase_s == 2.5e-10
     raw["gate"]["slot_phase_s"] = "later"
