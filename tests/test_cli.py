@@ -149,6 +149,10 @@ def test_attenuator_with_classical_channels_exits_config(tmp_path, capsys):
 
 NAN_TABLE = [[1260.0, 0.42], [1310.0, math.nan], [1625.0, 0.24]]
 
+# the messages for a filter table and an inline Raman table, both refused formats
+FILTER_TABLE_REFUSED = "channels.rx_filter.transmission_db: not a setting"
+RAMAN_TABLE_REFUSED = "raman.profile: expected 'default', got {'shifts_thz'"
+
 # (path into odn-split-sweep, value, text the error must name)
 MALFORMED = [
     (("raman", "scale"), math.nan, "raman.scale"),
@@ -159,9 +163,16 @@ MALFORMED = [
     (("gate", "slot_phase_s"), None,
      "gate.slot_phase_s: expected a finite number or 'auto', got None"),
     (("topology", "attenuation_db_per_km"), NAN_TABLE, "topology.attenuation_db_per_km"),
+    # a filter table or an inline Raman table is refused as a format, before
+    # any rule on its entries: every table below, well formed or not, exits 2
+    # naming the key it sets
+    (("channels", "rx_filter", "transmission_db"), NAN_TABLE, FILTER_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [math.inf, 0.1]}, RAMAN_TABLE_REFUSED),
     (("transmitter",), [1], "transmitter: expected an object"),
     (("channels", "rx_filter"), [1], "channels.rx_filter: expected an object"),
     (("channels", "classical"), 5, "channels.classical: expected a list"),
+    (("channels", "rx_filter", "transmission_db"), [[1309.0, -4e3], [1310.0, -4e3], [1311.0, -4e3]],
+     FILTER_TABLE_REFUSED),
     (("sweep", "values"), ["x"], "sweep.values"),
     (("sweep", "values"), [2, math.nan], "sweep.values"),
     (("run", "seed"), -1, "run.seed"),
@@ -200,13 +211,19 @@ MALFORMED = [
      "channels.rx_filter.transmission_db: not a setting"),
     (("detector", "afterpulse_probability"), 2, "detector.afterpulse_probability: must be in"),
     (("channels", "quantum_center_nm"), 0.5, "channels.quantum_center_nm: must be >= 1"),
+    (("raman", "profile"), {"shifts_thz": [1.0, -1.0], "coefficients": [0.1, 0.1]}, RAMAN_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": [-1.0, 1.0], "coefficients": [0.1]}, RAMAN_TABLE_REFUSED),
     (("raman", "scale"), -1, "raman.scale: must be >= 0"),
     (("gate", "gate_fraction"), 0, "gate.gate_fraction: must be in (0, 1]"),
     (("gate", "gate_fraction"), 1.5, "gate.gate_fraction: must be in (0, 1]"),
     (("topology", "excess_loss_db"), -1, "topology.excess_loss_db: must be >= 0"),
     (("topology", "directivity_db"), -1, "topology.directivity_db: must be >= 0"),
     (("channels", "rx_filter", "center_nm"), 0.5, "channels.rx_filter.center_nm: must be >= 1"),
+    (("channels", "rx_filter", "transmission_db"), [[1311.0, -3.0], [1310.0, 0.0], [1309.0, -3.0]],
+     FILTER_TABLE_REFUSED),
     (("topology", "attenuation_db_per_km"), [], "topology.attenuation_db_per_km: must not be empty"),
+    (("raman", "profile"), {"shifts_thz": [1.0], "coefficients": [0.1]}, RAMAN_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": [-0.1, 0.1]}, RAMAN_TABLE_REFUSED),
     # a table entry follows the number rule of a scalar: no strings, no bools
     (("topology", "attenuation_db_per_km"), [["1260", "0.42"], ["1625", "0.24"]],
      "topology.attenuation_db_per_km: expected a list"),
@@ -214,6 +231,14 @@ MALFORMED = [
      "topology.attenuation_db_per_km: expected a list"),
     (("topology", "attenuation_db_per_km"), ["13", "69"],
      "topology.attenuation_db_per_km: expected a list"),
+    (("channels", "rx_filter", "transmission_db"), [["1309", "-3"], ["1310", "0"], ["1311", "-3"]],
+     FILTER_TABLE_REFUSED),
+    (("channels", "rx_filter", "transmission_db"), [[1309.0, -3.0], [1310.0, True], [1311.0, -3.0]],
+     FILTER_TABLE_REFUSED),
+    (("channels", "rx_filter", "transmission_db"), ["13", "10", "11"], FILTER_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": ["-60", "60"], "coefficients": [0.1, 0.1]}, RAMAN_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": [True, 0.1]}, RAMAN_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": [-60.0, 60.0], "coefficients": ["01", "02"]}, RAMAN_TABLE_REFUSED),
     (("topology", "attenuation_db_per_km"), [[1310.0]],
      "topology.attenuation_db_per_km: expected a list"),
     # the receiver filter must pass the 1310 nm quantum channel: a flat top
@@ -222,6 +247,13 @@ MALFORMED = [
      "channels.rx_filter: the 1310.0 nm quantum channel lies outside the 3 dB passband"),
     (("channels", "rx_filter", "center_nm"), 1550.0,
      "channels.rx_filter: the 1310.0 nm quantum channel lies outside the 3 dB passband"),
+    # well-formed tables, a filter 6 dB down at 1310 nm and a flat Raman
+    # shape over the default hull: refused for their keys, not run with the
+    # gaussian filter or the default profile in their place
+    (("channels", "rx_filter", "transmission_db"), [[1309.0, -9.0], [1310.0, -6.0], [1311.0, 0.0]],
+     FILTER_TABLE_REFUSED),
+    (("raman", "profile"), {"shifts_thz": [-45.0, 45.0], "coefficients": [0.1, 0.1]},
+     RAMAN_TABLE_REFUSED),
 ]
 
 
