@@ -99,7 +99,10 @@ def positivity_threshold(f_ec: float = DEFAULT_F_EC) -> float:
 
     The collision probability peaks at e = 6/38, where the shrink factor
     is smallest; the physical threshold is the first zero of
-    tau - f_ec * h(e), so the bracket stops there.
+    tau - f_ec * h(e), so the bracket stops there.  Like
+    :func:`secure_rate`, refuses ``f_ec`` below 1.
     """
+    if f_ec < 1.0:
+        raise ValueError("f_ec must be >= 1")
     f = lambda e: dps_shrink_factor(e) - f_ec * binary_entropy(e)
     return brentq(f, 1e-9, E_TAU_MIN)[0]

@@ -32,8 +32,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShiftRangeError
 from .topology import (
     NEPER_PER_DB,
@@ -41,6 +39,7 @@ from .topology import (
     OdnTopology,
     attenuation_at,
     equivalent_noise_bandwidth_nm,
+    interp,
 )
 
 _C_M_PER_S = 299792458.0  # exact SI values of c, h and k
@@ -105,9 +104,14 @@ def frequency_thz(wavelength_nm: float) -> float:
 
 
 def thermal_occupation(shift_thz: float, temperature_k: float = ROOM_TEMPERATURE_K) -> float:
-    """Bose-Einstein phonon occupation at a frequency shift."""
-    if shift_thz <= 0.0:
-        raise ValueError("occupation defined for positive shifts")
+    """Bose-Einstein phonon occupation at a frequency shift.
+
+    ValueError unless the shift and the temperature are finite and positive.
+    """
+    if not (math.isfinite(shift_thz) and shift_thz > 0.0):
+        raise ValueError(f"occupation defined for positive shifts, got {shift_thz} THz")
+    if not (math.isfinite(temperature_k) and temperature_k > 0.0):
+        raise ValueError(f"occupation defined for positive temperatures, got {temperature_k} K")
     x = _H_J_S * shift_thz * 1e12 / (_K_J_PER_K * temperature_k)
     return 1.0 / math.expm1(x)
 
@@ -212,8 +216,7 @@ def raman_coefficient(profile: RamanProfile, pump_nm: float, signal_nm: float) -
             f"{pump_nm} nm pumping {signal_nm} nm: "
             f"shift {shift:.2f} THz outside profile hull [{lo}, {hi}] THz"
         )
-    value = float(np.interp(shift, profile.shifts_thz, profile.coefficients))
-    return value * profile.scale
+    return interp(shift, profile.shifts_thz, profile.coefficients) * profile.scale
 
 
 def forward_conversion_km(a: float, q: float, length: float) -> float:
@@ -262,29 +265,24 @@ def _transmission(loss_db: float) -> float:
 
 def plan_lookups(
     plan: ChannelPlan, topology: OdnTopology, profile: RamanProfile
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[tuple[float, float]]:
     """Scaled scattering coefficient and pump attenuation (dB/km) per channel.
 
-    Both are arrays in plan order, each looked up with one ``np.interp``
-    over the whole plan.  A channel outside either table's hull raises the
-    error :func:`raman_coefficient` or :func:`attenuation_at` would raise
-    for it, the first such channel in plan order deciding.  With the
-    quantum channel's attenuation, which the path loss reads too, these
-    are all of the Raman sum that can fail, so the parser checks a plan
-    with them alone.
+    One ``(coefficient, attenuation)`` pair per channel in plan order, from
+    :func:`raman_coefficient` and :func:`attenuation_at`, so a channel
+    outside either table's hull raises what they raise, the first such
+    channel in plan order deciding.  With the quantum channel's
+    attenuation, which the path loss reads too, these are all of the Raman
+    sum that can fail, so the parser checks a plan with them alone.
     """
     quantum_nm = plan.quantum_center_nm
-    pumps = np.array([channel.center_nm for channel in plan.channels])
-    shifts = C_NM_THZ / pumps - frequency_thz(quantum_nm)
-    wavelengths, values = zip(*topology.attenuation_db_per_km)
-    inside = (profile.shifts_thz[0] <= shifts) & (shifts <= profile.shifts_thz[-1])
-    inside &= (wavelengths[0] <= pumps) & (pumps <= wavelengths[-1])
-    if not inside.all():  # raise what the lookups of the first such channel raise
-        pump_nm = float(pumps[inside.argmin()])
-        raman_coefficient(profile, pump_nm, quantum_nm)
-        attenuation_at(topology, pump_nm)
-    coeffs = np.interp(shifts, profile.shifts_thz, profile.coefficients) * profile.scale
-    return coeffs, np.interp(pumps, wavelengths, values)
+    return [
+        (
+            raman_coefficient(profile, channel.center_nm, quantum_nm),
+            attenuation_at(topology, channel.center_nm),
+        )
+        for channel in plan.channels
+    ]
 
 
 def odn_noise_at_bob(
@@ -309,12 +307,10 @@ def odn_noise_at_bob(
     leak_t = _transmission(topology.splitter.directivity_db)
     per_mw = 1e-3 / (_H_J_S * _C_M_PER_S / (quantum_nm * 1e-9))  # photon rate of 1 mW, 1/s
 
-    coeffs, pump_dbs = plan_lookups(plan, topology, profile)
-
     upstream = 0.0
     drops = 0.0
     leakage = 0.0
-    for channel, coeff, pump_db in zip(plan.channels, coeffs.tolist(), pump_dbs.tolist()):
+    for channel, (coeff, pump_db) in zip(plan.channels, plan_lookups(plan, topology, profile)):
         power = channel.launch_power_mw
         a = pump_db * NEPER_PER_DB
         if channel.direction == "upstream":

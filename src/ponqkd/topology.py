@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,21 +65,38 @@ def finite_pairs(pairs, name: str) -> tuple[tuple[float, ...], tuple[float, ...]
     raise ValueError(f"{name}: expected a list of [nm, value] pairs of finite numbers")
 
 
-@functools.lru_cache(maxsize=256)
+def interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
+    """Linear interpolation of the table ``(xs, ys)`` at ``x``.
+
+    ``xs`` and ``ys`` are sequences of finite floats, ``xs`` strictly
+    increasing, and ``xs[0] <= x <= xs[-1]``: the caller checks the hull.
+    The value is ``numpy.interp(x, xs, ys)`` bit for bit.  An exact node,
+    the right end among them, returns its own ``ys`` entry; a point between
+    nodes returns ``slope * (x - xs[j]) + ys[j]``, taken from the right-hand
+    node instead where that is NaN, as numpy does.
+    """
+    j = bisect_right(xs, x) - 1
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    value = slope * (x - xs[j]) + ys[j]
+    if math.isnan(value):  # a zero slope times an offset past the largest float
+        value = slope * (x - xs[j + 1]) + ys[j + 1]
+    return value
+
+
 def attenuation_at(topology: OdnTopology, wavelength_nm: float) -> float:
     """Interpolated fibre attenuation of the plant at ``wavelength_nm`` in dB/km.
 
-    Linear interpolation between table anchors; a query outside the table
-    hull raises :class:`WavelengthRangeError`.  The plant is immutable, so
-    the value is kept per plant and wavelength: a run reads the quantum
-    band's three times, for two path elements and the Raman sum.
+    Linear interpolation between table anchors (:func:`interp`); a query
+    outside the table hull raises :class:`WavelengthRangeError`.
     """
-    wavelengths, values = zip(*topology.attenuation_db_per_km)
+    wavelengths, values = topology.attenuation_columns
     if not (wavelengths[0] <= wavelength_nm <= wavelengths[-1]):
         raise WavelengthRangeError(
             f"{wavelength_nm} nm outside attenuation hull [{wavelengths[0]}, {wavelengths[-1]}] nm"
         )
-    return float(np.interp(wavelength_nm, wavelengths, values))
+    return interp(wavelength_nm, wavelengths, values)
 
 
 @dataclass(frozen=True)
@@ -152,7 +170,7 @@ class FilterProfile:
         wavelengths, levels = zip(*self.transmission_db)
         if not wavelengths[0] <= wavelength_nm <= wavelengths[-1]:
             return False
-        return float(np.interp(wavelength_nm, wavelengths, levels)) >= max(levels) - 3.0
+        return interp(wavelength_nm, wavelengths, levels) >= max(levels) - 3.0
 
     @functools.cached_property
     def noise_bandwidth_nm(self) -> float:
@@ -231,6 +249,11 @@ class OdnTopology:
         if min(values) <= 0.0:
             raise ValueError("attenuation_db_per_km: values must be positive")
         object.__setattr__(self, "attenuation_db_per_km", tuple(zip(wavelengths, values)))
+
+    @functools.cached_property
+    def attenuation_columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The wavelength and dB/km columns of the attenuation table, split once."""
+        return tuple(zip(*self.attenuation_db_per_km))
 
     def element_loss_db(self, name: str, wavelength_nm: float) -> float:
         if name in ("feeder_down", "feeder_up", "drop"):

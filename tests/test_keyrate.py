@@ -143,6 +143,11 @@ def test_positivity_threshold_frozen():
     assert positivity_threshold() == positivity_threshold(DEFAULT_F_EC)
 
 
+def test_positivity_threshold_refuses_f_ec_below_one():
+    with pytest.raises(ValueError, match="f_ec must be >= 1"):
+        positivity_threshold(0.5)
+
+
 def test_positivity_threshold_brackets_sign_change():
     root = positivity_threshold(1.45)
     margin = lambda e: dps_shrink_factor(e) - 1.45 * binary_entropy(e)

@@ -135,6 +135,18 @@ def test_thermal_occupation_needs_a_positive_shift():
         thermal_occupation(0.0)
 
 
+@pytest.mark.parametrize("shift", [math.nan, math.inf])
+def test_thermal_occupation_refuses_a_shift_that_is_not_finite_and_positive(shift):
+    with pytest.raises(ValueError, match="positive shifts"):
+        thermal_occupation(shift)
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0, -10.0])
+def test_thermal_occupation_refuses_a_temperature_that_is_not_finite_and_positive(temperature):
+    with pytest.raises(ValueError, match="positive temperatures"):
+        thermal_occupation(13.2, temperature)
+
+
 def test_thermal_occupation_decreases_with_shift():
     values = [thermal_occupation(s) for s in (1.0, 5.0, 13.2, 25.0, 40.0)]
     assert all(a > b for a, b in zip(values, values[1:]))

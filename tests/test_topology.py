@@ -1,6 +1,7 @@
 """Plant model: attenuation tables, splitter, filters, loss budgets."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ponqkd.topology import (
     attenuation_at,
     equivalent_noise_bandwidth_nm,
     gaussian_transmission_table,
+    interp,
     path_loss_db,
 )
 from ponqkd.runner import run_scenario, run_sweep
@@ -46,6 +48,35 @@ def test_attenuation_outside_hull_raises():
     assert attenuation_at(single, 1310.0) == 0.37
     with pytest.raises(WavelengthRangeError):
         attenuation_at(single, 1310.1)
+
+
+def test_interp_matches_numpy_bit_for_bit():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def table_and_points(draw):
+        xs = sorted(draw(st.lists(finite, min_size=1, max_size=100, unique=True)))
+        ys = draw(st.lists(finite, min_size=len(xs), max_size=len(xs)))
+        inside = st.floats(min_value=xs[0], max_value=xs[-1])
+        points = draw(st.lists(inside | st.sampled_from(xs), max_size=20))
+        return xs, ys, [xs[0], xs[-1], *points]
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(table_and_points())
+    # spans past the largest float: a zero slope times an infinite offset,
+    # which numpy retries from the right-hand node, and an infinite slope
+    @example(([-1e308, 1e308], [1.0, 2.0], [0.9e308, -0.9e308]))
+    @example(([-1e308, 1e308], [-1e308, 1e308], [0.9e308]))
+    def check(case):
+        xs, ys, points = case
+        for x in points:
+            got, want = interp(x, tuple(xs), tuple(ys)), float(np.interp(x, xs, ys))
+            assert struct.pack("<d", got) == struct.pack("<d", want), (x, got, want)
+
+    check()
 
 
 def test_span_loss_is_length_times_attenuation():
