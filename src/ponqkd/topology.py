@@ -76,7 +76,7 @@ def interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     node instead where that is NaN, as numpy does.
     """
     j = bisect_right(xs, x) - 1
-    if j == len(xs) - 1 or xs[j] == x:
+    if xs[j] == x:
         return ys[j]
     slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
     value = slope * (x - xs[j]) + ys[j]
