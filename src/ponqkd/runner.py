@@ -7,7 +7,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -19,7 +18,7 @@ from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
 from .raman import RamanContribution, odn_noise_at_bob
 from .roots import RootError, brentq
-from .scenario import RUN_MODES, Scenario, config_hash, parse_scenario
+from .scenario import RUN_MODES, Scenario, parse_scenario
 from .scenario import reread, sweep_points
 from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
 from .topology import finite
@@ -55,11 +54,10 @@ OBSERVABLES = {
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run's figures, plus the config that produced them.
+    """One run's figures, plus the scenario that produced them.
 
-    ``raw`` is the run scenario's config dict, which nothing mutates;
-    ``config_hash`` digests it on first read, since only emitted reports
-    need it.
+    ``raw`` and ``config_hash`` are the scenario's own, so every run and
+    report of one parsed scenario reads one digest, taken on first read.
     """
 
     scenario_name: str
@@ -70,12 +68,16 @@ class RunResult:
     qber_report: QberReport
     keyrate_report: KeyRateReport
     link_rates: LinkRates
-    raw: dict = field(repr=False, hash=False)
+    scenario: Scenario = field(repr=False, hash=False)
     seed: int | None
 
-    @functools.cached_property
+    @property
+    def raw(self) -> dict:
+        return self.scenario.raw
+
+    @property
     def config_hash(self) -> str:
-        return config_hash(self.raw)
+        return self.scenario.config_hash
 
 
 def run_scenario(
@@ -190,7 +192,7 @@ def run_scenario(
         qber_report=qber_report,
         keyrate_report=key_report,
         link_rates=rates,
-        raw=scn.raw,
+        scenario=scn,
         seed=run_seed,
     )
 
@@ -278,6 +280,8 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
     points = sweep_points(scn)
     if scn.run.mode == "oracle":
         return list(map(run_scenario, points))
+    from concurrent.futures import ThreadPoolExecutor  # only this branch needs the pool
+
     seeds = np.random.SeedSequence(scn.run.seed).spawn(len(points))
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(points))) as pool:
         return list(pool.map(run_scenario, points, seeds))

@@ -102,6 +102,15 @@ class Scenario:
             return float(self.budget_db)
         return path_loss_db(self.topology, self.plan.quantum_center_nm)
 
+    @functools.cached_property
+    def config_hash(self) -> str:
+        """:func:`config_hash` of ``raw``, computed on first read and kept.
+
+        Nothing mutates ``raw``, and :func:`reread` and :func:`sweep_point`
+        build a new scenario, with an empty cache, for a new ``raw``.
+        """
+        return config_hash(self.raw)
+
 
 def config_hash(raw: dict) -> str:
     """Stable digest of a config dict (key order independent)."""

@@ -206,7 +206,8 @@ def gaussian_transmission_table(
     scaling ``fwhm_nm`` scales the sampled equivalent noise bandwidth
     exactly proportionally, which the bundled wide/narrow filter pair
     relies on.  A span, or a table end, too large for a float raises
-    ValueError.
+    ValueError, and so does a width too small for the samples around
+    ``center_nm`` to be distinct floats.
     """
     span_nm = _GAUSSIAN_SPAN_FWHM * fwhm_nm
     if not math.isfinite(span_nm):
@@ -218,7 +219,12 @@ def gaussian_transmission_table(
         )
     offsets = np.linspace(-span_nm / 2.0, span_nm / 2.0, _GAUSSIAN_POINTS)
     rel_db = -10.0 * math.log10(2.0) * (2.0 * offsets / fwhm_nm) ** 2
-    return tuple((float(center_nm + o), float(t)) for o, t in zip(offsets, rel_db))
+    wavelengths = [float(center_nm + o) for o in offsets]
+    if not all(a < b for a, b in zip(wavelengths, wavelengths[1:])):
+        raise ValueError(
+            f"fwhm_nm: {fwhm_nm} nm too narrow to sample a gaussian passband at {center_nm} nm"
+        )
+    return tuple(zip(wavelengths, map(float, rel_db)))
 
 
 @dataclass(frozen=True)

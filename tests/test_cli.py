@@ -192,6 +192,9 @@ MALFORMED = [
      "channels.classical[0].launch_power_dbm: 1e+308 overflows"),
     # a gaussian passband four widths wide does not fit in a float
     (("channels", "rx_filter", "fwhm_nm"), 1e308, "channels.rx_filter.fwhm_nm: 1e+308 nm too wide"),
+    # a width so small that the samples around the centre repeat as floats
+    (("channels", "rx_filter", "fwhm_nm"), 1e-13,
+     "channels.rx_filter.fwhm_nm: 1e-13 nm too narrow to sample a gaussian passband at 1310.0 nm"),
     # a width that fits, on a centre so large that the passband's upper end does not
     (("channels", "rx_filter"), {"center_nm": 1.7e308, "fwhm_nm": 1e307},
      "channels.rx_filter.center_nm: 1.7e+308 nm with fwhm_nm 1e+307 nm"),

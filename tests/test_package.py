@@ -1,6 +1,8 @@
 """The package root and the module names the benchmark harness wraps."""
 
 import os
+import subprocess
+import sys
 
 import ponqkd
 
@@ -27,6 +29,29 @@ def test_root_exports_what_the_verbs_and_benchmark_use():
     assert ponqkd.__all__ == ROOT_NAMES
     for name in ROOT_NAMES:
         assert getattr(ponqkd, name) is not None
+
+
+def test_an_oracle_run_does_not_import_the_thread_pool():
+    # only a Monte Carlo sweep uses concurrent.futures, which also pulls in logging
+    code = (
+        "import contextlib, io, sys\n"
+        "import ponqkd\n"
+        "from ponqkd import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['run', '--config', 'pon-baseline']) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ponqkd.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"
 
 
 def test_every_benchmark_hook_resolves(monkeypatch):

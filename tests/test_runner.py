@@ -356,7 +356,7 @@ def test_config_hash_is_computed_only_for_reports(monkeypatch):
         calls.append(raw)
         return config_hash(raw)
 
-    monkeypatch.setattr(runner, "config_hash", counting)
+    monkeypatch.setattr("ponqkd.scenario.config_hash", counting)
     calibrate(bundled_scenario("pon-baseline"), "detector.excess_loss_db", "raw_rate", 2700.0)
     run_sweep(scenario("odn-reach-sweep"))
     run_sweep(scenario("b2b-budget-sweep"))
@@ -367,6 +367,23 @@ def test_config_hash_is_computed_only_for_reports(monkeypatch):
     assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
     assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
     assert len(calls) == 1  # kept after the first read
+
+
+def test_one_parsed_scenario_is_hashed_once_across_runs(monkeypatch):
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return config_hash(raw)
+
+    monkeypatch.setattr("ponqkd.scenario.config_hash", counting)
+    raw = bundled_scenario("pon-ds-lcw")
+    scn = parse_scenario(raw)
+    first, second = run_scenario(scn), run_scenario(scn)
+    reports = [emit_report(res) for res in (first, second, first, second)]
+    assert {json.loads(text)["config_hash"] for text in reports} == {config_hash(raw)}
+    assert len(calls) == 1  # the scenario keeps its digest for every run of it
+    assert first.raw is scn.raw and second.raw is scn.raw
 
 
 def test_parse_checks_the_plan_and_a_run_sums_it_once(monkeypatch):

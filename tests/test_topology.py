@@ -133,6 +133,18 @@ def test_gaussian_table_enb_matches_analytic():
     assert enb == pytest.approx(1.298649763706096, rel=1e-3)
 
 
+@pytest.mark.parametrize("fwhm_nm", [1e-13, 1e-12])
+def test_gaussian_table_too_narrow_to_sample_raises(fwhm_nm):
+    with pytest.raises(ValueError, match=f"fwhm_nm: {fwhm_nm} nm too narrow .* at 1310.0 nm"):
+        gaussian_transmission_table(1310.0, fwhm_nm)
+
+
+def test_gaussian_table_at_the_narrowest_sampled_width_keeps_every_point():
+    wavelengths = [nm for nm, _ in gaussian_transmission_table(1310.0, 1e-11)]
+    assert len(wavelengths) == 81
+    assert all(a < b for a, b in zip(wavelengths, wavelengths[1:]))
+
+
 def test_gaussian_table_enb_scales_exactly_with_fwhm():
     ratio = 10.0**1.19
     narrow = gaussian_transmission_table(1310.0, 1.22)
