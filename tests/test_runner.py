@@ -383,7 +383,13 @@ def test_one_parsed_scenario_is_hashed_once_across_runs(monkeypatch):
     reports = [emit_report(res) for res in (first, second, first, second)]
     assert {json.loads(text)["config_hash"] for text in reports} == {config_hash(raw)}
     assert len(calls) == 1  # the scenario keeps its digest for every run of it
-    assert first.raw is scn.raw and second.raw is scn.raw
+
+
+def test_a_run_reads_its_scenarios_config_dict():
+    scn = scenario("pon-baseline")
+    res = run_scenario(scn)
+    assert res.raw is scn.raw
+    assert res.scenario is scn
 
 
 def test_parse_checks_the_plan_and_a_run_sums_it_once(monkeypatch):
