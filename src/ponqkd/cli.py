@@ -21,7 +21,7 @@ from .runner import (
     sweep_csv,
     sweep_rows,
 )
-from .scenario import RUN_MODES, SWEEP_AXES, config_hash, parse_scenario, sweep_points
+from .scenario import RUN_MODES, SWEEP_AXES, parse_scenario, sweep_points
 from .scenarios import DESCRIPTIONS, bundled_names, bundled_scenario
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scn = parse_scenario(raw)
     if scn.sweep is not None:
         sweep_points(scn)  # each point is built, none is run
-    sys.stdout.write(f"ok {scn.name} {config_hash(raw)}\n")
+    sys.stdout.write(f"ok {scn.name} {scn.config_hash}\n")
     return EXIT_OK
 
 

@@ -56,11 +56,11 @@ OBSERVABLES = {
 class RunResult:
     """One run's figures, plus the scenario that produced them.
 
-    ``raw`` and ``config_hash`` are the scenario's own, so every run and
-    report of one parsed scenario reads one digest, taken on first read.
+    ``config_hash`` is the scenario's own, so every run and report of one
+    parsed scenario reads one digest, taken on first read.
     """
 
-    scenario_name: str
+    scenario: Scenario = field(repr=False, hash=False)
     mode: str
     path_loss_db: float
     raman: RamanContribution
@@ -68,12 +68,7 @@ class RunResult:
     qber_report: QberReport
     keyrate_report: KeyRateReport
     link_rates: LinkRates
-    scenario: Scenario = field(repr=False, hash=False)
     seed: int | None
-
-    @property
-    def raw(self) -> dict:
-        return self.scenario.raw
 
     @property
     def config_hash(self) -> str:
@@ -184,7 +179,7 @@ def run_scenario(
         run_seed = stream.seed
     key_report = secure_rate(qber_report, scn.f_ec, scn.transmitter.symbol_rate_hz)
     return RunResult(
-        scenario_name=scn.name,
+        scenario=scn,
         mode=mode,
         path_loss_db=budget,
         raman=raman,
@@ -192,7 +187,6 @@ def run_scenario(
         qber_report=qber_report,
         keyrate_report=key_report,
         link_rates=rates,
-        scenario=scn,
         seed=run_seed,
     )
 
@@ -336,7 +330,7 @@ def report_dict(res: RunResult) -> dict:
     return {
         "toolkit_version": VERSION,
         "config_hash": res.config_hash,
-        "scenario": res.scenario_name,
+        "scenario": res.scenario.name,
         "mode": res.mode,
         "seed": res.seed,
         "path_loss_db": res.path_loss_db,
@@ -357,7 +351,7 @@ def emit_report(results: RunResult | Sequence[RunResult], fmt: str = "json") -> 
         payload = [report_dict(r) for r in results]
         return _json(payload[0] if len(payload) == 1 else payload)
     if fmt == "csv":
-        rows = ({"scenario": r.scenario_name, "mode": r.mode} | _figures(r) for r in results)
+        rows = ({"scenario": r.scenario.name, "mode": r.mode} | _figures(r) for r in results)
         return _csv(RUN_COLUMNS, rows)
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -363,33 +363,12 @@ def test_config_hash_is_computed_only_for_reports(monkeypatch):
     assert calls == []
 
     raw = bundled_scenario("pon-us-1")
-    res = run_scenario(parse_scenario(raw))
-    assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
-    assert json.loads(emit_report(res))["config_hash"] == config_hash(raw)
-    assert len(calls) == 1  # kept after the first read
-
-
-def test_one_parsed_scenario_is_hashed_once_across_runs(monkeypatch):
-    calls = []
-
-    def counting(raw):
-        calls.append(raw)
-        return config_hash(raw)
-
-    monkeypatch.setattr("ponqkd.scenario.config_hash", counting)
-    raw = bundled_scenario("pon-ds-lcw")
     scn = parse_scenario(raw)
     first, second = run_scenario(scn), run_scenario(scn)
+    assert first.scenario is scn
     reports = [emit_report(res) for res in (first, second, first, second)]
     assert {json.loads(text)["config_hash"] for text in reports} == {config_hash(raw)}
     assert len(calls) == 1  # the scenario keeps its digest for every run of it
-
-
-def test_a_run_reads_its_scenarios_config_dict():
-    scn = scenario("pon-baseline")
-    res = run_scenario(scn)
-    assert res.raw is scn.raw
-    assert res.scenario is scn
 
 
 def test_parse_checks_the_plan_and_a_run_sums_it_once(monkeypatch):
