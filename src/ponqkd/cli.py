@@ -66,11 +66,14 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # no such directory, a directory, no permission
+        raise ConfigError([f"--out: cannot write {out!r} ({exc.strerror})"])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -105,9 +108,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     result, fitted = calibrate(raw, args.param, args.observable, args.target)
-    _write(_json(vars(result)), None)
-    if args.out:
+    if args.out:  # first, so that a path it cannot write leaves no fit printed
         _write(_json(fitted), args.out)
+    _write(_json(vars(result)), None)
     return EXIT_OK
 
 

@@ -347,26 +347,23 @@ _BLOCK = 1 << 15
 
 
 def _dead_time_pass(
-    times: np.ndarray,
-    ports: np.ndarray,
-    origins: np.ndarray,
-    fires: np.ndarray,
-    delays: np.ndarray,
-    dead_time_s: float,
-    duration_s: float,
+    events: list[np.ndarray], dead_time_s: float, duration_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Register clicks on each port's non-paralyzable detector.
 
-    ``times``/``ports``/``origins`` are the primaries (signal, dark, Raman)
-    in time order, all before ``duration_s``.  Primary i with ``fires[i]``
-    sends an afterpulse candidate to its own port at ``times[i] +
-    dead_time_s + delay``, the delays taken in order from ``delays`` (one
-    per firing primary); the candidate is a click only if its parent
-    registers.  A click at or after a detector's ``free_at`` (its last
-    registered click plus the dead time) registers; a candidate at or after
-    ``duration_s`` is dropped before it can block anything.  Returns the
-    registered (times, ports, origins) in time order; at equal times the
-    primaries come first in input order, then afterpulses by port.
+    ``events`` is the list ``[times, ports, origins, fires, delays]``: the
+    primaries (signal, dark, Raman) in time order, all before
+    ``duration_s``.  The pass empties the list and drops each array at its
+    last use, so a caller that keeps no other reference holds none of them
+    while the pass allocates its own.  Primary i with ``fires[i]`` sends an
+    afterpulse candidate to its own port at ``times[i] + dead_time_s +
+    delay``, the delays taken in order from ``delays`` (one per firing
+    primary); the candidate is a click only if its parent registers.  A
+    click at or after a detector's ``free_at`` (its last registered click
+    plus the dead time) registers; a candidate at or after ``duration_s``
+    is dropped before it can block anything.  Returns the registered
+    (times, ports, origins) in time order; at equal times the primaries come
+    first in input order, then afterpulses by port.
 
     The two detectors never interact, so there is one route: the pass of
     ``_port_pass`` on each detector.  On one port it carries the origins as
@@ -378,24 +375,34 @@ def _dead_time_pass(
     above by one small sort of those places by (time, label).  A click's
     port is read off the merge order, its origin off its label.
     """
-    n = len(times)
+    n = len(events[0])
+    ports = events[1]
     if n == 0 or ports.min() == ports.max():
-        out_t, out_origin = _port_pass(
-            times, origins, ORIGIN_AFTERPULSE, fires, delays, dead_time_s, duration_s
-        )
-        return out_t, np.full(len(out_t), ports[0] if n else 0, dtype=ports.dtype), out_origin
+        port, port_type = (ports[0] if n else 0), ports.dtype
+        del events[1], ports  # the list is now _port_pass's [times, origins, fires, delays]
+        out_t, out_origin = _port_pass(events, ORIGIN_AFTERPULSE, dead_time_s, duration_s)
+        return out_t, np.full(len(out_t), port, dtype=port_type), out_origin
+    times, ports, origins, fires, delays = events
+    events.clear()
     # a primary's label is its input index, an afterpulse's n, which orders
-    # it after every primary at its time
+    # it after every primary at its time.  Each input is split into the two
+    # ports' shares and then dropped, one at a time
     label = np.int32 if n < 2**31 else np.int64
+    port_type = ports.dtype
+    both = (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE)
     fired_ports = ports[fires]
-    runs = []
-    for port in (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE):
-        at = np.flatnonzero(ports == port)
-        share = delays[np.flatnonzero(fired_ports == port)]
-        args = times[at], at.astype(label), n, fires[at], share
-        runs.append(_port_pass(*args, dead_time_s, duration_s))
-    del fired_ports, at, share, args
-    (t_0, label_0), (t_1, label_1) = runs
+    ats = [np.flatnonzero(ports == port) for port in both]
+    del ports
+    shares = [delays[np.flatnonzero(fired_ports == port)] for port in both]
+    del delays, fired_ports
+    fire_runs = [fires[at] for at in ats]
+    del fires
+    time_runs = [times[at] for at in ats]
+    del times
+    runs = [[t, at.astype(label), f, d] for t, at, f, d in zip(time_runs, ats, fire_runs, shares)]
+    del time_runs, ats, fire_runs, shares
+    # the first port's pass runs while only the second port's inputs are held
+    (t_0, label_0), (t_1, label_1) = (_port_pass(run, n, dead_time_s, duration_s) for run in runs)
     del runs
     n_0 = len(t_0)
     out_t = np.concatenate((t_0, t_1))
@@ -412,42 +419,47 @@ def _dead_time_pass(
         order[members] = sub[np.lexsort((out_label[sub], out_t[members]))]
     # the merge order gives each click's port: places below n_0 hold port
     # 0's clicks (PORT_CONSTRUCTIVE), the rest port 1's (PORT_DESTRUCTIVE)
+    out_port = (order >= n_0).astype(port_type)
+    out_label = out_label.take(order)
+    del order
     origin = np.append(origins, origins.dtype.type(ORIGIN_AFTERPULSE))
-    return out_t, (order >= n_0).astype(ports.dtype), origin.take(out_label.take(order))
+    return out_t, out_port, origin.take(out_label)
 
 
 def _port_pass(
-    times: np.ndarray,
-    labels: np.ndarray,
-    ap_label: int,
-    fires: np.ndarray,
-    delays: np.ndarray,
-    dead_time_s: float,
-    duration_s: float,
+    events: list[np.ndarray], ap_label: int, dead_time_s: float, duration_s: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_dead_time_pass`` on one detector: the registered times and labels.
 
-    ``labels`` belong to the primaries; a registered afterpulse carries
-    ``ap_label``.  The primaries and candidates are laid out on one
-    timeline, primaries first at equal times and candidates in input order
-    among themselves.  Only the candidates are sorted, and each is placed
-    after the primaries at or before it, found a step or two forward from
-    its parent (always one of them) or by a binary search.  An event with
-    no other event within the dead time on either side is lone: a lone
-    primary registers, a lone candidate exactly when its parent does.  The
-    rest form clusters, runs of events closer together than the dead time.
-    Each lockstep round decides the next event of every open cluster at
-    once; a candidate whose parent (always earlier) is still undecided
+    ``events`` is the list ``[times, labels, fires, delays]`` of the
+    primaries, which the pass empties and drops an array at a time:
+    ``fires`` once the parents are found, ``delays`` once the candidates'
+    times are summed, ``times`` and ``labels`` once they are scattered onto
+    the timeline.  ``labels`` belong to the primaries; a registered
+    afterpulse carries ``ap_label``.  The primaries and candidates are laid
+    out on one timeline, primaries first at equal times and candidates in
+    input order among themselves.  Only the candidates are sorted, and each
+    is placed after the primaries at or before it, found a step or two
+    forward from its parent (always one of them) or by a binary search.  An
+    event with no other event within the dead time on either side is lone:
+    a lone primary registers, a lone candidate exactly when its parent does.
+    The rest form clusters, runs of events closer together than the dead
+    time.  Each lockstep round decides the next event of every open cluster
+    at once; a candidate whose parent (always earlier) is still undecided
     waits a round.  Once fewer than ``_SERIAL_CLUSTERS`` clusters are open,
     they finish one at a time in timeline order, jumping from each
     registered click straight past the events its dead time blocks.
     """
+    times, labels, fires, delays = events
+    events.clear()
     n = len(times)
     parent = np.flatnonzero(fires)
+    del fires
     # (time + dead time) + delay, summed in place in that order
     ap_times = times[parent]
     ap_times += dead_time_s
     ap_times += delays
+    del delays
     # only the candidates are sorted, then merged into the primaries; the
     # stable sort is the faster one on their nearly sorted times.  Those at
     # or after ``duration_s`` end the sorted order and are cut off
@@ -470,20 +482,23 @@ def _port_pass(
     ap_at[walk] = np.searchsorted(times, ap_times[walk], side="right")
     del walk
     ap_at += np.arange(n_ap)
+    # the candidates' times go onto the timeline first, so that they are
+    # dropped before the primaries' places are found
+    ts = np.empty(size)
+    ts[ap_at] = ap_times
+    del ap_times
     primary = np.ones(size, dtype=bool)
     primary[ap_at] = False
     prim_at = np.flatnonzero(primary)
     del primary
-    parent_at = prim_at[parent]
-    del parent
-    ts = np.empty(size)
-    ts[ap_at] = ap_times
-    del ap_times
     ts[prim_at] = times
+    del times
     # the output labels are read from the timeline itself
     label = np.full(size, ap_label, dtype=labels.dtype)
     label[prim_at] = labels
-    del prim_at
+    del labels
+    parent_at = prim_at[parent]
+    del parent, prim_at
 
     # event k + 1 arrives inside the dead time event k would start (the
     # comparison the sequential rule makes, so rounding agrees); the sums
@@ -495,37 +510,41 @@ def _port_pass(
         np.add(ts[a:b], dead_time_s, out=block[: b - a])
         np.less(ts[a + 1 : b + 1], block[: b - a], out=close[a:b])
     del block
-    clustered = np.zeros(size, dtype=bool)
-    clustered[1:] = close
-    clustered[:-1] |= close
-    pos = np.flatnonzero(clustered).astype(index)
-    n_clustered = len(pos)
-    head = np.ones(n_clustered, dtype=bool)
-    head[1:] = ~close[pos[1:] - 1]
+    # a cluster is the run of events from the first close flag of a run of
+    # them to the event after its last; the flags have an extra place
+    # ``size``, always lone, which stands for "registered"
+    clustered = np.zeros(size + 1, dtype=bool)
+    clustered[1:size] = close
+    clustered[: size - 1] |= close
+    edges = np.flatnonzero(np.diff(close, prepend=False, append=False)).reshape(-1, 2)
     del close
+    cur = edges[:, 0].copy()  # next undecided place per open cluster
+    end = edges[:, 1] + 1
+    del edges
 
-    # each clustered event's slot among the clustered ones; a lone event's
-    # is the extra slot ``n_clustered``, which stands for "registered".
-    # ``par`` holds the slot of each clustered candidate's parent, and the
-    # extra slot for every primary
-    slot = np.full(size, n_clustered, dtype=index)
-    slot[pos] = np.arange(n_clustered, dtype=index)
-    par = np.full(n_clustered + 1, n_clustered, dtype=index)
-    inner = np.flatnonzero(clustered[ap_at])
-    par[slot[ap_at[inner]]] = slot[parent_at[inner]]
-    del slot, inner
-    hit = np.full(n_clustered + 1, -1, dtype=np.int8)  # -1 while undecided
-    hit[n_clustered] = 1
-    tc = ts[pos]
+    # ``par`` holds the place of each candidate's parent, and the extra
+    # place for every primary.  A lone candidate registers exactly when its
+    # parent does, which the rounds decide only for a clustered parent: the
+    # places of those candidates are kept for the end
+    lone = clustered[parent_at]
+    lone &= ~clustered[ap_at]
+    lone_at = ap_at[np.flatnonzero(lone)]
+    del lone
+    par = np.full(size + 1, size, dtype=index)
+    par[ap_at] = parent_at
+    del ap_at, parent_at
+    # each event's verdict, in the flags' own buffer: -1 while undecided (every
+    # clustered event), 1 registered (every lone one), 0 blocked
+    hit = clustered.view(np.int8)
+    del clustered
+    hit *= -2
+    hit += 1
+
     # the open clusters' arrays are intp, the dtype numpy indexes with
-    cur = np.flatnonzero(head)  # next undecided slot per open cluster
-    del head
-    end = np.append(cur[1:], n_clustered)
-
     free_at = np.full(len(cur), -math.inf)
     while len(cur) >= _SERIAL_CLUSTERS:
         parent_hit = hit.take(par.take(cur))
-        t_cur = tc[cur]
+        t_cur = ts[cur]
         ok = t_cur >= free_at
         ok &= parent_hit == 1
         hit[cur] = np.minimum(parent_hit, ok)  # a waiting event stays -1
@@ -541,38 +560,33 @@ def _port_pass(
     for a, b, f in zip(cur.tolist(), end.tolist(), free_at.tolist()):
         # every event before free_at is blocked, whatever its parent did
         hit[a:b] = 0
-        k = bisect_left(tc, f, a, b)
+        k = bisect_left(ts, f, a, b)
         while k < b:
             if hit[par[k]] == 1:
                 hit[k] = 1
-                f = tc[k] + dead_time_s
-                k = bisect_left(tc, f, k + 1, b)
+                f = ts[k] + dead_time_s
+                k = bisect_left(ts, f, k + 1, b)
             else:
                 k += 1
-    del par, tc, cur, end, free_at
+    del cur, end, free_at
 
-    # lone events register, clustered ones as decided, and a lone candidate
-    # exactly when its parent does
-    registered = np.logical_not(clustered, out=clustered)
-    del clustered
-    registered[pos] = hit[:n_clustered] == 1
-    del hit, pos
-    registered[ap_at] &= registered[parent_at]
-    del ap_at, parent_at
-
-    keep = np.flatnonzero(registered)
-    del registered
+    # the lone candidates set aside take their clustered parents' verdicts
+    hit[lone_at] = hit[par[lone_at]]
+    del par, lone_at
+    keep = np.flatnonzero(hit[:size])
+    del hit
     return ts[keep], label[keep]
 
 
 # peak bytes simulate_timetags holds per event of expected_events(): the
 # largest tracemalloc peak over 2 s and 6 s runs on one and both ports, 6-20
-# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 53.3
-# bytes per event among runs of 1e5 events or more (one port, 2 s at 20 dB,
-# 2e5 counts/s, 8.2e5 events; both ports at most 52.8).  Smaller runs exceed
-# it through the fixed 1 MiB truth pattern, by well under 1 MiB (111 bytes
-# per event at 1.3e4)
-MC_BYTES_PER_EVENT = 64
+# dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 38.7
+# bytes per event among runs of 1e5 events or more (both ports, 2 s at 14 dB,
+# 2e4 counts/s, 1.1e5 events, a quarter of it the 1 MiB truth pattern; one
+# port at most 33.4).  Smaller runs exceed it through that pattern, by under
+# 1 MiB (103 bytes per event at 1.3e4).  The first run in a process also
+# imports numpy.random, about 1.7 MiB once
+MC_BYTES_PER_EVENT = 40
 
 
 def expected_events(
@@ -646,16 +660,21 @@ def simulate_timetags(
     n_detected = rng_sig.binomial(n_symbols, _click_probability(tx, loss_budget_db, det))
     slots = rng_sig.integers(0, n_symbols, size=n_detected, dtype=np.int64)
     # constructive port for bit 0, destructive for bit 1; wrong port with
-    # probability (1 - V)/2
-    u = rng_sig.random(n_detected)
+    # probability (1 - V)/2.  The truth bits are gathered before the flip
+    # uniforms are drawn (the gather draws nothing), so the gather's index
+    # temporary and the uniforms are never held together
     sig_ports = truth_bits[pattern_index(slots, pattern_period)]
+    u = rng_sig.random(n_detected)
     sig_ports ^= u < tx.intrinsic_error
     rng_sig.random(out=u)  # the carve-window jitter, drawn into the same buffer
     if one_port:
-        # the destructive port's detections are drawn, then dropped unused
+        # the destructive port's detections are drawn, then dropped unused,
+        # one array at a time
         keep = np.flatnonzero(sig_ports == PORT_CONSTRUCTIVE)
-        slots, u = slots[keep], u[keep]
-        del keep, sig_ports
+        del sig_ports
+        slots = slots[keep]
+        u = u[keep]
+        del keep
     n_sig = len(slots)
 
     rng_bg = np.random.default_rng(ss_background)
@@ -697,9 +716,10 @@ def simulate_timetags(
     rng_ap = np.random.default_rng(ss_afterpulse)
     fires = rng_ap.random(len(times)) < p_eff
     delays = rng_ap.exponential(det.afterpulse_decay_s, size=int(np.count_nonzero(fires)))
-    out_t, out_port, out_origin = _dead_time_pass(
-        times, ports, origins, fires, delays, det.dead_time_s, duration_s
-    )
+    # the pass owns its inputs and frees each at its last use
+    events = [times, ports, origins, fires, delays]
+    del times, ports, origins, fires, delays
+    out_t, out_port, out_origin = _dead_time_pass(events, det.dead_time_s, duration_s)
 
     seed_int = None if isinstance(seed, np.random.SeedSequence) else int(seed)
     return TimeTagStream(

@@ -88,6 +88,29 @@ def test_run_writes_output_file(tmp_path, capsys):
     assert payload["scenario"] == "pon-baseline"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "pon-baseline"],
+        ["sweep", "--config", "odn-split-sweep"],
+        ["calibrate", "--config", "pon-us-1", "--param", "raman.scale"]
+        + ["--observable", "raman_total", "--target", "360"],
+    ],
+    ids=["run", "sweep", "calibrate"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_config(tmp_path, capsys, argv, where):
+    # a path that cannot be opened for writing is a config error naming
+    # --out; calibrate writes its file before it prints the fit, so a
+    # failed write prints nothing
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: --out: cannot write {str(out)!r} (")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_validate_prints_name_and_hash(capsys):
     assert main(["validate", "--config", "pon-baseline"]) == EXIT_OK
     fields = capsys.readouterr().out.split()

@@ -290,8 +290,27 @@ def reference_dead_time_loop(times, ports, origins, fires, delays, dead_time_s, 
     )
 
 
+def run_pass(times, ports, origins, fires, delays, dead_time_s, duration_s):
+    """``_dead_time_pass`` on the reference loop's arguments; the pass
+    empties the list it is handed but writes into none of its arrays."""
+    return _dead_time_pass([times, ports, origins, fires, delays], dead_time_s, duration_s)
+
+
+def spy_on_pass(monkeypatch):
+    """The list that each later ``simulate_timetags`` call appends its pass
+    inputs to, as the reference loop's arguments, before the pass runs."""
+    captured = []
+
+    def spy(events, dead_time_s, duration_s):
+        captured.append((*events, dead_time_s, duration_s))
+        return _dead_time_pass(events, dead_time_s, duration_s)
+
+    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    return captured
+
+
 def assert_pass_matches_reference(*args):
-    fast = _dead_time_pass(*args)
+    fast = run_pass(*args)
     slow = reference_dead_time_loop(*args)
     for got, want in zip(fast, slow):
         assert got.dtype == want.dtype
@@ -312,13 +331,7 @@ PASS_CASES = [
     "ports, budget, p_ap", PASS_CASES, ids=[f"{p}-{b}-{m}" for m, b, p in PASS_CASES]
 )
 def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap):
-    captured = []
-
-    def spy(*args):
-        captured.append(args)
-        return _dead_time_pass(*args)
-
-    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    captured = spy_on_pass(monkeypatch)
     det = DetectorModel(monitored_ports=ports, afterpulse_probability=p_ap)
     stream = simulate_timetags(TransmitterConfig(), budget, det, 2500.0, 0.3, seed=17)
     (args,) = captured
@@ -337,13 +350,7 @@ def test_dead_time_pass_matches_reference_loop_when_saturated(monkeypatch):
     # 3 dB at efficiency 0.5 on both ports: every primary fires, and clusters
     # thousands of events long cover both detectors; more of them than the
     # lockstep threshold over both ports, fewer on each
-    captured = []
-
-    def spy(*args):
-        captured.append(args)
-        return _dead_time_pass(*args)
-
-    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    captured = spy_on_pass(monkeypatch)
     det = DetectorModel(monitored_ports="both", efficiency=0.5)
     simulate_timetags(TransmitterConfig(), 3.0, det, 2500.0, 0.2, seed=17)
     (args,) = captured
@@ -374,7 +381,7 @@ def test_dead_time_pass_drops_afterpulses_past_duration():
     origins = rng.integers(0, 3, size=n, dtype=np.uint8)
     delays = np.where(rng.random(n) < 0.5, rng.exponential(5e-6, size=n), 0.2)
     args = (times, ports, origins, np.ones(n, dtype=bool), delays, 1e-5, 0.1)
-    out_t, _, out_origin = _dead_time_pass(*args)
+    out_t, _, out_origin = run_pass(*args)
     assert out_t[-1] < 0.1
     assert np.count_nonzero(out_origin == ORIGIN_AFTERPULSE) > 0
     assert_pass_matches_reference(*args)
@@ -547,13 +554,7 @@ def test_dead_time_pass_merges_candidates_far_past_their_parents(monkeypatch):
     # a long afterpulse delay at a high primary rate: most candidates land
     # two or more primaries after their parent, past the forward steps, so
     # the binary search places them; the rest are placed by the steps
-    captured = []
-
-    def spy(*args):
-        captured.append(args)
-        return _dead_time_pass(*args)
-
-    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    captured = spy_on_pass(monkeypatch)
     det = DetectorModel(afterpulse_probability=1e-3, afterpulse_decay_s=1e-4)
     simulate_timetags(TransmitterConfig(), 6.0, det, 2500.0, 0.3, seed=17)
     ((times, ports, origins, fires, delays, tau, duration),) = captured
@@ -565,23 +566,46 @@ def test_dead_time_pass_merges_candidates_far_past_their_parents(monkeypatch):
     assert_pass_matches_reference(times, ports, origins, fires, delays, tau, duration)
 
 
+def monte_carlo_peak(tx, budget, det, noise, duration_s):
+    """(tracemalloc peak bytes of one seeded run, its expected_events)."""
+    p_eff = click_rate_oracle(tx, budget, det, noise_rate=noise).afterpulse_probability_effective
+    events = expected_events(tx, budget, det, noise, duration_s, p_eff)
+    simulate_timetags(tx, budget, det, noise, 0.01, seed=1)  # numpy's lazy imports, once
+    tracemalloc.start()
+    try:
+        simulate_timetags(tx, budget, det, noise, duration_s, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, events
+
+
 def test_monte_carlo_peak_memory_within_estimate():
     # the worst one-port and two-port points of the memory grid behind
-    # MC_BYTES_PER_EVENT (2 s runs of 1e5 events or more): the peak the run
-    # allocates stays within the estimate the runner refuses long runs by
+    # MC_BYTES_PER_EVENT (2 s runs of 1e5 events or more), and the heaviest
+    # point of the perfbench budget sweep (one port, 10 dB, 20 s): the peak
+    # the run allocates stays within the estimate the runner refuses long
+    # runs by
     tx = TransmitterConfig()
-    for ports, budget, p_ap, noise in (("one", 20.0, 0.02, 2e5), ("both", 14.0, 0.0, 2e4)):
+    for ports, budget, p_ap, noise, duration_s in (
+        ("one", 20.0, 0.02, 2e5, 2.0),
+        ("both", 14.0, 0.0, 2e4, 2.0),
+        ("one", 10.0, DetectorModel.afterpulse_probability, 0.0, 20.0),
+    ):
         det = DetectorModel(monitored_ports=ports, afterpulse_probability=p_ap)
-        p_eff = click_rate_oracle(tx, budget, det, noise_rate=noise).afterpulse_probability_effective
-        events = expected_events(tx, budget, det, noise, 2.0, p_eff)
+        peak, events = monte_carlo_peak(tx, budget, det, noise, duration_s)
         assert events >= 1e5
-        tracemalloc.start()
-        try:
-            simulate_timetags(tx, budget, det, noise, 2.0, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= MC_BYTES_PER_EVENT * events, (ports, peak / events)
+        assert peak <= MC_BYTES_PER_EVENT * events, (ports, budget, peak / events)
+
+
+def test_monte_carlo_frees_each_array_at_its_last_use():
+    # the budget sweep's heaviest point (one port, 10 dB, default detector,
+    # 20 s) peaked at 22.2 bytes per event (28.2 MiB) while the dead-time
+    # pass held every input of the run to its end; freeing each full-length
+    # array at its last use brought it to about 13.7, and the bound sits 25 %
+    # below the old reading
+    peak, events = monte_carlo_peak(TransmitterConfig(), 10.0, DetectorModel(), 0.0, 20.0)
+    assert peak <= 0.75 * 22.2 * events, peak / events
 
 
 # sha256 over the bytes of times_s, ports and origins; a change to the draw

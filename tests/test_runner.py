@@ -94,7 +94,7 @@ def test_monte_carlo_draw_is_bounded_by_physical_memory(monkeypatch, capsys):
         30.0,
         oracle.link_rates.afterpulse_probability_effective,
     )
-    assert 2e6 < need < 2e7  # about 1.6e5 events of 64 bytes
+    assert 2e6 < need < 2e7  # about 1.8e5 events of 40 bytes
     monkeypatch.setattr(runner, "_physical_memory_bytes", lambda: need * (1.0 - 1e-9))
     with pytest.raises(ConfigError, match=r"run.duration_s: 30.0 s of Monte Carlo needs about"):
         run_scenario(scn, mode="monte_carlo", duration_s=30.0)
