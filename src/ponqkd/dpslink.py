@@ -469,7 +469,6 @@ def _port_pass(
     ap_times, parent = ap_times[:n_ap], parent[order[:n_ap]]
     del order
     size = n + n_ap
-    index = np.int32 if size < 2**31 else np.int64
     # ``ap_at[k]`` first counts the primaries at or before candidate k, up
     # from its parent's by two steps; a candidate still walking after them
     # (always one past the last primary) is searched.  Most candidates of an
@@ -530,7 +529,7 @@ def _port_pass(
     lone &= ~clustered[ap_at]
     lone_at = ap_at[np.flatnonzero(lone)]
     del lone
-    par = np.full(size + 1, size, dtype=index)
+    par = np.full(size + 1, size, dtype=np.int32 if size < 2**31 else np.int64)
     par[ap_at] = parent_at
     del ap_at, parent_at
     # each event's verdict, in the flags' own buffer: -1 while undecided (every
