@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dpslink import QberReport
 from .roots import brentq
-from .sifting import QberReport
 
 DEFAULT_F_EC = 1.45
 E_TAU_MIN = 6.0 / 38.0  # where p_c peaks and tau is smallest

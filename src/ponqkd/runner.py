@@ -12,15 +12,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dpslink import MC_BYTES_PER_EVENT, LinkRates, click_rate_oracle, expected_events
-from .dpslink import simulate_timetags
+from .dpslink import LinkRates, QberReport, click_rate_oracle, oracle_qber_report
 from .errors import CalibrationError, ConfigError
 from .keyrate import KeyRateReport, secure_rate
+from .montecarlo import MC_BYTES_PER_EVENT, apply_gate, expected_events, sift_and_score
+from .montecarlo import simulate_timetags
 from .raman import RamanContribution, odn_noise_at_bob
 from .roots import RootError, brentq
 from .scenario import RUN_MODES, Scenario, parse_scenario
 from .scenario import reread, sweep_points
-from .sifting import QberReport, apply_gate, oracle_qber_report, sift_and_score
 from .topology import finite
 
 VERSION = "0.1.0"
@@ -136,12 +136,12 @@ def run_scenario(
         )
         run_seed = None
     else:
-        if duration_s * scn.transmitter.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
+        tx, det, noise = scn.transmitter, scn.detector, raman.total_at_receiver
+        if duration_s * tx.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
             raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
         # at most one signal primary per symbol; dark and Raman ones on each monitored port
-        det = scn.detector
-        background = det.detector_count * (det.dark_rate_hz + raman.total_at_receiver)
-        primaries = duration_s * (scn.transmitter.symbol_rate_hz + background)
+        background = det.detector_count * (det.dark_rate_hz + noise)
+        primaries = duration_s * (tx.symbol_rate_hz + background)
         if not primaries < 2.0**62:  # numpy draws each Poisson count in int64, then adds them
             raise ConfigError(
                 [
@@ -150,14 +150,8 @@ def run_scenario(
                     "filter or launch magnitude is out of range"
                 ]
             )
-        need = MC_BYTES_PER_EVENT * expected_events(
-            scn.transmitter,
-            budget,
-            scn.detector,
-            raman.total_at_receiver,
-            duration_s,
-            rates.afterpulse_probability_effective,
-        )
+        p_eff = rates.afterpulse_probability_effective  # the MC solves no balance of its own
+        need = MC_BYTES_PER_EVENT * expected_events(tx, budget, det, noise, duration_s, p_eff)
         memory = _physical_memory_bytes()
         if need > memory:
             raise ConfigError(
@@ -168,12 +162,7 @@ def run_scenario(
                 ]
             )
         stream = simulate_timetags(
-            scn.transmitter,
-            budget,
-            det=scn.detector,
-            noise_rate=raman.total_at_receiver,
-            duration_s=duration_s,
-            seed=seed,
+            tx, budget, det=det, noise_rate=noise, duration_s=duration_s, seed=seed, p_eff=p_eff
         )
         qber_report = sift_and_score(apply_gate(stream, scn.gate))
         run_seed = stream.seed

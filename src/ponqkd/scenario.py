@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
 
-from .dpslink import DetectorModel, TransmitterConfig
+from .dpslink import DetectorModel, GateConfig, TransmitterConfig
 from .errors import ConfigError, ShiftRangeError, WavelengthRangeError
 from .keyrate import DEFAULT_F_EC
 from .raman import (
@@ -39,7 +39,6 @@ from .raman import (
     default_raman_profile,
     plan_lookups,
 )
-from .sifting import GateConfig
 from .topology import (
     FilterProfile,
     OdnTopology,

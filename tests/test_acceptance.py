@@ -16,22 +16,24 @@ import pytest
 
 from ponqkd.dpslink import (
     DetectorModel,
-    TimeTagStream,
+    GateConfig,
+    QberReport,
     TransmitterConfig,
     click_rate_oracle,
-    simulate_timetags,
+    oracle_qber_report,
 )
 from ponqkd.keyrate import binary_entropy, dps_shrink_factor, positivity_threshold, secure_rate
+from ponqkd.montecarlo import TimeTagStream, apply_gate, sift_and_score, simulate_timetags
 from ponqkd.raman import equivalent_dwdm_power_dbm, filter_noise_rejection_db, odn_noise_at_bob
 from ponqkd.runner import run_scenario, run_sweep
 from ponqkd.scenario import parse_scenario
 from ponqkd.scenarios import bundled_scenario, downstream_c_channels
-from ponqkd.sifting import GateConfig, QberReport, apply_gate, oracle_qber_report, sift_and_score
 from ponqkd.topology import (
     UPSTREAM_QUANTUM_PATH,
     FilterProfile,
     equivalent_noise_bandwidth_nm,
 )
+from test_dpslink import simulate
 
 
 def scenario(name):
@@ -160,7 +162,9 @@ def test_criterion_7_oracle_equivalence_property_suite():
         oracle = oracle_qber_report(
             rates.signal_rate, tx.intrinsic_error, rates.background_rate + rates.afterpulse_rate
         )
-        stream = simulate_timetags(tx, budget, det, noise, duration, child)
+        stream = simulate_timetags(
+            tx, budget, det, noise, duration, child, p_eff=rates.afterpulse_probability_effective
+        )
         scored = sift_and_score(apply_gate(stream, gate))
         z_bits, z_err = z_scores(oracle, scored)
         worst = max(worst, abs(z_bits), abs(z_err))
@@ -190,8 +194,8 @@ def test_criterion_8_determinism_and_invariants():
     # fixed seed, bit-identical tag streams
     tx = TransmitterConfig()
     det = DetectorModel()
-    first = simulate_timetags(tx, 18.0, det, 360.0, 1.0, 97)
-    second = simulate_timetags(tx, 18.0, det, 360.0, 1.0, 97)
+    first = simulate(tx, 18.0, det, 360.0, 1.0, 97)
+    second = simulate(tx, 18.0, det, 360.0, 1.0, 97)
     assert np.array_equal(first.times_s, second.times_s)
     assert np.array_equal(first.ports, second.ports)
     assert np.array_equal(first.origins, second.origins)
@@ -206,7 +210,7 @@ def test_criterion_8_determinism_and_invariants():
     # every simulated stream honours the dead time, per detector
     for monitored in ("one", "both"):
         det_m = dataclasses.replace(det, monitored_ports=monitored)
-        stream = simulate_timetags(tx, 14.0, det_m, 2000.0, 1.0, 5)
+        stream = simulate(tx, 14.0, det_m, 2000.0, 1.0, 5)
         assert len(stream) > 0
         for port in np.unique(stream.ports):
             gaps = np.diff(stream.times_s[stream.ports == port])

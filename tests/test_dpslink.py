@@ -8,24 +8,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ponqkd import dpslink
-from ponqkd.dpslink import (
+from ponqkd import montecarlo
+from ponqkd.dpslink import DetectorModel, TransmitterConfig, click_rate_oracle
+from ponqkd.montecarlo import (
     MC_BYTES_PER_EVENT,
     ORIGIN_AFTERPULSE,
     ORIGIN_DARK,
     ORIGIN_RAMAN,
     ORIGIN_SIGNAL,
-    DetectorModel,
-    TransmitterConfig,
     _dead_time_pass,
     _time_order,
-    click_rate_oracle,
     expected_events,
     simulate_timetags,
 )
 from ponqkd.raman import odn_noise_at_bob
 from ponqkd.scenario import parse_scenario
 from ponqkd.scenarios import bundled_scenario
+
+
+def simulate(tx, budget, det, noise, duration_s, seed):
+    """``simulate_timetags`` handed the ``p_eff`` of the oracle's solve at its
+    point, as a run hands it."""
+    p_eff = click_rate_oracle(tx, budget, det, noise_rate=noise).afterpulse_probability_effective
+    return simulate_timetags(tx, budget, det, noise, duration_s, seed, p_eff=p_eff)
 
 
 def test_intrinsic_error_from_visibility():
@@ -153,7 +158,7 @@ def test_truth_pattern_matches_generator_integers(size):
     # a numpy release that changes the bounded draw fails here
     for seed in range(200):
         expected = np.random.default_rng(seed).integers(0, 2, size=size, dtype=np.uint8)
-        pattern = dpslink._truth_pattern(np.random.default_rng(seed), size)
+        pattern = montecarlo._truth_pattern(np.random.default_rng(seed), size)
         assert pattern.dtype == np.uint8
         np.testing.assert_array_equal(pattern, expected)
 
@@ -161,14 +166,14 @@ def test_truth_pattern_matches_generator_integers(size):
 @pytest.mark.parametrize("period", [1, 2, 3, 7, 8, 1000, 2**20, 2**20 - 1])
 def test_pattern_index_is_slot_modulo_period(period):
     slots = np.concatenate([np.arange(5000), np.random.default_rng(1).integers(0, 2**40, 5000)])
-    np.testing.assert_array_equal(dpslink.pattern_index(slots, period), slots % period)
+    np.testing.assert_array_equal(montecarlo.pattern_index(slots, period), slots % period)
 
 
 def test_simulation_deterministic_per_seed():
     args = (TransmitterConfig(), 18.0, DetectorModel(), 300.0, 0.5)
-    a = simulate_timetags(*args, seed=42)
-    b = simulate_timetags(*args, seed=42)
-    c = simulate_timetags(*args, seed=43)
+    a = simulate(*args, seed=42)
+    b = simulate(*args, seed=42)
+    c = simulate(*args, seed=43)
     assert np.array_equal(a.times_s, b.times_s)
     assert np.array_equal(a.ports, b.ports)
     assert np.array_equal(a.origins, b.origins)
@@ -176,7 +181,7 @@ def test_simulation_deterministic_per_seed():
 
 
 def test_simulation_tags_sorted_and_in_range():
-    stream = simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), 500.0, 1.0, seed=5)
+    stream = simulate(TransmitterConfig(), 18.0, DetectorModel(), 500.0, 1.0, seed=5)
     assert np.all(np.diff(stream.times_s) >= 0.0)
     assert stream.times_s[0] >= 0.0
     assert stream.times_s[-1] < stream.duration_s
@@ -184,19 +189,19 @@ def test_simulation_tags_sorted_and_in_range():
 
 def test_simulation_dead_time_gap_per_port():
     det = DetectorModel(monitored_ports="both")
-    stream = simulate_timetags(TransmitterConfig(), 16.0, det, 2000.0, 1.0, seed=9)
+    stream = simulate(TransmitterConfig(), 16.0, det, 2000.0, 1.0, seed=9)
     for port in (0, 1):
         times = stream.times_s[stream.ports == port]
         assert np.min(np.diff(times)) >= det.dead_time_s - 1e-12
 
 
 def test_simulation_single_port_keeps_port_zero_only():
-    stream = simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), 100.0, 0.5, seed=2)
+    stream = simulate(TransmitterConfig(), 18.0, DetectorModel(), 100.0, 0.5, seed=2)
     assert set(np.unique(stream.ports)) == {0}
 
 
 def test_simulation_origins_labelled():
-    stream = simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), 400.0, 2.0, seed=3)
+    stream = simulate(TransmitterConfig(), 18.0, DetectorModel(), 400.0, 2.0, seed=3)
     kinds = set(np.unique(stream.origins))
     assert kinds <= {ORIGIN_SIGNAL, ORIGIN_DARK, ORIGIN_RAMAN, ORIGIN_AFTERPULSE}
     assert ORIGIN_SIGNAL in kinds
@@ -206,19 +211,19 @@ def test_simulation_origins_labelled():
 
 def test_simulation_no_afterpulses_when_disabled():
     det = DetectorModel(afterpulse_probability=0.0)
-    stream = simulate_timetags(TransmitterConfig(), 14.0, det, 0.0, 1.0, seed=8)
+    stream = simulate(TransmitterConfig(), 14.0, det, 0.0, 1.0, seed=8)
     assert ORIGIN_AFTERPULSE not in set(np.unique(stream.origins))
 
 
 def test_simulation_afterpulses_present_at_defaults():
-    stream = simulate_timetags(TransmitterConfig(), 14.0, DetectorModel(), 0.0, 2.0, seed=8)
+    stream = simulate(TransmitterConfig(), 14.0, DetectorModel(), 0.0, 2.0, seed=8)
     assert int(np.count_nonzero(stream.origins == ORIGIN_AFTERPULSE)) > 0
 
 
 def test_simulation_counts_match_oracle_three_sigma():
     tx, det = TransmitterConfig(), DetectorModel()
     duration = 4.0
-    stream = simulate_timetags(tx, 18.0, det, 360.0, duration, seed=21)
+    stream = simulate(tx, 18.0, det, 360.0, duration, seed=21)
     rates = click_rate_oracle(tx, 18.0, det, noise_rate=360.0, gate_fraction=1.0)
     expected = rates.total_rate * duration
     assert abs(len(stream) - expected) <= 3.0 * math.sqrt(expected)
@@ -229,7 +234,7 @@ def test_simulation_counts_match_oracle_three_sigma():
     [({"duration_s": 0.0}, "duration_s must be > 0"), ({"noise_rate": -1.0}, "noise_rate must be >= 0")],
 )
 def test_simulate_timetags_input_validation(kwargs, message):
-    args = {"noise_rate": 0.0, "duration_s": 1e-3, "seed": 1} | kwargs
+    args = {"noise_rate": 0.0, "duration_s": 1e-3, "seed": 1, "p_eff": 0.0} | kwargs
     with pytest.raises(ValueError, match=message):
         simulate_timetags(TransmitterConfig(), 18.0, DetectorModel(), **args)
 
@@ -305,7 +310,7 @@ def spy_on_pass(monkeypatch):
         captured.append((*events, dead_time_s, duration_s))
         return _dead_time_pass(events, dead_time_s, duration_s)
 
-    monkeypatch.setattr(dpslink, "_dead_time_pass", spy)
+    monkeypatch.setattr(montecarlo, "_dead_time_pass", spy)
     return captured
 
 
@@ -336,7 +341,7 @@ PASS_CASES = [
 def test_dead_time_pass_matches_reference_loop(monkeypatch, ports, budget, p_ap):
     captured = spy_on_pass(monkeypatch)
     det = DetectorModel(monitored_ports=ports, afterpulse_probability=p_ap)
-    stream = simulate_timetags(TransmitterConfig(), budget, det, 2500.0, 0.3, seed=17)
+    stream = simulate(TransmitterConfig(), budget, det, 2500.0, 0.3, seed=17)
     (args,) = captured
     fires = args[3]
     assert fires.any() == (p_ap > 0.0)
@@ -355,17 +360,17 @@ def test_dead_time_pass_matches_reference_loop_when_saturated(monkeypatch):
     # lockstep threshold over both ports, fewer on each
     captured = spy_on_pass(monkeypatch)
     det = DetectorModel(monitored_ports="both", efficiency=0.5)
-    simulate_timetags(TransmitterConfig(), 3.0, det, 2500.0, 0.2, seed=17)
+    simulate(TransmitterConfig(), 3.0, det, 2500.0, 0.2, seed=17)
     (args,) = captured
     times, ports, fires = args[0], args[1], args[3]
     assert fires.all()
     assert np.bincount(ports, minlength=2).min() > len(times) // 3
     assert clustered_share(*args[:2], *args[3:]) > 0.99
     n_clusters = count_clusters(*args[:2], *args[3:])
-    assert dpslink._SERIAL_CLUSTERS < n_clusters < len(times) / 1000
+    assert montecarlo._SERIAL_CLUSTERS < n_clusters < len(times) / 1000
     for close in close_flags(*args[:2], *args[3:]):
         starts = np.count_nonzero(close[:1]) + np.count_nonzero(close[1:] & ~close[:-1])
-        assert starts < dpslink._SERIAL_CLUSTERS
+        assert starts < montecarlo._SERIAL_CLUSTERS
     assert_pass_matches_reference(*args)
 
 
@@ -509,7 +514,7 @@ def burst_case(seed, lengths, two_ports):
 
 @pytest.mark.parametrize(
     "n_clusters, two_ports",
-    [(1, False), (dpslink._SERIAL_CLUSTERS - 1, True), (dpslink._SERIAL_CLUSTERS + 1, True)],
+    [(1, False), (montecarlo._SERIAL_CLUSTERS - 1, True), (montecarlo._SERIAL_CLUSTERS + 1, True)],
     ids=["one-cluster", "below-serial-threshold", "above-serial-threshold"],
 )
 def test_dead_time_pass_around_the_serial_threshold(n_clusters, two_ports):
@@ -559,7 +564,7 @@ def test_dead_time_pass_merges_candidates_far_past_their_parents(monkeypatch):
     # the binary search places them; the rest are placed by the steps
     captured = spy_on_pass(monkeypatch)
     det = DetectorModel(afterpulse_probability=1e-3, afterpulse_decay_s=1e-4)
-    simulate_timetags(TransmitterConfig(), 6.0, det, 2500.0, 0.3, seed=17)
+    simulate(TransmitterConfig(), 6.0, det, 2500.0, 0.3, seed=17)
     ((times, ports, origins, fires, delays, tau, duration),) = captured
     parent = np.flatnonzero(fires)
     ap_times = times[parent] + tau + delays
@@ -573,10 +578,11 @@ def monte_carlo_peak(tx, budget, det, noise, duration_s):
     """(tracemalloc peak bytes of one seeded run, its expected_events)."""
     p_eff = click_rate_oracle(tx, budget, det, noise_rate=noise).afterpulse_probability_effective
     events = expected_events(tx, budget, det, noise, duration_s, p_eff)
-    simulate_timetags(tx, budget, det, noise, 0.01, seed=1)  # numpy's lazy imports, once
+    # numpy's lazy imports, once
+    simulate_timetags(tx, budget, det, noise, 0.01, seed=1, p_eff=p_eff)
     tracemalloc.start()
     try:
-        simulate_timetags(tx, budget, det, noise, duration_s, seed=1)
+        simulate_timetags(tx, budget, det, noise, duration_s, seed=1, p_eff=p_eff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -625,7 +631,7 @@ def pinned_stream(name):
     if name == "pon-us-20":
         scn = parse_scenario(bundled_scenario("pon-us-20"))
         noise = odn_noise_at_bob(scn.plan, scn.topology, scn.rx_filter, scn.profile)
-        return simulate_timetags(
+        return simulate(
             scn.transmitter,
             scn.quantum_path_loss_db,
             scn.detector,
@@ -635,12 +641,12 @@ def pinned_stream(name):
         )
     if name == "both-ports-10dB-ap1":
         det = DetectorModel(monitored_ports="both", afterpulse_probability=1.0)
-        return simulate_timetags(TransmitterConfig(), 10.0, det, 2500.0, 0.2, seed=11)
+        return simulate(TransmitterConfig(), 10.0, det, 2500.0, 0.2, seed=11)
     if name == "both-ports-10dB-v0.9":
         # wrong-port draws come true only below visibility 1
         det = DetectorModel(monitored_ports="both")
-        return simulate_timetags(TransmitterConfig(visibility=0.9), 10.0, det, 2500.0, 0.2, seed=19)
-    return simulate_timetags(TransmitterConfig(), 10.0, DetectorModel(), 2500.0, 0.2, seed=13)
+        return simulate(TransmitterConfig(visibility=0.9), 10.0, det, 2500.0, 0.2, seed=19)
+    return simulate(TransmitterConfig(), 10.0, DetectorModel(), 2500.0, 0.2, seed=13)
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))

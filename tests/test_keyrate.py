@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ponqkd.dpslink import QberReport
 from ponqkd.keyrate import (
     DEFAULT_F_EC,
     binary_entropy,
@@ -18,7 +19,6 @@ from ponqkd.keyrate import (
     positivity_threshold,
     secure_rate,
 )
-from ponqkd.sifting import QberReport
 
 
 def make_report(qber, raw_rate, duration_s=30.0):

@@ -1,8 +1,11 @@
 """The package root and the module names the benchmark harness wraps."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import ponqkd
 
@@ -73,3 +76,36 @@ def test_every_benchmark_hook_resolves(monkeypatch):
         assert capture.missing == []
     finally:
         capture.uninstall()
+
+
+def module_tree(name):
+    return ast.parse(Path(ponqkd.__file__).with_name(f"{name}.py").read_text())
+
+
+def test_the_oracle_and_the_monte_carlo_are_split():
+    # the oracle imports no numpy and no Monte Carlo name; the Monte Carlo
+    # borrows three oracle names at run time and takes the run's p_eff
+    # instead of solving the detector balance again
+    oracle = module_tree("dpslink")
+    imported = set()
+    for node in ast.walk(oracle):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported == {"__future__", "math", "dataclasses", ".roots", ".scenarios"}
+    mc = module_tree("montecarlo")
+    borrowed = {
+        alias.name
+        for node in mc.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "dpslink"
+        for alias in node.names
+    }
+    assert borrowed == {"QberReport", "_arrival_rates", "_click_probability"}
+    named = set()
+    for node in ast.walk(mc):
+        named.update(
+            getattr(node, field) for field in ("id", "attr", "name") if hasattr(node, field)
+        )
+    assert "_saturation_fixed_point" not in named
+    assert importlib.util.find_spec("ponqkd.sifting") is None

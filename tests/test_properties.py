@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ponqkd import runner  # noqa: E402
-from ponqkd.dpslink import _time_order, simulate_timetags  # noqa: E402
+from ponqkd.montecarlo import _time_order, simulate_timetags  # noqa: E402
 from ponqkd.errors import ConfigError, ShiftRangeError, WavelengthRangeError  # noqa: E402
 from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile  # noqa: E402
 from ponqkd.raman import odn_noise_at_bob, raman_coefficient  # noqa: E402

@@ -5,11 +5,12 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from ponqkd import runner
+from ponqkd import dpslink, runner
 from ponqkd.cli import EXIT_CONFIG, main
 from ponqkd.errors import CalibrationError, ConfigError
 from ponqkd.raman import odn_noise_at_bob
@@ -405,6 +406,39 @@ def test_fixed_gate_phase_oracle_agrees_with_monte_carlo(phase_ns, raw_rate_bs):
     assert abs(z_bits) <= 3.0
     assert abs(z_err) <= 3.0
 
+
+@pytest.mark.parametrize("phase_s", [1e200, 1e300])
+def test_gate_phase_of_many_slots_agrees_with_the_oracle(phase_s):
+    # the Monte Carlo gate reduces a fixed phase into one slot, as the
+    # oracle's retention does; unreduced, 1e200 s gated out every tag and
+    # 1e300 s overflowed the gate's float reach
+    raw = bundled_scenario("pon-us-1")
+    raw["gate"]["slot_phase_s"] = phase_s
+    scn = parse_scenario(raw)
+    oracle = run_scenario(scn, mode="oracle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mc = run_scenario(scn, mode="monte_carlo", duration_s=2.0, seed=1)
+    z_bits, _ = z_scores(oracle.qber_report, mc.qber_report)
+    assert abs(z_bits) <= 5.0
+
+
+def test_a_monte_carlo_run_solves_the_detector_balance_once(monkeypatch):
+    calls = []
+    solve = dpslink._saturation_fixed_point
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    # every module global that names the solve, wherever it was imported to
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ponqkd"]:
+        for attr, value in list(vars(module).items()):
+            if value is solve:
+                monkeypatch.setattr(module, attr, counting)
+    res = run_scenario(scenario("pon-us-20"), mode="monte_carlo", duration_s=0.5)
+    assert len(calls) == 1
+    assert res.link_rates.afterpulse_probability_effective == solve(*calls[0])[4]
 
 def test_emit_report_csv_and_bad_format():
     res = run_scenario(scenario("pon-baseline"))

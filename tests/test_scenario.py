@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ponqkd.dpslink import DetectorModel, TransmitterConfig
+from ponqkd.dpslink import DetectorModel, GateConfig, TransmitterConfig
 from ponqkd.errors import ConfigError
 from ponqkd.raman import ChannelPlan, WavelengthChannel, default_raman_profile
 from ponqkd.scenario import (
@@ -30,7 +30,6 @@ from ponqkd.scenarios import (
     downstream_c_channels,
     upstream_c_channels,
 )
-from ponqkd.sifting import GateConfig
 from ponqkd.topology import FilterProfile, OdnTopology, gaussian_transmission_table, path_loss_db
 
 

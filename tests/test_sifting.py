@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ponqkd.dpslink import DetectorModel, TimeTagStream, TransmitterConfig, simulate_timetags
+from ponqkd.dpslink import DetectorModel, GateConfig, TransmitterConfig, oracle_qber_report
+from ponqkd.montecarlo import TimeTagStream, apply_gate, estimate_slot_phase, sift_and_score
 from ponqkd.runner import run_scenario
 from ponqkd.scenario import parse_scenario
 from ponqkd.scenarios import bundled_scenario
-from ponqkd.sifting import (
-    GateConfig,
-    apply_gate,
-    estimate_slot_phase,
-    oracle_qber_report,
-    sift_and_score,
-)
+from test_dpslink import simulate
 
 
 def make_stream(times, ports=None, truth=(0, 1), duration=10.0, monitored="one", rate=1.0):
@@ -86,7 +81,7 @@ def test_slot_phase_lands_on_pulse_center_under_background():
     # uniformly over the slot; the carve-window pulse sits at the slot center
     scn = parse_scenario(bundled_scenario("pon-us-20"))
     noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
-    stream = simulate_timetags(
+    stream = simulate(
         scn.transmitter,
         scn.quantum_path_loss_db,
         scn.detector,
@@ -153,7 +148,7 @@ def mc_streams():
         scn = parse_scenario(raw)
         noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
         for seed in MC_SEEDS:
-            streams[name, ports, seed] = simulate_timetags(
+            streams[name, ports, seed] = simulate(
                 scn.transmitter, scn.quantum_path_loss_db, scn.detector, noise, 5.0, seed
             )
     return streams
@@ -220,7 +215,7 @@ def test_auto_phase_gate_at_bench_scale_equals_the_reference():
     raw["gate"]["slot_phase_s"] = "auto"
     scn = parse_scenario(raw)
     noise = run_scenario(scn, mode="oracle").raman.total_at_receiver
-    stream = simulate_timetags(
+    stream = simulate(
         scn.transmitter, scn.quantum_path_loss_db, scn.detector, noise, 30.0, scn.run.seed
     )
     gate = scn.gate
@@ -278,7 +273,7 @@ def test_sift_counts_both_ports():
 
 def test_sift_noiseless_perfect_visibility_is_error_free():
     tx = TransmitterConfig(visibility=1.0)
-    stream = simulate_timetags(
+    stream = simulate(
         tx, 14.0,
         DetectorModel(dark_rate_hz=0.0, afterpulse_probability=0.0),
         0.0, 0.5, seed=31,
@@ -301,7 +296,7 @@ def test_sift_planted_error_arithmetic():
 
 
 def test_report_ratio_invariants_on_simulated_stream():
-    stream = simulate_timetags(
+    stream = simulate(
         TransmitterConfig(), 18.0, DetectorModel(), 500.0, 1.0, seed=13
     )
     gated = apply_gate(stream, GateConfig(gate_fraction=0.3, slot_phase_s=0.0))
