@@ -101,7 +101,8 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
     key |= np.arange(n, dtype=np.uint64)
     key.sort()
     signed = n > 0 and bool(key[-1] >> np.uint64(63))
-    members = _tie_runs((key[1:] ^ key[:-1]) <= low)  # equal high bits
+    tied = np.flatnonzero((key[1:] ^ key[:-1]) <= low)  # equal high bits
+    members = np.union1d(tied, tied + 1)  # every place in a run of ties
     key &= low
     order = key.view(np.int64)  # the key array, reused in place
     if len(members):
@@ -115,17 +116,12 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
     return (times[order], *(a[order] for a in labels))
 
 
-def _tie_runs(tied: np.ndarray) -> np.ndarray:
-    """Every place in a run of ties: i and i + 1 for each i that ``tied`` marks, ascending."""
-    at = np.flatnonzero(tied)
-    return np.union1d(at, at + 1)
-
-
 # below this many open clusters a lockstep round costs more per decided
 # event than the sequential rule, so the rest finish one cluster at a time
 _SERIAL_CLUSTERS = 64
 
-# events per block of the cluster flags' float sums
+# events per block of the cluster flags' float sums, and tags per block of
+# sift_and_score's slot arithmetic
 _BLOCK = 1 << 15
 
 
@@ -145,32 +141,29 @@ def _dead_time_pass(
     click at or after a detector's ``free_at`` (its last registered click
     plus the dead time) registers; a candidate at or after ``duration_s``
     is dropped before it can block anything.  Returns the registered
-    (times, ports, origins) in time order; at equal times the primaries come
-    first in input order, then afterpulses by port.
+    (times, ports, origins) in time order; at equal times port 0's clicks
+    come first, and a port's primaries, in input order, before its
+    afterpulses.
 
     The two detectors never interact, so there is one route: the pass of
-    ``_port_pass`` on each detector.  On one port it carries the origins as
-    labels.  On two, each port's primaries, split off in input order with
-    their share of ``delays``, carry their input index, and the afterpulses
-    carry ``n``.  One stable sort of the two time-sorted outputs merges them
-    (it finds two sorted runs and merges them in linear time); the runs of
-    exactly equal times, rare on drawn times, are then put into the order
-    above by one small sort of those places by (time, label).  A click's
-    port is read off the merge order, its origin off its label.
+    ``_port_pass`` on each detector.  On two ports each input is split by
+    port, the primaries in input order with their share of ``delays``.
+    One stable sort of port 0's time-sorted output followed by port 1's
+    merges them (it finds two sorted runs and merges them in linear time),
+    and so keeps port 0's clicks first at equal times.  A click's port is
+    read off the merge order.
     """
     n = len(events[0])
     ports = events[1]
     if n == 0 or ports.min() == ports.max():
         port, port_type = (ports[0] if n else 0), ports.dtype
         del events[1], ports  # the list is now _port_pass's [times, origins, fires, delays]
-        out_t, out_origin = _port_pass(events, ORIGIN_AFTERPULSE, dead_time_s, duration_s)
+        out_t, out_origin = _port_pass(events, dead_time_s, duration_s)
         return out_t, np.full(len(out_t), port, dtype=port_type), out_origin
     times, ports, origins, fires, delays = events
     events.clear()
-    # a primary's label is its input index, an afterpulse's n, which orders
-    # it after every primary at its time.  Each input is split into the two
-    # ports' shares and then dropped, one at a time
-    label = np.int32 if n < 2**31 else np.int64
+    # each input is split into the two ports' shares and then dropped, one
+    # at a time
     port_type = ports.dtype
     both = (PORT_CONSTRUCTIVE, PORT_DESTRUCTIVE)
     fired_ports = ports[fires]
@@ -180,46 +173,36 @@ def _dead_time_pass(
     del delays, fired_ports
     fire_runs = [fires[at] for at in ats]
     del fires
+    origin_runs = [origins[at] for at in ats]
+    del origins
     time_runs = [times[at] for at in ats]
-    del times
-    runs = [[t, at.astype(label), f, d] for t, at, f, d in zip(time_runs, ats, fire_runs, shares)]
-    del time_runs, ats, fire_runs, shares
+    del times, ats
+    runs = [list(run) for run in zip(time_runs, origin_runs, fire_runs, shares)]
+    del time_runs, origin_runs, fire_runs, shares
     # the first port's pass runs while only the second port's inputs are held
-    (t_0, label_0), (t_1, label_1) = (_port_pass(run, n, dead_time_s, duration_s) for run in runs)
+    (t_0, origin_0), (t_1, origin_1) = (_port_pass(run, dead_time_s, duration_s) for run in runs)
     del runs
     n_0 = len(t_0)
     out_t = np.concatenate((t_0, t_1))
-    out_label = np.concatenate((label_0, label_1))
-    del t_0, t_1, label_0, label_1
+    out_origin = np.concatenate((origin_0, origin_1))
+    del t_0, t_1, origin_0, origin_1
     order = np.argsort(out_t, kind="stable")
-    out_t = out_t[order]
-    members = _tie_runs(out_t[1:] == out_t[:-1])
-    if len(members):
-        # every place in a run of equal times, re-sorted by label: within a
-        # port the ties are in order already, and across ports the merge put
-        # port 0's first, which the stable sort keeps for the afterpulses
-        sub = order[members]
-        order[members] = sub[np.lexsort((out_label[sub], out_t[members]))]
-    # the merge order gives each click's port: places below n_0 hold port
-    # 0's clicks (PORT_CONSTRUCTIVE), the rest port 1's (PORT_DESTRUCTIVE)
+    # places below n_0 hold port 0's clicks (PORT_CONSTRUCTIVE), the rest
+    # port 1's (PORT_DESTRUCTIVE)
     out_port = (order >= n_0).astype(port_type)
-    out_label = out_label.take(order)
-    del order
-    origin = np.append(origins, origins.dtype.type(ORIGIN_AFTERPULSE))
-    return out_t, out_port, origin.take(out_label)
+    return out_t[order], out_port, out_origin.take(order)
 
 
 def _port_pass(
-    events: list[np.ndarray], ap_label: int, dead_time_s: float, duration_s: float
+    events: list[np.ndarray], dead_time_s: float, duration_s: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_dead_time_pass`` on one detector: the registered times and labels.
+    """``_dead_time_pass`` on one detector: the registered times and origins.
 
-    ``events`` is the list ``[times, labels, fires, delays]`` of the
+    ``events`` is the list ``[times, origins, fires, delays]`` of the
     primaries, which the pass empties and drops an array at a time:
     ``fires`` once the parents are found, ``delays`` once the candidates'
-    times are summed, ``times`` and ``labels`` once they are scattered onto
-    the timeline.  ``labels`` belong to the primaries; a registered
-    afterpulse carries ``ap_label``.  The primaries and candidates are laid
+    times are summed, ``times`` and ``origins`` once they are scattered onto
+    the timeline.  The primaries and candidates are laid
     out on one timeline, primaries first at equal times and candidates in
     input order among themselves.  Only the candidates are sorted, and each
     is placed after the primaries at or before it, found a step or two
@@ -233,7 +216,7 @@ def _port_pass(
     they finish one at a time in timeline order, jumping from each
     registered click straight past the events its dead time blocks.
     """
-    times, labels, fires, delays = events
+    times, origins, fires, delays = events
     events.clear()
     n = len(times)
     parent = np.flatnonzero(fires)
@@ -275,10 +258,10 @@ def _port_pass(
     del primary
     ts[prim_at] = times
     del times
-    # the output labels are read from the timeline itself
-    label = np.full(size, ap_label, dtype=labels.dtype)
-    label[prim_at] = labels
-    del labels
+    # the output origins are read from the timeline itself
+    origin = np.full(size, ORIGIN_AFTERPULSE, dtype=origins.dtype)
+    origin[prim_at] = origins
+    del origins
     parent_at = prim_at[parent]
     del parent, prim_at
 
@@ -357,7 +340,7 @@ def _port_pass(
     del par, lone_at
     keep = np.flatnonzero(hit[:size])
     del hit
-    return ts[keep], label[keep]
+    return ts[keep], origin[keep]
 
 
 # peak bytes simulate_timetags holds per event of expected_events(): the
@@ -365,7 +348,9 @@ def _port_pass(
 # dB, afterpulse probability 0-1 and 2.5e3-2e5 counts/s of noise was 38.7
 # bytes per event among runs of 1e5 events or more (both ports, 2 s at 14 dB,
 # 2e4 counts/s, 1.1e5 events, a quarter of it the 1 MiB truth pattern; one
-# port at most 33.4).  Smaller runs exceed it through that pattern, by under
+# port at most 33.4).  With the two ports' passes merged by one stable sort
+# that point still reads 38.7, reached before the dead-time pass, whose own
+# peak is 35.7.  Smaller runs exceed 38.7 through the truth pattern, by under
 # 1 MiB (103 bytes per event at 1.3e4).  The first run in a process also
 # imports numpy.random, about 1.7 MiB once
 MC_BYTES_PER_EVENT = 40
@@ -613,10 +598,6 @@ def apply_gate(stream: TimeTagStream, gate: GateConfig) -> TimeTagStream:
     )
 
 
-# tags per block of sift_and_score's slot arithmetic
-_SIFT_BLOCK = 1 << 15
-
-
 def sift_and_score(stream: TimeTagStream) -> QberReport:
     """Score a (gated) stream against the truth pattern.
 
@@ -630,8 +611,8 @@ def sift_and_score(stream: TimeTagStream) -> QberReport:
     """
     times = stream.times_s
     errors = 0
-    for a in range(0, len(times), _SIFT_BLOCK):
-        b = a + _SIFT_BLOCK
+    for a in range(0, len(times), _BLOCK):
+        b = a + _BLOCK
         slots = np.floor(times[a:b] * stream.symbol_rate_hz).astype(np.int64)
         truth_at_tag = stream.truth_bits[pattern_index(slots, stream.pattern_period)]
         if stream.monitored_ports == "one":  # every click decodes bit 0

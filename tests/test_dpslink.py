@@ -266,6 +266,7 @@ def reference_dead_time_loop(times, ports, origins, fires, delays, dead_time_s, 
     Pending afterpulses sit on a heap keyed by (time, port); a primary goes
     first at equal times.  A registered primary with ``fires`` set queues
     its afterpulse with the next of the pre-drawn delays of firing primaries.
+    The clicks are returned in (time, port) order, each port's in walk order.
     """
     rank = np.cumsum(fires) - 1
     free_at = [-math.inf, -math.inf]
@@ -288,11 +289,10 @@ def reference_dead_time_loop(times, ports, origins, fires, delays, dead_time_s, 
         if parent is not None and fires[parent]:
             delay = float(delays[rank[parent]])
             heapq.heappush(pending, (t + dead_time_s + delay, port))
-    return (
-        np.asarray(out_t, dtype=np.float64),
-        np.asarray(out_port, dtype=np.uint8),
-        np.asarray(out_origin, dtype=np.uint8),
-    )
+    out_t = np.asarray(out_t, dtype=np.float64)
+    out_port = np.asarray(out_port, dtype=np.uint8)
+    order = np.lexsort((out_port, out_t))
+    return out_t[order], out_port[order], np.asarray(out_origin, dtype=np.uint8)[order]
 
 
 def run_pass(times, ports, origins, fires, delays, dead_time_s, duration_s):
@@ -454,6 +454,21 @@ def test_dead_time_pass_exact_time_ties(case):
     assert_pass_matches_reference(*case)
     one_port = np.zeros(len(times), dtype=np.uint8)
     assert_pass_matches_reference(times, one_port, origins, fires, delays, tau, duration)
+
+
+def test_dead_time_pass_puts_port_0_first_at_equal_times():
+    # a port-1 primary with the lower input index and a port-0 primary at
+    # one exact time, both firing with one delay, so their afterpulses tie too
+    tau, delay = 2.0**-8, 2.0**-10
+    times = np.array([0.25, 0.25])
+    ports = np.array([1, 0], dtype=np.uint8)
+    origins = np.array([ORIGIN_DARK, ORIGIN_SIGNAL], dtype=np.uint8)
+    args = (times, ports, origins, np.ones(2, dtype=bool), np.full(2, delay), tau, 1.0)
+    out_t, out_port, out_origin = run_pass(*args)
+    assert np.array_equal(out_t, [0.25, 0.25, 0.25 + tau + delay, 0.25 + tau + delay])
+    assert np.array_equal(out_port, [0, 1, 0, 1])
+    assert np.array_equal(out_origin, [ORIGIN_SIGNAL, ORIGIN_DARK, ORIGIN_AFTERPULSE, ORIGIN_AFTERPULSE])
+    assert_pass_matches_reference(*args)
 
 
 def close_flags(times, ports, fires, delays, dead_time_s, duration_s):

@@ -1,6 +1,7 @@
 """The package root and the module names the benchmark harness wraps."""
 
 import ast
+import copy
 import importlib.util
 import os
 import subprocess
@@ -76,6 +77,30 @@ def test_every_benchmark_hook_resolves(monkeypatch):
         assert capture.missing == []
     finally:
         capture.uninstall()
+
+
+def test_benchmark_capture_checks_one_and_two_port_runs(monkeypatch):
+    # the stream check reads the detector off the simulate_timetags call,
+    # which run_scenario makes with det= by keyword; each run hands it two
+    # streams, the drawn one and the gated one
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    import ponqkd.runner
+
+    raw = ponqkd.bundled_scenario("pon-baseline")
+    both = copy.deepcopy(raw)
+    both["detector"]["monitored_ports"] = "both"
+    scenarios = [ponqkd.parse_scenario(r) for r in (raw, both)]
+    capture = workloads.Capture()
+    capture.install()
+    try:
+        for scn in scenarios:
+            ponqkd.runner.run_scenario(scn, mode="monte_carlo", duration_s=0.05)
+    finally:
+        capture.uninstall()
+    assert capture.streams == 4
+    assert capture.problems == []
 
 
 def module_tree(name):
