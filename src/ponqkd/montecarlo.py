@@ -202,12 +202,12 @@ def _port_pass(
     primaries, which the pass empties and drops an array at a time:
     ``fires`` once the parents are found, ``delays`` once the candidates'
     times are summed, ``times`` and ``origins`` once they are scattered onto
-    the timeline.  The primaries and candidates are laid
-    out on one timeline, primaries first at equal times and candidates in
-    input order among themselves.  Only the candidates are sorted, and each
-    is placed after the primaries at or before it, found a step or two
-    forward from its parent (always one of them) or by a binary search.  An
-    event with no other event within the dead time on either side is lone:
+    the timeline.  The primaries and candidates are laid out on one
+    timeline, primaries first at equal times and candidates in input order
+    among themselves.  Only the candidates are sorted, and each is placed
+    after the primaries at or before it, found a step or two forward from
+    its parent (always one of them) or by a binary search.  An event with
+    no other event within the dead time on either side is lone:
     a lone primary registers, a lone candidate exactly when its parent does.
     The rest form clusters, runs of events closer together than the dead
     time.  Each lockstep round decides the next event of every open cluster

@@ -467,7 +467,8 @@ def test_dead_time_pass_puts_port_0_first_at_equal_times():
     out_t, out_port, out_origin = run_pass(*args)
     assert np.array_equal(out_t, [0.25, 0.25, 0.25 + tau + delay, 0.25 + tau + delay])
     assert np.array_equal(out_port, [0, 1, 0, 1])
-    assert np.array_equal(out_origin, [ORIGIN_SIGNAL, ORIGIN_DARK, ORIGIN_AFTERPULSE, ORIGIN_AFTERPULSE])
+    ap = ORIGIN_AFTERPULSE
+    assert np.array_equal(out_origin, [ORIGIN_SIGNAL, ORIGIN_DARK, ap, ap])
     assert_pass_matches_reference(*args)
 
 
