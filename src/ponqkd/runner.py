@@ -4,9 +4,11 @@ which fits one parameter per anchor with :func:`ponqkd.roots.brentq`."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -101,6 +103,66 @@ def run_scenario(
     duration_s = scn.run.duration_s if duration_s is None else duration_s
     if not (finite(duration_s) and duration_s > 0.0):
         raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
+    raman, rates = _link(scn)
+    budget = scn.quantum_path_loss_db
+    run_seed: int | None
+    if mode == "oracle":
+        qber_report = oracle_qber_report(
+            rates.signal_rate,
+            scn.transmitter.intrinsic_error,
+            rates.background_rate + rates.afterpulse_rate,
+        )
+        run_seed = None
+    else:
+        tx, det, noise = scn.transmitter, scn.detector, raman.total_at_receiver
+        if duration_s * tx.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
+            raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
+        # at most one signal primary per symbol; dark and Raman ones on each monitored port
+        background = det.detector_count * (det.dark_rate_hz + noise)
+        primaries = duration_s * (tx.symbol_rate_hz + background)
+        if not primaries < 2.0**62:  # numpy draws each Poisson count in int64, then adds them
+            raise ConfigError(
+                [
+                    f"link: up to {primaries!r} signal, dark and Raman clicks in "
+                    f"{duration_s!r} s, more than a Monte Carlo run can draw; a detector, "
+                    "filter or launch magnitude is out of range"
+                ]
+            )
+        p_eff = rates.afterpulse_probability_effective  # the MC solves no balance of its own
+        need = _monte_carlo_bytes(scn, raman, rates, duration_s)
+        memory = _physical_memory_bytes()
+        if need > memory:
+            raise ConfigError(
+                [
+                    f"run.duration_s: {duration_s!r} s of Monte Carlo needs about "
+                    f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+                    "of memory this process may use"
+                ]
+            )
+        stream = simulate_timetags(
+            tx, budget, det=det, noise_rate=noise, duration_s=duration_s, seed=seed, p_eff=p_eff
+        )
+        qber_report = sift_and_score(apply_gate(stream, scn.gate))
+        run_seed = stream.seed
+    key_report = secure_rate(qber_report, scn.f_ec, scn.transmitter.symbol_rate_hz)
+    return RunResult(
+        scenario=scn,
+        mode=mode,
+        path_loss_db=budget,
+        raman=raman,
+        dark_rate_hz=scn.detector.dark_rate_hz,
+        qber_report=qber_report,
+        keyrate_report=key_report,
+        link_rates=rates,
+        seed=run_seed,
+    )
+
+
+def _link(scn: Scenario) -> tuple[RamanContribution, LinkRates]:
+    """``scn``'s Raman background and its solved detector balance.
+
+    A balance that overflows raises :class:`ConfigError`.
+    """
     if scn.topology is None or not scn.plan.channels:
         raman = RamanContribution(0.0, 0.0, 0.0)
     else:  # the run's one Raman sum; the parser only checked its lookups
@@ -127,56 +189,20 @@ def run_scenario(
                 "detector, filter or launch magnitude is out of range"
             ]
         )
-    run_seed: int | None
-    if mode == "oracle":
-        qber_report = oracle_qber_report(
-            rates.signal_rate,
-            scn.transmitter.intrinsic_error,
-            rates.background_rate + rates.afterpulse_rate,
-        )
-        run_seed = None
-    else:
-        tx, det, noise = scn.transmitter, scn.detector, raman.total_at_receiver
-        if duration_s * tx.symbol_rate_hz >= 2.0**63:  # numpy counts in int64
-            raise ConfigError([f"run.duration_s: {duration_s!r} s holds more than 2**63 symbols"])
-        # at most one signal primary per symbol; dark and Raman ones on each monitored port
-        background = det.detector_count * (det.dark_rate_hz + noise)
-        primaries = duration_s * (tx.symbol_rate_hz + background)
-        if not primaries < 2.0**62:  # numpy draws each Poisson count in int64, then adds them
-            raise ConfigError(
-                [
-                    f"link: up to {primaries!r} signal, dark and Raman clicks in "
-                    f"{duration_s!r} s, more than a Monte Carlo run can draw; a detector, "
-                    "filter or launch magnitude is out of range"
-                ]
-            )
-        p_eff = rates.afterpulse_probability_effective  # the MC solves no balance of its own
-        need = MC_BYTES_PER_EVENT * expected_events(tx, budget, det, noise, duration_s, p_eff)
-        memory = _physical_memory_bytes()
-        if need > memory:
-            raise ConfigError(
-                [
-                    f"run.duration_s: {duration_s!r} s of Monte Carlo needs about "
-                    f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
-                    "of memory this process may use"
-                ]
-            )
-        stream = simulate_timetags(
-            tx, budget, det=det, noise_rate=noise, duration_s=duration_s, seed=seed, p_eff=p_eff
-        )
-        qber_report = sift_and_score(apply_gate(stream, scn.gate))
-        run_seed = stream.seed
-    key_report = secure_rate(qber_report, scn.f_ec, scn.transmitter.symbol_rate_hz)
-    return RunResult(
-        scenario=scn,
-        mode=mode,
-        path_loss_db=budget,
-        raman=raman,
-        dark_rate_hz=scn.detector.dark_rate_hz,
-        qber_report=qber_report,
-        keyrate_report=key_report,
-        link_rates=rates,
-        seed=run_seed,
+    return raman, rates
+
+
+def _monte_carlo_bytes(
+    scn: Scenario, raman: RamanContribution, rates: LinkRates, duration_s: float
+) -> float:
+    """The memory guard's estimate of a Monte Carlo run's peak bytes."""
+    return MC_BYTES_PER_EVENT * expected_events(
+        scn.transmitter,
+        scn.quantum_path_loss_db,
+        scn.detector,
+        raman.total_at_receiver,
+        duration_s,
+        rates.afterpulse_probability_effective,
     )
 
 
@@ -251,23 +277,58 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
     Every Monte Carlo point draws from its own child of the master seed, so
     results do not depend on scheduling; an oracle sweep reads no seed and
     spawns none.  The run mode picks the schedule.
-    Monte Carlo points run on a thread pool of one thread per usable CPU, at
-    most one per point: the draws and the dead-time pass run in numpy
-    without the interpreter lock, and a 20 s budget sweep runs about 2x
-    faster on two threads than on one.  Oracle points run one after another
-    in the calling thread: each takes well under a millisecond, so the pool
-    costs more than it saves.
+    Monte Carlo points run on the calling thread plus one helper thread per
+    further usable CPU, at most one worker per point: the draws and the
+    dead-time pass run in numpy without the interpreter lock, and a 20 s
+    budget sweep runs about 2x faster on two threads than on one.  Each
+    worker takes the next point index from one shared queue, and the
+    workers are no more than the heaviest points that fit in memory
+    together, by the memory guard's estimate of each point, but at least
+    one.  A point that raises stops every worker from starting another;
+    once the running points end, the error of the lowest failing index is
+    raised.  Oracle points run one after another in the calling thread:
+    each takes well under a millisecond, so helper threads cost more than
+    they save.
     """
     if scn.sweep is None:
         raise ConfigError(["sweep: provide --axis and --values or a config with a sweep section"])
     points = sweep_points(scn)
     if scn.run.mode == "oracle":
         return list(map(run_scenario, points))
-    from concurrent.futures import ThreadPoolExecutor  # only this branch needs the pool
-
     seeds = np.random.SeedSequence(scn.run.seed).spawn(len(points))
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(points))) as pool:
-        return list(pool.map(run_scenario, points, seeds))
+    workers = min(_usable_cpus(), len(points))
+    if workers > 1:
+        need = sorted(
+            (_monte_carlo_bytes(p, *_link(p), p.run.duration_s) for p in points), reverse=True
+        )
+        memory = _physical_memory_bytes()
+        workers = max(1, sum(total <= memory for total in itertools.accumulate(need[:workers])))
+    results: list[RunResult | None] = [None] * len(points)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    todo = iter(range(len(points)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = run_scenario(points[i], seeds[i])
+            except BaseException as exc:  # Ctrl-C too: raised below, once the helpers end
+                with lock:
+                    failures[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _figures(res: RunResult) -> dict:

@@ -36,14 +36,17 @@ def test_root_exports_what_the_verbs_and_benchmark_use():
 
 
 def test_an_oracle_run_does_not_import_the_thread_pool():
-    # only a Monte Carlo sweep uses concurrent.futures, which also pulls in logging
+    # a Monte Carlo sweep runs its points on plain threads, so neither it nor
+    # an oracle run imports concurrent.futures, which also pulls in logging
     code = (
         "import contextlib, io, sys\n"
         "import ponqkd\n"
         "from ponqkd import cli\n"
+        "sweep = ['sweep', '--config', 'b2b-budget-sweep', '--mode', 'monte_carlo']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['run', '--config', 'pon-baseline']) == 0\n"
-        "print('concurrent.futures' in sys.modules)\n"
+        "    assert cli.main(sweep + ['--duration', '0.05']) == 0\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(ponqkd.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -55,7 +58,7 @@ def test_an_oracle_run_does_not_import_the_thread_pool():
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "False\n"
+    assert child.stdout == "[]\n"
 
 
 def test_every_benchmark_hook_resolves(monkeypatch):

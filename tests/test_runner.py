@@ -5,6 +5,8 @@ import json
 import math
 import os
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -319,6 +321,101 @@ def test_refused_sweep_value_runs_no_point(monkeypatch):
     with pytest.raises(ConfigError, match="topology.budget_db: -1.0 below minimum"):
         run_sweep(parse_scenario(raw))
     assert calls == []
+
+
+def monte_carlo_sweep(values, duration_s=0.05):
+    raw = bundled_scenario("b2b-budget-sweep")
+    raw["run"].update(mode="monte_carlo", duration_s=duration_s)
+    raw["sweep"]["values"] = values
+    return parse_scenario(raw)
+
+
+def record_point_threads(monkeypatch, pause_s=0.0):
+    """Patch run_scenario to note the thread of each point; returns the list."""
+    threads = []
+    run = runner.run_scenario
+
+    def point(*args, **kwargs):
+        threads.append(threading.get_ident())
+        time.sleep(pause_s)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_scenario", point)
+    return threads
+
+
+def test_a_one_cpu_sweep_runs_every_point_on_the_calling_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    threads = record_point_threads(monkeypatch)
+    assert len(run_sweep(monte_carlo_sweep([10, 14, 18]))) == 3
+    assert started == []
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_a_two_cpu_sweep_runs_points_on_the_calling_thread_and_one_helper(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    threads = record_point_threads(monkeypatch, pause_s=0.05)
+    before = threading.active_count()
+    scn = monte_carlo_sweep([10, 12, 14, 16, 18])
+    assert [r.path_loss_db for r in run_sweep(scn)] == [10, 12, 14, 16, 18]
+    assert threading.get_ident() in threads
+    assert len(set(threads)) <= 2
+    assert threading.active_count() == before
+
+
+def test_a_failing_sweep_point_stops_the_sweep_and_raises_the_lowest_index(monkeypatch):
+    # point 1 fails at once and point 0 a little later, while the other
+    # worker still runs it: no point starts after the first failure, and
+    # point 0's error is the one raised
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    started = []
+
+    def point(scn, seed):
+        i = seed.spawn_key[-1]
+        started.append(i)
+        time.sleep(0.2 if i == 0 else 0.0)
+        if i in (0, 1):
+            raise ConfigError([f"point {i} failed"])
+        time.sleep(0.2)
+
+    monkeypatch.setattr(runner, "run_scenario", point)
+    before = threading.active_count()
+    with pytest.raises(ConfigError, match="point 0 failed"):
+        run_sweep(monte_carlo_sweep([10, 12, 14, 16, 18, 20]))
+    assert set(started) <= {0, 1}
+    assert threading.active_count() == before
+
+
+def test_sweep_points_that_do_not_fit_in_memory_together_run_one_at_a_time(monkeypatch):
+    # the machine's memory is patched to just above the heaviest point's
+    # estimate: each point fits on its own, but no two fit together
+    scn = monte_carlo_sweep([10, 14, 18], duration_s=0.5)
+    heaviest = 0.0
+    for value in [10, 14, 18]:
+        point = parse_scenario(apply_axis(scn.raw, "topology.budget_db", value))
+        oracle = run_scenario(point)
+        need = runner.MC_BYTES_PER_EVENT * runner.expected_events(
+            point.transmitter,
+            point.quantum_path_loss_db,
+            point.detector,
+            oracle.raman.total_at_receiver,
+            0.5,
+            oracle.link_rates.afterpulse_probability_effective,
+        )
+        heaviest = max(heaviest, need)
+    monkeypatch.setattr(runner, "_physical_memory_bytes", lambda: heaviest * (1.0 + 1e-6))
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    threads = record_point_threads(monkeypatch, pause_s=0.05)
+    assert [r.mode for r in run_sweep(scn)] == ["monte_carlo"] * 3
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_sweep_table_rendering():
