@@ -103,8 +103,7 @@ def run_scenario(
     duration_s = scn.run.duration_s if duration_s is None else duration_s
     if not (finite(duration_s) and duration_s > 0.0):
         raise ConfigError([f"run.duration_s: expected a finite number > 0, got {duration_s!r}"])
-    raman, rates = _link(scn)
-    budget = scn.quantum_path_loss_db
+    budget, raman, rates = _link(scn)
     run_seed: int | None
     if mode == "oracle":
         qber_report = oracle_qber_report(
@@ -129,7 +128,7 @@ def run_scenario(
                 ]
             )
         p_eff = rates.afterpulse_probability_effective  # the MC solves no balance of its own
-        need = _monte_carlo_bytes(scn, raman, rates, duration_s)
+        need = _monte_carlo_bytes(scn, budget, raman, rates, duration_s)
         memory = _physical_memory_bytes()
         if need > memory:
             raise ConfigError(
@@ -158,8 +157,8 @@ def run_scenario(
     )
 
 
-def _link(scn: Scenario) -> tuple[RamanContribution, LinkRates]:
-    """``scn``'s Raman background and its solved detector balance.
+def _link(scn: Scenario) -> tuple[float, RamanContribution, LinkRates]:
+    """``scn``'s quantum path loss, Raman background and solved detector balance.
 
     A balance that overflows raises :class:`ConfigError`.
     """
@@ -189,16 +188,16 @@ def _link(scn: Scenario) -> tuple[RamanContribution, LinkRates]:
                 "detector, filter or launch magnitude is out of range"
             ]
         )
-    return raman, rates
+    return budget, raman, rates
 
 
 def _monte_carlo_bytes(
-    scn: Scenario, raman: RamanContribution, rates: LinkRates, duration_s: float
+    scn: Scenario, budget: float, raman: RamanContribution, rates: LinkRates, duration_s: float
 ) -> float:
     """The memory guard's estimate of a Monte Carlo run's peak bytes."""
     return MC_BYTES_PER_EVENT * expected_events(
         scn.transmitter,
-        scn.quantum_path_loss_db,
+        budget,
         scn.detector,
         raman.total_at_receiver,
         duration_s,
@@ -284,9 +283,10 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
     worker takes the next point index from one shared queue, and the
     workers are no more than the heaviest points that fit in memory
     together, by the memory guard's estimate of each point, but at least
-    one.  A point that raises stops every worker from starting another;
-    once the running points end, the error of the lowest failing index is
-    raised.  Oracle points run one after another in the calling thread:
+    one.  A point that raises, or an interrupt of the calling thread, stops
+    every worker from starting another; once the running points end, the
+    interrupt or else the error of the lowest failing index is raised.
+    Oracle points run one after another in the calling thread:
     each takes well under a millisecond, so helper threads cost more than
     they save.
     """
@@ -304,7 +304,7 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
         memory = _physical_memory_bytes()
         workers = max(1, sum(total <= memory for total in itertools.accumulate(need[:workers])))
     results: list[RunResult | None] = [None] * len(points)
-    failures: dict[int, BaseException] = {}
+    failures: dict[int, Exception] = {}
     lock = threading.Lock()
     todo = iter(range(len(points)))
 
@@ -316,16 +316,21 @@ def run_sweep(scn: Scenario) -> list[RunResult]:
                 return
             try:
                 results[i] = run_scenario(points[i], seeds[i])
-            except BaseException as exc:  # Ctrl-C too: raised below, once the helpers end
+            except Exception as exc:  # raised below, once every worker has stopped
                 with lock:
                     failures[i] = exc
 
     helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
+    try:
+        work()
+    finally:  # after an interrupt too, no helper starts another point
+        with lock:
+            for _ in todo:
+                pass
+        for helper in helpers:
+            helper.join()
     if failures:
         raise failures[min(failures)]
     return results

@@ -394,6 +394,54 @@ def test_a_failing_sweep_point_stops_the_sweep_and_raises_the_lowest_index(monke
     assert threading.active_count() == before
 
 
+def test_an_interrupted_sweep_raises_the_interrupt_once_the_helper_stops(monkeypatch):
+    # Ctrl-C reaches the calling thread, which ends the sweep at once; the
+    # helper finishes the point it runs and starts no other
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    started = []
+
+    def point(scn, seed):
+        started.append(seed.spawn_key[-1])
+        if threading.get_ident() == caller:
+            raise KeyboardInterrupt
+        time.sleep(0.2)
+
+    monkeypatch.setattr(runner, "run_scenario", point)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(monte_carlo_sweep([10, 12, 14, 16, 18, 20]))
+    assert len(started) <= 2
+    assert threading.active_count() == before
+
+
+def test_sweep_workers_take_each_point_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval: a lost update of
+    # the shared queue would run a point twice or leave one out
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 8)
+    taken = []
+
+    def point(scn, seed):
+        taken.append(seed.spawn_key[-1])
+        return seed.spawn_key[-1]
+
+    monkeypatch.setattr(runner, "run_scenario", point)
+    scn = monte_carlo_sweep([10 + k / 4 for k in range(60)])
+    swept = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            sweep = threading.Thread(target=lambda: swept.append(run_sweep(scn)))
+            sweep.start()
+            sweep.join(timeout=60)
+            assert not sweep.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert swept == [list(range(60))] * 5
+    assert sorted(taken) == sorted(list(range(60)) * 5)
+
+
 def test_sweep_points_that_do_not_fit_in_memory_together_run_one_at_a_time(monkeypatch):
     # the machine's memory is patched to just above the heaviest point's
     # estimate: each point fits on its own, but no two fit together
