@@ -75,7 +75,6 @@ class TimeTagStream:
     truth_bits: np.ndarray
     pattern_period: int
     monitored_ports: str
-    seed: int | None = None
     gated_rejected: int = 0
 
     def __len__(self) -> int:
@@ -489,7 +488,6 @@ def simulate_timetags(
     del times, ports, origins, fires, delays
     out_t, out_port, out_origin = _dead_time_pass(events, det.dead_time_s, duration_s)
 
-    seed_int = None if isinstance(seed, np.random.SeedSequence) else int(seed)
     return TimeTagStream(
         times_s=out_t,
         ports=out_port,
@@ -499,7 +497,6 @@ def simulate_timetags(
         truth_bits=truth_bits,
         pattern_period=pattern_period,
         monitored_ports=det.monitored_ports,
-        seed=seed_int,
     )
 
 

@@ -142,7 +142,7 @@ def run_scenario(
             tx, budget, det=det, noise_rate=noise, duration_s=duration_s, seed=seed, p_eff=p_eff
         )
         qber_report = sift_and_score(apply_gate(stream, scn.gate))
-        run_seed = stream.seed
+        run_seed = None if isinstance(seed, np.random.SeedSequence) else int(seed)
     key_report = secure_rate(qber_report, scn.f_ec, scn.transmitter.symbol_rate_hz)
     return RunResult(
         scenario=scn,

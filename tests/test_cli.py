@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -52,12 +53,19 @@ def test_run_bundled_scenario_json(capsys):
     assert payload["qber"]["qber"] == pytest.approx(0.0377, abs=1e-9)
 
 
-def test_run_mode_seed_duration_overrides(capsys):
+@pytest.mark.parametrize("monitored_ports", ["one", "both"])
+def test_run_mode_seed_duration_overrides(tmp_path, capsys, monitored_ports):
+    # the bundled baseline monitors one port; a written copy monitors both
+    config = "pon-baseline"
+    if monitored_ports == "both":
+        raw = bundled_scenario(config)
+        raw["detector"]["monitored_ports"] = monitored_ports
+        config = write_config(tmp_path, raw)
     rc = main(
         [
             "run",
             "--config",
-            "pon-baseline",
+            config,
             "--mode",
             "monte_carlo",
             "--duration",
@@ -111,12 +119,10 @@ def test_unwritable_out_exits_config(tmp_path, capsys, argv, where):
     assert not (tmp_path / "missing").exists()
 
 
-def test_validate_prints_name_and_hash(capsys):
-    assert main(["validate", "--config", "pon-baseline"]) == EXIT_OK
-    fields = capsys.readouterr().out.split()
-    assert fields[0] == "ok"
-    assert fields[1] == "pon-baseline"
-    assert len(fields[2]) == 16
+@pytest.mark.parametrize("name", bundled_names())
+def test_validate_prints_name_and_hash(capsys, name):
+    assert main(["validate", "--config", name]) == EXIT_OK
+    assert re.fullmatch(f"ok {re.escape(name)} [0-9a-f]{{16}}\n", capsys.readouterr().out)
 
 
 def test_validate_reports_every_config_error(tmp_path, capsys):
