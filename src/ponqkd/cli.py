@@ -21,7 +21,7 @@ from .runner import (
     sweep_csv,
     sweep_rows,
 )
-from .scenario import RUN_MODES, SWEEP_AXES, parse_scenario, sweep_points
+from .scenario import RUN_MODES, SWEEP_AXES, parse_scenario, set_value, sweep_points
 from .scenarios import DESCRIPTIONS, bundled_names, bundled_scenario
 
 EXIT_OK = 0
@@ -48,20 +48,18 @@ def _load_config(ref: str) -> dict:
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    """``raw`` with the flags given written into its ``run`` and ``sweep`` sections."""
-    if not isinstance(raw, dict):
-        return raw  # parse_scenario reports the malformed config
+    """``raw`` with the flags given set in its ``run`` and ``sweep`` sections."""
     values = getattr(args, "values", None)
     flags = (
-        ("run", "mode", args.mode),
-        ("run", "seed", args.seed),
-        ("run", "duration_s", args.duration),
-        ("sweep", "axis", getattr(args, "axis", None)),
-        ("sweep", "values", None if values is None else _parse_values(values)),
+        ("run.mode", args.mode),
+        ("run.seed", args.seed),
+        ("run.duration_s", args.duration),
+        ("sweep.axis", getattr(args, "axis", None)),
+        ("sweep.values", None if values is None else _parse_values(values)),
     )
-    for name, key, value in flags:
-        if value is not None and isinstance(raw.setdefault(name, {}), dict):
-            raw[name][key] = value
+    for key, value in flags:
+        if value is not None:
+            raw = set_value(raw, key, value)
     return raw
 
 

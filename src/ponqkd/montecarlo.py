@@ -119,8 +119,7 @@ def _time_order(times: np.ndarray, *labels: np.ndarray) -> tuple[np.ndarray, ...
 # event than the sequential rule, so the rest finish one cluster at a time
 _SERIAL_CLUSTERS = 64
 
-# events per block of the cluster flags' float sums, and tags per block of
-# sift_and_score's slot arithmetic
+# events per block of the cluster flags' float sums
 _BLOCK = 1 << 15
 
 
@@ -603,20 +602,18 @@ def sift_and_score(stream: TimeTagStream) -> QberReport:
     count as errors; with both ports monitored the port itself is the
     decoded bit.  The truth pattern extends cyclically, so any tag inside
     the run duration, where :func:`simulate_timetags` puts every tag, is
-    covered.  The tags are scored a block at a time, so
-    the slot arithmetic allocates no temporary as long as the stream.
+    covered.  The tags are scored in one pass: a run's memory peak lies in
+    the dead-time pass, not here.
     """
     times = stream.times_s
-    errors = 0
-    for a in range(0, len(times), _BLOCK):
-        b = a + _BLOCK
-        slots = np.floor(times[a:b] * stream.symbol_rate_hz).astype(np.int64)
-        truth_at_tag = stream.truth_bits[pattern_index(slots, stream.pattern_period)]
-        if stream.monitored_ports == "one":  # every click decodes bit 0
-            errors += int(np.count_nonzero(truth_at_tag))
-        else:
-            decoded = (stream.ports[a:b] != PORT_CONSTRUCTIVE).astype(np.uint8)
-            errors += int(np.count_nonzero(decoded != truth_at_tag))
+    slots = np.floor(times * stream.symbol_rate_hz).astype(np.int64)
+    truth_at_tag = stream.truth_bits[pattern_index(slots, stream.pattern_period)]
+    del slots
+    if stream.monitored_ports == "one":  # every click decodes bit 0
+        errors = int(np.count_nonzero(truth_at_tag))
+    else:
+        decoded = (stream.ports != PORT_CONSTRUCTIVE).astype(np.uint8)
+        errors = int(np.count_nonzero(decoded != truth_at_tag))
     sifted = len(times)
     return QberReport(
         qber=errors / sifted if sifted else 0.0,

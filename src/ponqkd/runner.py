@@ -22,7 +22,7 @@ from .montecarlo import simulate_timetags
 from .raman import RamanContribution, odn_noise_at_bob
 from .roots import RootError, brentq
 from .scenario import RUN_MODES, Scenario, parse_scenario
-from .scenario import reread, sweep_points
+from .scenario import reread, set_value, sweep_points
 from .topology import finite
 
 VERSION = "0.1.0"
@@ -421,17 +421,6 @@ class CalibrationResult:
     iterations: int
 
 
-def _set_parameter(raw: dict, parameter: str, value: float) -> dict:
-    """``raw`` with one parameter set; only the section holding it is copied."""
-    section, key = parameter.split(".")
-    if not isinstance(raw, dict):
-        raise ConfigError(["configuration must be a JSON object"])
-    target = raw.get(section, {})
-    if not isinstance(target, dict):
-        raise ConfigError([f"{section}: expected an object"])
-    return {**raw, section: {**target, key: float(value)}}
-
-
 def _observe(scn: Scenario, observable: str) -> float:
     return OBSERVABLES[observable](run_scenario(scn, mode="oracle"))
 
@@ -443,13 +432,15 @@ def calibrate(
 
     Brent's method (:func:`ponqkd.roots.brentq`) on an expanding bracket;
     no sign change, or no convergence within ``roots.MAX_ITER`` iterations,
-    raises :class:`CalibrationError` carrying the bracket diagnostics.  The
-    config is parsed once, with the parameter at the bracket's low end; each
-    objective call then has :func:`~ponqkd.scenario.reread` read the one
-    section that holds the parameter.  Each parameter value is evaluated
-    once per call: the bracket ends, which Brent's start asks for again, and
-    the root, whose residual is reported, come from a memo that ends with
-    the call.  A non-finite ``target`` raises
+    raises :class:`CalibrationError` carrying the bracket diagnostics.  Every
+    config it makes is ``raw`` with the parameter set by
+    :func:`~ponqkd.scenario.set_value`: the base, parsed once with the
+    parameter at the bracket's low end; each objective call's, which
+    :func:`~ponqkd.scenario.reread` builds from the base by reading the one
+    section that holds the parameter; and the fitted one.  Each parameter
+    value is evaluated once per call: the bracket ends, which Brent's start
+    asks for again, and the root, whose residual is reported, come from a
+    memo that ends with the call.  A non-finite ``target`` raises
     :class:`ConfigError`.  Returns the result plus the calibrated config
     dict for persistence, which shares every section but the fitted one with
     ``raw``; ``raw`` itself is left as it was.
@@ -464,15 +455,13 @@ def calibrate(
         raise ConfigError([f"target: expected a finite number, got {target!r}"])
 
     lo, hi, limit = CALIBRATION_PARAMETERS[parameter]
-    section = parameter.split(".")[0]
-    base = parse_scenario(_set_parameter(raw, parameter, lo))
+    base = parse_scenario(set_value(raw, parameter, lo))
 
     seen: dict[float, float] = {}
 
     def objective(p: float) -> float:
         if p not in seen:
-            point = reread(base, _set_parameter(base.raw, parameter, p), section)
-            seen[p] = _observe(point, observable) - target
+            seen[p] = _observe(reread(base, parameter, p), observable) - target
         return seen[p]
 
     f_lo, f_hi = objective(lo), objective(hi)
@@ -492,4 +481,4 @@ def calibrate(
         target=target,
         iterations=iterations,
     )
-    return result, _set_parameter(raw, parameter, root)
+    return result, set_value(raw, parameter, root)

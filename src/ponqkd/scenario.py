@@ -105,8 +105,8 @@ class Scenario:
     def config_hash(self) -> str:
         """:func:`config_hash` of ``raw``, computed on first read and kept.
 
-        Nothing mutates ``raw``, and :func:`reread` and :func:`sweep_point`
-        build a new scenario, with an empty cache, for a new ``raw``.
+        Nothing mutates ``raw``: :func:`set_value` edits a copy, and
+        :func:`reread` builds a new scenario, with an empty cache, for it.
         """
         return config_hash(self.raw)
 
@@ -383,20 +383,41 @@ def apply_axis(raw: dict, axis: str, value) -> dict:
     return out
 
 
-def reread(scn: Scenario, raw: dict, section: str) -> Scenario:
-    """``parse_scenario(raw)`` for a ``raw`` that differs from ``scn.raw`` in ``section`` only.
+def set_value(raw: dict, key: str, value) -> dict:
+    """New config dict with one ``section.name`` key set; ``raw`` is left as it was.
 
-    The parser's own reader reads that one section again: ``topology``,
-    ``raman``, ``transmitter`` or ``detector``.  Every other object is
-    shared with ``scn``, and a broken rule of the section raises
-    :class:`ConfigError` with the parser's message.  The rules that tie the
-    plant and the Raman profile to the channel plan do not run again, so
-    ``raw`` keeps the plant kind and the fibre table of ``scn.raw``; no sweep
-    axis or calibration parameter changes them, and the default Raman
-    profile spans the same shifts at every temperature.
+    A sweep axis goes to :func:`apply_axis`.  Any other key is set as given,
+    and only the section holding it is copied.  A config or section that is
+    not an object comes back unchanged, for the parser to report.
     """
+    name, _, leaf = key.partition(".")
+    if not isinstance(raw, dict) or not isinstance(section := raw.get(name, {}), dict):
+        return raw
+    if key in SWEEP_AXES:
+        return apply_axis(raw, key, value)
+    return {**raw, name: {**section, leaf: value}}
+
+
+def reread(scn: Scenario, key: str, value) -> Scenario:
+    """``parse_scenario(set_value(scn.raw, key, value))``, built from ``scn``.
+
+    The parser's own reader reads the one section that holds ``key`` again:
+    ``topology``, ``raman``, ``transmitter`` or ``detector``.
+    ``channels.upstream_count`` keeps the first upstream channels of
+    ``scn.plan``: fewer pumps break no rule the plan passed.  Every other
+    object is shared with ``scn``, and a broken rule raises
+    :class:`ConfigError` with the parser's message.  The rules that tie the
+    plant to the channel plan do not run again, so ``key`` is never
+    ``topology.kind`` or ``topology.attenuation_db_per_km``.
+    """
+    raw = set_value(scn.raw, key, value)
+    section = key.partition(".")[0]
     col = _Collector()
-    if section == "topology":
+    if key == "channels.upstream_count":
+        directions = [channel.direction for channel in scn.plan.channels]
+        channels = _first_upstream(scn.plan.channels, directions, int(value))
+        changes = {"plan": replace(scn.plan, channels=tuple(channels))}
+    elif section == "topology":
         topology, budget = _parse_topology(raw, col)
         changes = {"topology": topology, "budget_db": budget}
     elif section == "raman":
@@ -410,23 +431,8 @@ def reread(scn: Scenario, raw: dict, section: str) -> Scenario:
 
 
 def sweep_points(scn: Scenario) -> list[Scenario]:
-    """Every point of ``scn``'s sweep section, built by :func:`sweep_point` in axis order."""
-    return [sweep_point(scn, scn.sweep["axis"], value) for value in scn.sweep["values"]]
-
-
-def sweep_point(scn: Scenario, axis: str, value) -> Scenario:
-    """``parse_scenario(apply_axis(scn.raw, axis, value))``, built from ``scn``.
-
-    A plant axis has :func:`reread` read the topology section again.
-    ``channels.upstream_count`` keeps the first upstream channels of
-    ``scn.plan``: fewer pumps break no rule the plan passed.
-    """
-    raw = apply_axis(scn.raw, axis, value)
-    if axis != "channels.upstream_count":
-        return reread(scn, raw, "topology")
-    directions = [channel.direction for channel in scn.plan.channels]
-    channels = _first_upstream(scn.plan.channels, directions, int(value))
-    return replace(scn, plan=replace(scn.plan, channels=tuple(channels)), raw=raw)
+    """Every point of ``scn``'s sweep section, built by :func:`reread` in axis order."""
+    return [reread(scn, scn.sweep["axis"], value) for value in scn.sweep["values"]]
 
 
 def _first_upstream(items, directions: list[str], want: int) -> list:

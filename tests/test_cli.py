@@ -306,6 +306,19 @@ def test_malformed_config_exits_config_from_every_verb(tmp_path, capsys, verb, p
     assert err.startswith("config error:") and field in err
 
 
+def test_flag_on_a_section_not_an_object_exits_config(tmp_path, capsys):
+    # --seed leaves the broken run section as it is, and the parser reports
+    # it with every other failure
+    raw = bundled_scenario("pon-baseline")
+    raw["run"] = [1]
+    raw["detector"]["efficiency"] = "high"
+    assert main(["run", "--config", write_config(tmp_path, raw), "--seed", "3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "run: expected an object" in err
+    assert "detector.efficiency: expected a finite number, got 'high'" in err
+
+
 @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
 def test_config_not_an_object_exits_config_from_every_verb(tmp_path, capsys, verb):
     assert main([verb, "--config", write_config(tmp_path, [])]) == EXIT_CONFIG

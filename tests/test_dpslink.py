@@ -19,6 +19,7 @@ from ponqkd.montecarlo import (
     _dead_time_pass,
     _time_order,
     expected_events,
+    sift_and_score,
     simulate_timetags,
 )
 from ponqkd.raman import odn_noise_at_bob
@@ -591,14 +592,14 @@ def test_dead_time_pass_merges_candidates_far_past_their_parents(monkeypatch):
 
 
 def monte_carlo_peak(tx, budget, det, noise, duration_s):
-    """(tracemalloc peak bytes of one seeded run, its expected_events)."""
+    """(tracemalloc peak bytes of one seeded run and its scoring, its expected_events)."""
     p_eff = click_rate_oracle(tx, budget, det, noise_rate=noise).afterpulse_probability_effective
     events = expected_events(tx, budget, det, noise, duration_s, p_eff)
     # numpy's lazy imports, once
     simulate_timetags(tx, budget, det, noise, 0.01, seed=1, p_eff=p_eff)
     tracemalloc.start()
     try:
-        simulate_timetags(tx, budget, det, noise, duration_s, seed=1, p_eff=p_eff)
+        sift_and_score(simulate_timetags(tx, budget, det, noise, duration_s, seed=1, p_eff=p_eff))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ from ponqkd.scenario import (
     config_hash,
     parse_scenario,
     reread,
-    sweep_point,
+    set_value,
 )
 from ponqkd.scenarios import (
     CAL_EXCESS_LOSS_DB,
@@ -159,12 +159,16 @@ AXIS_CASES = {
 }
 
 
-@pytest.mark.parametrize("axis", SWEEP_AXES)
-def test_apply_axis_leaves_its_input_alone(axis):
-    name, value = AXIS_CASES[axis]
+# and a calibration key and a run flag, which set_value sets as given
+SET_VALUE_CASES = {**AXIS_CASES, "raman.scale": ("pon-us-1", 2.5), "run.seed": ("pon-baseline", 3)}
+
+
+@pytest.mark.parametrize("key", SET_VALUE_CASES)
+def test_apply_axis_leaves_its_input_alone(key):
+    name, value = SET_VALUE_CASES[key]
     raw = bundled_scenario(name)
     before = config_hash(raw)
-    out = apply_axis(raw, axis, value)
+    out = set_value(raw, key, value)
     assert config_hash(raw) == before
     assert config_hash(out) != before
 
@@ -183,7 +187,7 @@ def sweep_point_and_parse(raw, axis, value):
             return exc.errors
 
     scn = parse_scenario(raw)
-    built = outcome(lambda: sweep_point(scn, axis, value))
+    built = outcome(lambda: reread(scn, axis, value))
     parsed = outcome(lambda: parse_scenario(apply_axis(raw, axis, value)))
     return built, parsed
 
@@ -212,26 +216,29 @@ def test_sweep_point_reports_the_parsers_messages(axis, value, message):
     assert error.startswith(message)
 
 
-# (section, its new content on pon-us-1), keeping the plant kind, the fibre
-# table and the Raman table: some parse, some break a rule of their section
+# (key, its new value on pon-us-1), keeping the plant kind, the fibre table
+# and the Raman table: some parse, some break a rule of their section
 REREAD_CASES = [
-    ("topology", {"kind": "odn", "port_count": 4, "feeder_up_km": 3.0, "directivity_db": 40.0}),
-    ("topology", {"kind": "odn", "port_count": 3}),
-    ("topology", {"kind": "odn", "drop_km": -1.0, "excess_loss_db": "x"}),
-    ("raman", {"scale": 2.5, "temperature_k": 250.0}),
-    ("raman", {"scale": -1.0}),
-    ("raman", {"temperature_k": 2.5}),
-    ("detector", {"efficiency": 0.5, "dark_rate_hz": 40.0}),
-    ("detector", {"efficiency": 2.0}),
-    ("transmitter", {"visibility": 0.9}),
-    ("transmitter", {"visibility": "high"}),
+    ("topology.port_count", 4),
+    ("topology.feeder_up_km", 3.0),
+    ("topology.directivity_db", 40.0),
+    ("topology.port_count", 3),
+    ("topology.drop_km", -1.0),
+    ("topology.excess_loss_db", "x"),
+    ("raman.scale", 2.5),
+    ("raman.temperature_k", 250.0),
+    ("raman.scale", -1.0),
+    ("raman.temperature_k", 2.5),
+    ("detector.efficiency", 0.5),
+    ("detector.dark_rate_hz", 40.0),
+    ("detector.efficiency", 2.0),
+    ("transmitter.visibility", 0.9),
+    ("transmitter.visibility", "high"),
 ]
 
 
-@pytest.mark.parametrize(
-    "section, content", REREAD_CASES, ids=[f"{s}-{c}"[:48] for s, c in REREAD_CASES]
-)
-def test_reread_equals_a_parse_of_its_config(section, content):
+@pytest.mark.parametrize("key, value", REREAD_CASES, ids=[f"{k}={v!r}" for k, v in REREAD_CASES])
+def test_reread_equals_a_parse_of_its_config(key, value):
     def outcome(build):
         try:
             return build()
@@ -239,9 +246,8 @@ def test_reread_equals_a_parse_of_its_config(section, content):
             return exc.errors
 
     scn = parse_scenario(bundled_scenario("pon-us-1"))
-    raw = {**scn.raw, section: content}
-    built = outcome(lambda: reread(scn, raw, section))
-    parsed = outcome(lambda: parse_scenario(raw))
+    built = outcome(lambda: reread(scn, key, value))
+    parsed = outcome(lambda: parse_scenario(set_value(scn.raw, key, value)))
     assert built == parsed
 
 
